@@ -409,7 +409,7 @@ def stage_estimate(
     def estimate_one(ts: TimeSeriesMatrix) -> CpsdMatrix:
         if cost_model == "paper":
             return estimate_cpsd_lag_domain(ts, snapped)
-        return estimate_cpsd_matrix(ts, snapped, cfg.spectral)
+        return estimate_cpsd_matrix(ts, omega0, cfg.spectral)
 
     s_full = estimate_one(full_ts)
     grounded = []

@@ -3,8 +3,9 @@
 The continuous-time network is driven by independent per-node noise: a
 discrete white (optionally low-pass shaped) Gaussian sequence held constant
 over each sampling interval.  The held input makes the discretization exact
-(matrix-exponential propagation) and gives the injected noise a known,
-strictly positive power spectral density over a wide band:
+(a matrix exponential, then a cascade of first-order filters in the Schur
+basis, exact for defective couplings too) and gives the injected noise a
+known, strictly positive power spectral density over a wide band:
 
     ``S_w(w) = sigma^2 * dt * sinc^2(w dt / 2)``            (unshaped)
 
@@ -17,13 +18,14 @@ idealisation.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, rsf2csf, schur
 from scipy.signal import lfilter
 
 from .errors import NumericalError, StabilityError, ValidationError
@@ -44,10 +46,11 @@ __all__ = [
 #: Fraction of the sampling rate up to which the held-noise PSD is flat to ~1%.
 FLAT_BAND_FRACTION = 0.35
 
-#: Above this eigenvector condition number the modal fast path is abandoned.
-EIG_COND_LIMIT = 1e8
+#: Samples per block of the Schur cascade in :func:`_propagate` (cache-sized).
+PROPAGATE_BLOCK = 2**14
 
 _MAGIC = b"NSTS0001"
+_HEAD = struct.Struct("<8sIQd")
 
 
 @dataclass(frozen=True)
@@ -186,32 +189,31 @@ def discretize(sys: NetworkSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return e[:nx, :nx], e[:nx, nx:]
 
 
-def _propagate(phi: np.ndarray, gamma: np.ndarray, w: np.ndarray, cmat: np.ndarray) -> np.ndarray:
-    """Outputs ``y[k] = C x[k]`` of ``x[k+1] = Phi x[k] + Gamma w[k]``, ``x[0] = 0``.
+def _propagate(phi: np.ndarray, gamma: np.ndarray, w: np.ndarray, cmat: np.ndarray,
+               burn: int = 0) -> np.ndarray:
+    """Outputs ``y[k] = C x[k]``, ``k >= burn``, of ``x[k+1] = Phi x[k] + Gamma w[k]``, ``x[0] = 0``.
 
-    Fast path: modal decomposition of ``Phi`` turns the recursion into
-    independent scalar first-order filters.  Falls back to stepwise
-    propagation when the eigenvector basis is ill-conditioned (defective or
-    nearly defective ``Phi``, e.g. directed chains).
+    Exact for every ``Phi``, defective or not: in the Schur basis ``Phi = Q T Q*``
+    (complex only when real ``T`` has 2x2 blocks) row ``i`` of ``z = Q* x`` is one
+    ``lfilter`` driven by its input plus ``T[i, i+1:] z[i+1:]``, solved bottom row
+    first, block by block with carried states.  Returns a transposed view.
     """
-    n_samples = w.shape[0]
-    u = w @ gamma.T
-    lam, v = np.linalg.eig(phi)
-    if np.linalg.cond(v) < EIG_COND_LIMIT:
-        zin = np.linalg.solve(v, u.T)  # modal inputs, shape (nx, T)
-        for k in range(zin.shape[0]):
-            zin[k] = lfilter([1.0], [1.0, -lam[k]], zin[k])
-        cv = cmat.astype(complex) @ v
-        y = np.empty((n_samples, cmat.shape[0]))
-        y[0] = 0.0
-        y[1:] = (zin[:, :-1].T @ cv.T).real
-        return y
-    x = np.zeros(phi.shape[0])
-    y = np.empty((n_samples, cmat.shape[0]))
-    for k in range(n_samples):
-        y[k] = cmat @ x
-        x = phi @ x + u[k]
-    return y
+    t, q = schur(phi, output="real")
+    if np.any(np.diag(t, -1)):
+        t, q = rsf2csf(t, q)
+    g = q.conj().T @ gamma
+    cq = cmat @ q
+    n_samples, nx = w.shape[0], t.shape[0]
+    out = np.empty((cmat.shape[0], n_samples))
+    state = np.zeros((nx, 1), dtype=t.dtype)
+    for lo in range(0, n_samples, PROPAGATE_BLOCK):
+        hi = min(lo + PROPAGATE_BLOCK, n_samples)
+        z = g @ w[lo:hi].T
+        for i in range(nx - 1, -1, -1):
+            z[i] += t[i, i + 1:] @ z[i + 1:]
+            z[i], state[i] = lfilter([0.0, 1.0], [1.0, -t[i, i]], z[i], zi=state[i])
+        out[:, lo:hi] = (cq @ z).real
+    return out[:, burn:].T
 
 
 def _run(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig, run_seed: int,
@@ -222,12 +224,9 @@ def _run(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig, run_seed: int,
             f"network state matrix is not Hurwitz "
             f"(spectral abscissa {report.spectral_abscissa:+.6g})"
         )
-    m = sys.joint_state_matrix()
-    if np.linalg.norm(m, 2) * cfg.dt > 0.5:
-        warnings.warn(
-            f"||M||*dt = {np.linalg.norm(m, 2) * cfg.dt:.3g} > 0.5; "
-            "consider a smaller dt"
-        )
+    step_norm = np.linalg.norm(sys.joint_state_matrix(), 2) * cfg.dt
+    if step_norm > 0.5:
+        warnings.warn(f"||M||*dt = {step_norm:.3g} > 0.5; consider a smaller dt")
     burn = cfg.burn_in
     if burn is None:
         burn = math.ceil(10.0 / (abs(report.spectral_abscissa) * cfg.dt))
@@ -240,11 +239,10 @@ def _run(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig, run_seed: int,
     phi, gamma = discretize(sys, cfg.dt)
     rng = np.random.default_rng(run_seed)
     w = noise._draw(rng, cfg.n_samples + burn, sys.n_nodes, cfg.dt)
-    y = _propagate(phi, gamma, w, sys.output_matrix())
-    y = y[burn:]
+    y = _propagate(phi, gamma, w, sys.output_matrix(), burn=burn)
     if not np.isfinite(y).all():
         raise NumericalError("simulation produced non-finite samples (overflow)")
-    return TimeSeriesMatrix(data=np.ascontiguousarray(y.T), dt=cfg.dt, channel_labels=labels)
+    return TimeSeriesMatrix(data=y.T, dt=cfg.dt, channel_labels=labels)
 
 
 def simulate(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig) -> TimeSeriesMatrix:
@@ -276,23 +274,24 @@ def simulate_grounded(sys: NetworkSystem, j: int, noise: NoiseConfig,
 
 def save_timeseries(path, ts: TimeSeriesMatrix) -> None:
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQd", ts.n_channels, ts.n_samples, ts.dt))
+        fh.write(_HEAD.pack(_MAGIC, ts.n_channels, ts.n_samples, ts.dt))
         fh.write(struct.pack(f"<{ts.n_channels}I", *ts.channel_labels))
-        fh.write(np.ascontiguousarray(ts.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(ts.data, dtype="<f8"))  # the buffer, uncopied
 
 
 def load_timeseries(path) -> TimeSeriesMatrix:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _MAGIC:
-        raise ValidationError(f"{path} is not a netspectra time-series file")
-    n, l, dt = struct.unpack_from("<IQd", blob, 8)
-    off = 8 + struct.calcsize("<IQd")
-    labels = struct.unpack_from(f"<{n}I", blob, off)
-    off += 4 * n
-    data = np.frombuffer(blob, dtype="<f8", count=n * l, offset=off).reshape(n, l)
-    return TimeSeriesMatrix(data=data.copy(), dt=dt, channel_labels=labels)
+        head = fh.read(_HEAD.size)
+        if head[:len(_MAGIC)] != _MAGIC:
+            raise ValidationError(f"{path} is not a netspectra time-series file")
+        _, n, l, dt = _HEAD.unpack(head.ljust(_HEAD.size, b"\0"))  # short: size check fails
+        if os.fstat(fh.fileno()).st_size != _HEAD.size + 4 * n + 8 * n * l:
+            raise ValidationError(f"{path} is truncated: its size does not match its header")
+        labels = struct.unpack(f"<{n}I", fh.read(4 * n))
+        data = np.empty((n, l), dtype="<f8")
+        if fh.readinto(data) != data.nbytes:
+            raise ValidationError(f"{path} is truncated: it shrank while being read")
+    return TimeSeriesMatrix(data=data, dt=dt, channel_labels=labels)
 
 
 def timeseries_to_csv(path, ts: TimeSeriesMatrix) -> None:

@@ -258,6 +258,34 @@ class TestStagedArtifacts:
         assert info["cost_model"] == "paper"
         assert info["segment_count"] == 1
 
+    def test_estimate_records_snap_distance(self, tmp_path):
+        # reference spectral settings: 0.5 snaps to bin 3 of 4096 samples at dt = 0.01,
+        # 0.46019, a snap distance of 0.0398
+        p = write_config(
+            tmp_path,
+            {
+                ("reconstruction", "mode"): "exact-directed",
+                ("simulation", "n_samples"): "20480",
+                ("spectral", "segment_length"): "4096",
+            },
+        )
+        out = tmp_path / "snap"
+        for cmd in ("generate", "simulate", "estimate"):
+            assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
+        info = json.loads((out / "spectra" / "estimate.json").read_text())
+        snapped = 3 * 2 * np.pi / (4096 * 0.01)
+        assert info["omega0"] == pytest.approx(snapped)
+        assert info["snap_distance"] == pytest.approx(0.5 - snapped)
+
+    def test_truncated_timeseries_exit_code(self, tmp_path):
+        p = write_config(tmp_path, {("reconstruction", "mode"): "exact-directed"})
+        out = tmp_path / "cut"
+        for cmd in ("generate", "simulate"):
+            assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
+        full = out / "timeseries" / "full.nsts"
+        full.write_bytes(full.read_bytes()[:-8])
+        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 2
+
     def test_seed_override(self, tmp_path):
         p = write_config(
             tmp_path,

@@ -1,3 +1,6 @@
+import struct
+import time
+
 import numpy as np
 import pytest
 
@@ -18,15 +21,20 @@ from netspectra import (
     simulate_grounded,
 )
 from netspectra.families import random_hurwitz_system, reference_laplacian_5
-from netspectra.simulate import _propagate, timeseries_to_csv
+from netspectra.simulate import PROPAGATE_BLOCK, _propagate, timeseries_to_csv
 
 from conftest import make_system
 
 
 def chain_system(weights=(1.0, 1.0)):
-    """v1 -> v2 -> v3 diffusive chain; the joint matrix is defective."""
-    a = np.zeros((3, 3))
-    a[1, 0], a[2, 1] = weights
+    """v1 -> v2 -> ... diffusive chain; the joint matrix is defective."""
+    a = np.diag(weights, -1)
+    return NetworkSystem(NodeDynamics.scalar_pole(-1.0), laplacian_connectivity(a))
+
+
+def cycle_system():
+    """v1 -> v2 -> v3 -> v1 directed cycle; the joint matrix has complex eigenvalues."""
+    a = np.roll(np.eye(3), 1, axis=0)
     return NetworkSystem(NodeDynamics.scalar_pole(-1.0), laplacian_connectivity(a))
 
 
@@ -82,6 +90,27 @@ class TestPropagate:
         y = _propagate(phi, gam, w, sys.output_matrix())
         ref = self.reference_loop(phi, gam, w, sys.output_matrix())
         assert np.abs(y - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("make", [random_hurwitz_system, chain_system, cycle_system])
+    def test_blocks_match_stepwise(self, rng, make):
+        sys = make(rng) if make is random_hurwitz_system else make()
+        phi, gam = discretize(sys, 0.02)
+        if make is cycle_system:
+            assert np.iscomplex(np.linalg.eigvals(phi)).any()
+        w = rng.standard_normal((3 * PROPAGATE_BLOCK + 17, sys.n_nodes))
+        ref = self.reference_loop(phi, gam, w, sys.output_matrix())
+        for burn in (0, PROPAGATE_BLOCK + 5):
+            y = _propagate(phi, gam, w, sys.output_matrix(), burn=burn)
+            assert y.shape == ref[burn:].shape
+            assert np.abs(y - ref[burn:]).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+
+    def test_defective_chain_runs_at_filter_speed(self):
+        # a per-sample loop needs about 1 s of CPU here (3.8 us per sample)
+        sys = chain_system((1.0,) * 5)
+        start = time.process_time()
+        ts = simulate(sys, NoiseConfig(seed=0), SimConfig(dt=0.01, n_samples=2**18))
+        assert time.process_time() - start < 0.5
+        assert ts.data.shape == (6, 2**18)
 
 
 class TestSimulate:
@@ -217,6 +246,20 @@ class TestTimeSeriesIO:
         assert np.array_equal(ts.data, t2.data)
         assert t2.dt == 0.02
         assert t2.channel_labels == (1, 3, 4)
+
+    def test_file_layout(self, tmp_path, rng):
+        ts = TimeSeriesMatrix(rng.standard_normal((2, 50)), 0.25, (2, 5))
+        save_timeseries(tmp_path / "x.nsts", ts)
+        header = b"NSTS0001" + struct.pack("<IQd2I", 2, 50, 0.25, 2, 5)
+        assert (tmp_path / "x.nsts").read_bytes() == header + ts.data.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("keep", [20, -8])
+    def test_truncated_rejected(self, tmp_path, rng, keep):
+        p = tmp_path / "x.nsts"
+        save_timeseries(p, TimeSeriesMatrix(rng.standard_normal((2, 50)), 0.25, (1, 2)))
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(ValidationError, match="truncated"):
+            load_timeseries(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.nsts"
