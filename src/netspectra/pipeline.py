@@ -7,6 +7,14 @@ under the output directory, so stages can be rerun or golden-tested in
 isolation, and a ``manifest.json`` plus ``config.resolved.ini`` capture
 everything needed to reproduce a run bit for bit.
 
+:func:`run_pipeline` streams: each run's simulation blocks go straight into a
+single-bin CPSD accumulator (:func:`stage_stream`), so it holds no whole record
+(with ``omega0 = auto``, the full run's alone, to choose the bin) and writes no
+``timeseries/``.  The staged :func:`stage_simulate` and :func:`stage_estimate`
+hold and persist every record and give the same spectra byte for byte.  The
+``paper`` cost model collects whole records, which its lag-domain estimator
+needs.
+
 Section/key reference (defaults in parentheses)::
 
     [network]   source (random) | file; family (laplacian): directed-sparse,
@@ -74,9 +82,11 @@ from .simulate import (
     load_timeseries,
     save_timeseries,
     simulate,
+    simulate_blocks,
     simulate_grounded,
 )
 from .spectral import (
+    CpsdAccumulator,
     SpectralConfig,
     estimate_cpsd_lag_domain,
     estimate_cpsd_matrix,
@@ -363,25 +373,31 @@ def _needs_grounding(mode: str) -> bool:
     return mode.replace("oracle-", "") in GROUNDING_MODES
 
 
+def _simulate_runs(cfg: ExperimentConfig, sys: NetworkSystem, workers: int) -> dict:
+    """Whole records of the full run and, when the mode grounds, the N grounded runs."""
+    runs: dict = {"full": simulate(sys, cfg.noise, cfg.sim)}
+    if _needs_grounding(cfg.recon.mode):
+        nodes = range(1, sys.n_nodes + 1)
+        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+            runs.update(zip(nodes, pool.map(
+                lambda j: simulate_grounded(sys, j, cfg.noise, cfg.sim), nodes)))
+    return runs
+
+
 def stage_simulate(
     cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix, node: NodeDynamics,
     workers: int = 1,
 ) -> dict:
-    """Run the full (and, when the mode grounds, the N grounded) simulations."""
-    sys = NetworkSystem(node, g)
+    """Run the full (and, when the mode grounds, the N grounded) simulations.
+
+    Every record is held and written to ``timeseries/*.nsts`` for the staged
+    ``estimate``; ``run`` streams instead (:func:`stage_stream`).
+    """
+    runs = _simulate_runs(cfg, NetworkSystem(node, g), workers)
     ts_dir = out / "timeseries"
     ts_dir.mkdir(parents=True, exist_ok=True)
-    runs: dict = {}
-    runs["full"] = simulate(sys, cfg.noise, cfg.sim)
-    save_timeseries(ts_dir / "full.nsts", runs["full"])
-    if _needs_grounding(cfg.recon.mode):
-        def run_one(j: int) -> tuple[int, TimeSeriesMatrix]:
-            return j, simulate_grounded(sys, j, cfg.noise, cfg.sim)
-
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            for j, ts in pool.map(run_one, range(1, sys.n_nodes + 1)):
-                runs[j] = ts
-                save_timeseries(ts_dir / f"grounded_{j}.nsts", ts)
+    for key, ts in runs.items():
+        save_timeseries(ts_dir / ("full.nsts" if key == "full" else f"grounded_{key}.nsts"), ts)
     return runs
 
 
@@ -395,11 +411,31 @@ def _resolve_omega0_empirical(
     return select_omega0(full_ts, band, cfg.spectral, node=node)
 
 
+def _write_spectra(out: Path, s_full: CpsdMatrix, grounded: list, info: dict) -> None:
+    sp_dir = out / "spectra"
+    sp_dir.mkdir(parents=True, exist_ok=True)
+    save_cpsd(sp_dir / "cpsd_full.txt", s_full)
+    for j, sj in grounded:
+        save_cpsd(sp_dir / f"cpsd_grounded_{j}.txt", sj)
+    (sp_dir / "estimate.json").write_text(json.dumps(info, indent=2) + "\n")
+
+
+def _estimate_info(omega0: float, s_full: CpsdMatrix, cost_model: str) -> dict:
+    return {
+        "omega0_requested": omega0,
+        "omega0": s_full.omega,
+        "snap_distance": s_full.snap_distance,
+        "segment_count": s_full.segment_count,
+        "stderr": s_full.stderr,
+        "cost_model": cost_model,
+    }
+
+
 def stage_estimate(
     cfg: ExperimentConfig, out: Path, runs: dict, node: NodeDynamics,
     cost_model: str = "fft",
 ) -> tuple[CpsdMatrix, list, dict]:
-    """Estimate the full and grounded CPSD matrices at one snapped frequency."""
+    """Estimate the full and grounded CPSD matrices of held records at one snapped frequency."""
     if cost_model not in ("fft", "paper"):
         raise ConfigError(f"unknown cost model {cost_model!r}")
     full_ts = runs["full"]
@@ -408,27 +444,54 @@ def stage_estimate(
 
     def estimate_one(ts: TimeSeriesMatrix) -> CpsdMatrix:
         if cost_model == "paper":
-            return estimate_cpsd_lag_domain(ts, snapped)
+            s = estimate_cpsd_lag_domain(ts, snapped)
+            return replace(s, snap_distance=float(abs(snapped - abs(omega0))))
         return estimate_cpsd_matrix(ts, omega0, cfg.spectral)
 
     s_full = estimate_one(full_ts)
+    grounded = [(j, estimate_one(runs[j])) for j in sorted(k for k in runs if isinstance(k, int))]
+    info = _estimate_info(omega0, s_full, cost_model)
+    _write_spectra(out, s_full, grounded, info)
+    return s_full, grounded, info
+
+
+def _stream_cpsd(sys: NetworkSystem, cfg: ExperimentConfig, omega0: float,
+                 ground: Optional[int] = None) -> CpsdMatrix:
+    acc = CpsdAccumulator(sys.n_nodes - (ground is not None), cfg.sim.dt, omega0, cfg.spectral)
+    for block in simulate_blocks(sys, cfg.noise, cfg.sim, ground=ground):
+        acc.feed(block)
+    return acc.result()
+
+
+def stage_stream(
+    cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix, node: NodeDynamics,
+    workers: int = 1,
+) -> tuple[CpsdMatrix, list, dict]:
+    """Simulate and estimate in one pass, block by block, holding no whole record.
+
+    Each run's blocks go straight into a :class:`CpsdAccumulator`; the
+    grounded runs share the ``workers`` pool.  The spectra equal, byte for
+    byte, those of :func:`stage_simulate` then :func:`stage_estimate`.  With
+    ``omega0 = auto`` the bin is chosen on the full run's PSD grid, so that one
+    record (only) is held while it is estimated.
+    """
+    sys = NetworkSystem(node, g)
+    omega0 = cfg.omega0_value()
+    if omega0 is None:
+        full_ts = simulate(sys, cfg.noise, cfg.sim)
+        omega0 = _resolve_omega0_empirical(cfg, full_ts, node)
+        s_full = estimate_cpsd_matrix(full_ts, omega0, cfg.spectral)
+        del full_ts
+    else:
+        s_full = _stream_cpsd(sys, cfg, omega0)
     grounded = []
-    for j in sorted(k for k in runs if isinstance(k, int)):
-        grounded.append((j, estimate_one(runs[j])))
-    sp_dir = out / "spectra"
-    sp_dir.mkdir(parents=True, exist_ok=True)
-    save_cpsd(sp_dir / "cpsd_full.txt", s_full)
-    for j, sj in grounded:
-        save_cpsd(sp_dir / f"cpsd_grounded_{j}.txt", sj)
-    info = {
-        "omega0_requested": omega0,
-        "omega0": s_full.omega,
-        "snap_distance": s_full.snap_distance,
-        "segment_count": s_full.segment_count,
-        "stderr": s_full.stderr,
-        "cost_model": cost_model,
-    }
-    (sp_dir / "estimate.json").write_text(json.dumps(info, indent=2) + "\n")
+    if _needs_grounding(cfg.recon.mode):
+        nodes = range(1, sys.n_nodes + 1)
+        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+            grounded = list(zip(nodes, pool.map(
+                lambda j: _stream_cpsd(sys, cfg, omega0, ground=j), nodes)))
+    info = _estimate_info(omega0, s_full, "fft")
+    _write_spectra(out, s_full, grounded, info)
     return s_full, grounded, info
 
 
@@ -452,11 +515,6 @@ def stage_oracle_spectra(
     if _needs_grounding(cfg.recon.mode):
         for j in range(1, sys.n_nodes + 1):
             grounded.append((j, analytic_cpsd(sys.grounded(j), model, omega0)))
-    sp_dir = out / "spectra"
-    sp_dir.mkdir(parents=True, exist_ok=True)
-    save_cpsd(sp_dir / "cpsd_full.txt", s_full)
-    for j, sj in grounded:
-        save_cpsd(sp_dir / f"cpsd_grounded_{j}.txt", sj)
     info = {
         "omega0_requested": omega0,
         "omega0": s_full.omega,
@@ -466,7 +524,7 @@ def stage_oracle_spectra(
         "cost_model": "oracle",
         "true_input_psd": model(omega0),
     }
-    (sp_dir / "estimate.json").write_text(json.dumps(info, indent=2) + "\n")
+    _write_spectra(out, s_full, grounded, info)
     return s_full, grounded, info
 
 
@@ -650,9 +708,12 @@ def run_pipeline(
     truth, node = stage_generate(cfg, out)
     if cfg.recon.mode.startswith("oracle-"):
         s_full, grounded, info = stage_oracle_spectra(cfg, out, truth, node)
-    else:
-        runs = stage_simulate(cfg, out, truth, node, workers=workers)
+    elif cost_model == "fft":
+        s_full, grounded, info = stage_stream(cfg, out, truth, node, workers=workers)
+    else:  # the lag-domain estimator ("paper") needs whole records
+        runs = _simulate_runs(cfg, NetworkSystem(node, truth), workers)
         s_full, grounded, info = stage_estimate(cfg, out, runs, node, cost_model=cost_model)
+        del runs
     result = stage_reconstruct(cfg, out, s_full, grounded, node,
                                eigenpair=truth.eigenpair)
     metrics = stage_evaluate(cfg, out, truth, result, info)

@@ -13,6 +13,12 @@ which is flat to within 1% for ``|w| <= 0.35 / dt``.  That band is exposed as
 the excitation interval so every downstream frequency choice stays inside it,
 and analytic cross-checks use the exact injected density rather than an
 idealisation.
+
+:func:`simulate_blocks` is the one simulator: it draws the noise and runs the
+cascade ``PROPAGATE_BLOCK`` samples at a time with the propagator state carried
+between blocks, so a consumer such as the single-bin CPSD accumulator never
+needs the whole record.  :func:`simulate` and :func:`simulate_grounded`
+collect its blocks into one read-only :class:`TimeSeriesMatrix`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy.linalg import expm, rsf2csf, schur
@@ -39,6 +45,7 @@ __all__ = [
     "discretize",
     "simulate",
     "simulate_grounded",
+    "simulate_blocks",
     "save_timeseries",
     "load_timeseries",
 ]
@@ -46,7 +53,7 @@ __all__ = [
 #: Fraction of the sampling rate up to which the held-noise PSD is flat to ~1%.
 FLAT_BAND_FRACTION = 0.35
 
-#: Samples per block of the Schur cascade in :func:`_propagate` (cache-sized).
+#: Samples per block of the noise draw and the Schur cascade (cache-sized).
 PROPAGATE_BLOCK = 2**14
 
 _MAGIC = b"NSTS0001"
@@ -99,14 +106,24 @@ class NoiseConfig:
 
         return InputPsdModel(evaluator=evaluator, omega_max=FLAT_BAND_FRACTION / dt)
 
-    def _draw(self, rng: np.random.Generator, n_samples: int, n_channels: int, dt: float) -> np.ndarray:
-        w = math.sqrt(self.variance) * rng.standard_normal((n_samples, n_channels))
+    def _draws(self, rng: np.random.Generator, n_samples: int, n_channels: int,
+               dt: float) -> Iterator[np.ndarray]:
+        """The noise in blocks of ``PROPAGATE_BLOCK`` samples (rows).
+
+        Row-major chunks of ``standard_normal`` and an ``lfilter`` carrying its
+        state give the same numbers, bit for bit, as one whole-record draw.
+        """
+        scale = math.sqrt(self.variance)
         if self.shaping == "lowpass":
             p = float(self.shaping_pole)
             phi = math.exp(p * dt)
             gam = (phi - 1.0) / p
-            w = lfilter([gam], [1.0, -phi], w, axis=0)
-        return w
+            state = np.zeros((1, n_channels))
+        for lo in range(0, n_samples, PROPAGATE_BLOCK):
+            w = scale * rng.standard_normal((min(PROPAGATE_BLOCK, n_samples - lo), n_channels))
+            if self.shaping == "lowpass":
+                w, state = lfilter([gam], [1.0, -phi], w, axis=0, zi=state)
+            yield w
 
 
 @dataclass(frozen=True)
@@ -143,7 +160,11 @@ class TimeSeriesMatrix:
     channel_labels: tuple[int, ...]
 
     def __post_init__(self):
-        d = _as_readonly(self.data)
+        d = self.data
+        # a read-only float64 array that owns its buffer cannot change: keep it
+        if not (isinstance(d, np.ndarray) and d.dtype == np.float64
+                and not d.flags.writeable and d.base is None):
+            d = _as_readonly(d)
         if d.ndim != 2:
             raise ValidationError(f"data must be 2-D (channels x samples), got {d.shape}")
         if not np.isfinite(d).all():
@@ -189,35 +210,70 @@ def discretize(sys: NetworkSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return e[:nx, :nx], e[:nx, nx:]
 
 
-def _propagate(phi: np.ndarray, gamma: np.ndarray, w: np.ndarray, cmat: np.ndarray,
-               burn: int = 0) -> np.ndarray:
+def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
+             w_blocks: Iterable[np.ndarray], burn: int = 0) -> Iterator[np.ndarray]:
     """Outputs ``y[k] = C x[k]``, ``k >= burn``, of ``x[k+1] = Phi x[k] + Gamma w[k]``, ``x[0] = 0``.
 
     Exact for every ``Phi``, defective or not: in the Schur basis ``Phi = Q T Q*``
     (complex only when real ``T`` has 2x2 blocks) row ``i`` of ``z = Q* x`` is one
     ``lfilter`` driven by its input plus ``T[i, i+1:] z[i+1:]``, solved bottom row
-    first, block by block with carried states.  Returns a transposed view.
+    first, block by block with carried states.  ``w_blocks`` are (samples x
+    inputs) blocks in time order; each yields its (channels x samples) outputs,
+    the burn-in left out, and a non-finite output raises ``NumericalError``.
     """
     t, q = schur(phi, output="real")
     if np.any(np.diag(t, -1)):
         t, q = rsf2csf(t, q)
     g = q.conj().T @ gamma
     cq = cmat @ q
-    n_samples, nx = w.shape[0], t.shape[0]
-    out = np.empty((cmat.shape[0], n_samples))
+    nx = t.shape[0]
     state = np.zeros((nx, 1), dtype=t.dtype)
-    for lo in range(0, n_samples, PROPAGATE_BLOCK):
-        hi = min(lo + PROPAGATE_BLOCK, n_samples)
-        z = g @ w[lo:hi].T
+    lo = 0
+    for w in w_blocks:
+        z = g @ w.T
         for i in range(nx - 1, -1, -1):
             z[i] += t[i, i + 1:] @ z[i + 1:]
             z[i], state[i] = lfilter([0.0, 1.0], [1.0, -t[i, i]], z[i], zi=state[i])
-        out[:, lo:hi] = (cq @ z).real
-    return out[:, burn:].T
+        hi = lo + w.shape[0]
+        if hi > burn:
+            y = (cq @ z).real[:, max(0, burn - lo):]
+            if not np.isfinite(y).all():
+                raise NumericalError("simulation produced non-finite samples (overflow)")
+            yield y
+        lo = hi
 
 
-def _run(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig, run_seed: int,
-         labels: tuple[int, ...]) -> TimeSeriesMatrix:
+def _collect(blocks: Iterable[np.ndarray], n_channels: int, n_samples: int) -> np.ndarray:
+    """The blocks written side by side into one read-only (channels x samples) array."""
+    out = np.empty((n_channels, n_samples))
+    lo = 0
+    for y in blocks:
+        out[:, lo:lo + y.shape[1]] = y
+        lo += y.shape[1]
+    out.flags.writeable = False
+    return out
+
+
+def _propagate(phi: np.ndarray, gamma: np.ndarray, w: np.ndarray, cmat: np.ndarray,
+               burn: int = 0) -> np.ndarray:
+    """:func:`_cascade` over the rows of ``w``, collected as (samples x channels)."""
+    blocks = (w[lo:lo + PROPAGATE_BLOCK] for lo in range(0, w.shape[0], PROPAGATE_BLOCK))
+    return _collect(_cascade(phi, gamma, cmat, blocks, burn), cmat.shape[0], w.shape[0] - burn).T
+
+
+def simulate_blocks(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig,
+                    ground: Optional[int] = None) -> Iterator[np.ndarray]:
+    """Sampled outputs, block by block: (channels x samples) arrays in time order.
+
+    ``ground=j`` simulates the network with node ``j`` grounded (N-1
+    channels).  Stability, step size and burn-in are checked at the call,
+    before the first block; the blocks together hold ``cfg.n_samples``
+    samples, at most ``PROPAGATE_BLOCK`` each, and are the same numbers
+    :func:`simulate` and :func:`simulate_grounded` return as one record.
+    """
+    run_seed = noise.seed
+    if ground is not None:
+        sys, run_seed = sys.grounded(ground), noise.seed ^ ground
     report = is_hurwitz(sys)
     if not report.stable:
         raise StabilityError(
@@ -238,20 +294,18 @@ def _run(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig, run_seed: int,
             )
     phi, gamma = discretize(sys, cfg.dt)
     rng = np.random.default_rng(run_seed)
-    w = noise._draw(rng, cfg.n_samples + burn, sys.n_nodes, cfg.dt)
-    y = _propagate(phi, gamma, w, sys.output_matrix(), burn=burn)
-    if not np.isfinite(y).all():
-        raise NumericalError("simulation produced non-finite samples (overflow)")
-    return TimeSeriesMatrix(data=y.T, dt=cfg.dt, channel_labels=labels)
+    draws = noise._draws(rng, cfg.n_samples + burn, sys.n_nodes, cfg.dt)
+    return _cascade(phi, gamma, sys.output_matrix(), draws, burn)
 
 
 def simulate(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig) -> TimeSeriesMatrix:
     """Sampled outputs of the full network driven by fresh noise streams.
 
     Deterministic: identical ``(sys, noise, cfg)`` give bit-identical output.
+    The whole record is held; :func:`simulate_blocks` yields it block by block.
     """
-    labels = tuple(range(1, sys.n_nodes + 1))
-    return _run(sys, noise, cfg, run_seed=noise.seed, labels=labels)
+    data = _collect(simulate_blocks(sys, noise, cfg), sys.n_nodes, cfg.n_samples)
+    return TimeSeriesMatrix(data=data, dt=cfg.dt, channel_labels=tuple(range(1, sys.n_nodes + 1)))
 
 
 def simulate_grounded(sys: NetworkSystem, j: int, noise: NoiseConfig,
@@ -263,9 +317,10 @@ def simulate_grounded(sys: NetworkSystem, j: int, noise: NoiseConfig,
     running the N grounded experiments in any order (or in parallel) cannot
     change the result.
     """
-    grounded_sys = sys.grounded(j)
+    blocks = simulate_blocks(sys, noise, cfg, ground=j)
     labels = tuple(i for i in range(1, sys.n_nodes + 1) if i != j)
-    return _run(grounded_sys, noise, cfg, run_seed=noise.seed ^ j, labels=labels)
+    data = _collect(blocks, len(labels), cfg.n_samples)
+    return TimeSeriesMatrix(data=data, dt=cfg.dt, channel_labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +346,7 @@ def load_timeseries(path) -> TimeSeriesMatrix:
         data = np.empty((n, l), dtype="<f8")
         if fh.readinto(data) != data.nbytes:
             raise ValidationError(f"{path} is truncated: it shrank while being read")
+    data.flags.writeable = False
     return TimeSeriesMatrix(data=data, dt=dt, channel_labels=labels)
 
 

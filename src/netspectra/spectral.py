@@ -2,9 +2,12 @@
 
 The reconstruction algorithms need the output CPSD matrix at one frequency
 only, so the estimator computes exactly that: each channel's windowed segment
-transforms are evaluated at a single FFT bin (one pass per channel, shared
-read-only across all channel pairs) and averaged Welch-style into an exactly
-Hermitian matrix.  Requested frequencies are snapped to the segment grid
+transforms are evaluated at a single FFT bin (shared across all channel pairs)
+and averaged Welch-style into an exactly Hermitian matrix.  The one estimator
+is :class:`CpsdAccumulator`, which takes the record block by block as it is
+simulated, reduces each segment to N complex numbers as it goes by and gives
+the same bytes for any chunking; :func:`estimate_cpsd_matrix` feeds it a held
+record.  Requested frequencies are snapped to the segment grid
 ``2 pi k / (segment_length * dt)`` so that estimates and analytic references
 are always compared at the same frequency.
 
@@ -31,6 +34,7 @@ from .simulate import TimeSeriesMatrix
 __all__ = [
     "SpectralConfig",
     "CpsdInverse",
+    "CpsdAccumulator",
     "estimate_cpsd_matrix",
     "estimate_cpsd_lag_domain",
     "estimate_psd_grid",
@@ -90,13 +94,13 @@ def _segments(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     return view[:: cfg.step]
 
 
-def _check_record(ts: TimeSeriesMatrix, cfg: SpectralConfig) -> int:
-    if ts.n_samples < 2 * cfg.segment_length:
+def _check_record(n_samples: int, cfg: SpectralConfig) -> int:
+    if n_samples < 2 * cfg.segment_length:
         raise ValidationError(
-            f"record of {ts.n_samples} samples is shorter than twice the "
+            f"record of {n_samples} samples is shorter than twice the "
             f"segment length {cfg.segment_length}"
         )
-    k = cfg.n_segments(ts.n_samples)
+    k = cfg.n_segments(n_samples)
     if k < 8:
         warnings.warn(f"only {k} segments averaged; estimates will be noisy")
     return k
@@ -124,21 +128,83 @@ def snap_frequency(omega0: float, ts_dt: float, cfg: SpectralConfig) -> tuple[fl
     return k * spacing, k
 
 
-def _bin_transforms(ts: TimeSeriesMatrix, k: int, cfg: SpectralConfig) -> tuple[np.ndarray, int]:
-    """Windowed segment transforms of every channel at bin ``k``: shape (K, N)."""
-    n_seg = _check_record(ts, cfg)
-    win = cfg.window_values()
-    phase = win * np.exp(
-        -2j * np.pi * k * np.arange(cfg.segment_length) / cfg.segment_length
-    )
-    out = np.empty((n_seg, ts.n_channels), dtype=complex)
-    for ch in range(ts.n_channels):
-        segs = _segments(ts.data[ch], cfg)
-        if cfg.detrend == "mean":
-            out[:, ch] = segs @ phase - segs.mean(axis=1) * phase.sum()
-        else:
-            out[:, ch] = segs @ phase
-    return out, n_seg
+#: Segments per transform batch of :class:`CpsdAccumulator`; a batch of 4096-sample
+#: segments is 512 KiB per channel, small enough to stay in cache.
+ACCUMULATOR_BATCH = 16
+
+
+class CpsdAccumulator:
+    """Welch-averaged CPSD matrix at one bin, fed a record block by block.
+
+    :meth:`feed` takes (channels x samples) blocks in time order, of any
+    sizes.  Segments are transformed in batches of ``ACCUMULATOR_BATCH`` cut
+    at fixed segment indices, each by one real GEMM against the windowed
+    ``[Re phase, Im phase, ones]`` basis (the last column gives the segment
+    mean for detrending), so the arithmetic, and the result, are the same bit
+    for bit however the record is chunked.  Memory is one batch span of
+    samples plus the K x N segment transforms, never the whole record.
+    """
+
+    def __init__(self, n_channels: int, dt: float, omega0: float, cfg: SpectralConfig):
+        self.omega, k = snap_frequency(omega0, dt, cfg)
+        self.snap_distance = float(abs(self.omega - abs(omega0)))
+        self.dt, self.cfg = dt, cfg
+        s = cfg.segment_length
+        phase = cfg.window_values() * np.exp(-2j * np.pi * k * np.arange(s) / s)
+        self._basis = np.stack([phase.real, phase.imag, np.ones(s)], axis=1)
+        self._mean_gain = phase.sum() / s
+        self._buf = np.empty((n_channels, (ACCUMULATOR_BATCH - 1) * cfg.step + s))
+        self._fill = 0
+        self._transforms: list[np.ndarray] = []
+        self.n_samples = 0
+
+    def feed(self, block: np.ndarray) -> None:
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[0] != self._buf.shape[0]:
+            raise ValidationError(
+                f"expected ({self._buf.shape[0]} x samples) blocks, got {block.shape}"
+            )
+        cap, lo = self._buf.shape[1], 0
+        while lo < block.shape[1]:
+            take = min(cap - self._fill, block.shape[1] - lo)
+            self._buf[:, self._fill:self._fill + take] = block[:, lo:lo + take]
+            self._fill += take
+            lo += take
+            if self._fill == cap:
+                self._transforms.append(self._transform(ACCUMULATOR_BATCH))
+                used = ACCUMULATOR_BATCH * self.cfg.step
+                self._buf[:, :cap - used] = self._buf[:, used:]
+                self._fill = cap - used
+        self.n_samples += block.shape[1]
+
+    def _transform(self, n_seg: int) -> np.ndarray:
+        """Windowed, detrended transforms of the first ``n_seg`` buffered segments: (n_seg, N)."""
+        x = np.empty((n_seg, self._buf.shape[0]), dtype=complex)
+        for ch, row in enumerate(self._buf):
+            t = np.ascontiguousarray(_segments(row[:self._fill], self.cfg)[:n_seg]) @ self._basis
+            x[:, ch] = t[:, 0] + 1j * t[:, 1]
+            if self.cfg.detrend == "mean":
+                x[:, ch] -= t[:, 2] * self._mean_gain
+        return x
+
+    def result(self) -> CpsdMatrix:
+        """The estimate from everything fed so far (see :func:`estimate_cpsd_matrix`)."""
+        n_seg = _check_record(self.n_samples, self.cfg)
+        rest = n_seg - ACCUMULATOR_BATCH * len(self._transforms)
+        x = np.concatenate(self._transforms + ([self._transform(rest)] if rest else []))
+        win = self.cfg.window_values()
+        scale = self.dt / (n_seg * (win * win).sum())
+        s = scale * (x.T @ x.conj())
+        s = 0.5 * (s + s.conj().T)
+        s[np.diag_indices_from(s)] = np.maximum(np.diag(s).real, 0.0)
+        return CpsdMatrix(
+            values=s,
+            omega=self.omega,
+            source="estimated",
+            segment_count=n_seg,
+            stderr=float(np.linalg.norm(s) / np.sqrt(n_seg)),
+            snap_distance=self.snap_distance,
+        )
 
 
 def estimate_cpsd_matrix(
@@ -150,23 +216,13 @@ def estimate_cpsd_matrix(
     the averaged segment count ``K`` and the standard-error scale
     ``||S||_F / sqrt(K)``, and records how far the requested frequency was
     snapped.  Density convention: two-sided, per angular frequency, i.e.
-    directly comparable with :func:`netspectra.lti.analytic_cpsd`.
+    directly comparable with :func:`netspectra.lti.analytic_cpsd`.  The
+    record goes through :class:`CpsdAccumulator`, so a streamed record gives
+    the same matrix bit for bit.
     """
-    snapped, k = snap_frequency(omega0, ts.dt, cfg)
-    x, n_seg = _bin_transforms(ts, k, cfg)
-    win = cfg.window_values()
-    scale = ts.dt / (n_seg * (win * win).sum())
-    s = scale * (x.T @ x.conj())
-    s = 0.5 * (s + s.conj().T)
-    s[np.diag_indices_from(s)] = np.maximum(np.diag(s).real, 0.0)
-    return CpsdMatrix(
-        values=s,
-        omega=snapped,
-        source="estimated",
-        segment_count=n_seg,
-        stderr=float(np.linalg.norm(s) / np.sqrt(n_seg)),
-        snap_distance=float(abs(snapped - abs(omega0))),
-    )
+    acc = CpsdAccumulator(ts.n_channels, ts.dt, omega0, cfg)
+    acc.feed(ts.data)
+    return acc.result()
 
 
 #: Tile size for the lag-domain correlation; keeps every partial correlation
@@ -243,7 +299,7 @@ def estimate_psd_grid(
     Returns ``(omegas, psd)`` with ``psd[ch, f]`` two-sided density values on
     the nonnegative half-grid ``omegas = 2 pi k / (segment_length * dt)``.
     """
-    n_seg = _check_record(ts, cfg)
+    n_seg = _check_record(ts.n_samples, cfg)
     win = cfg.window_values()
     scale = ts.dt / (n_seg * (win * win).sum())
     psd = np.empty((ts.n_channels, cfg.segment_length // 2 + 1))
@@ -265,7 +321,7 @@ def estimate_cpsd_grid(
     Returns ``(omegas, s)`` with ``s[f]`` the Hermitian matrix at
     ``omegas[f]``.
     """
-    n_seg = _check_record(ts, cfg)
+    n_seg = _check_record(ts.n_samples, cfg)
     win = cfg.window_values()
     scale = ts.dt / (n_seg * (win * win).sum())
     specs = []

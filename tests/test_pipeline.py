@@ -1,4 +1,8 @@
+import importlib.util
 import json
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,48 @@ class TestStagedArtifacts:
         m_staged = json.loads((out_staged / "metrics.json").read_text())
         assert m_full["f1"] == m_staged["f1"]
 
+    @pytest.mark.parametrize("omega0", ["1.5", "auto"])
+    def test_run_streams_the_staged_spectra(self, tmp_path, omega0):
+        p = write_config(
+            tmp_path,
+            {
+                ("reconstruction", "mode"): "exact-directed",
+                ("simulation", "n_samples"): "16384",
+                ("spectral", "segment_length"): "512",
+                ("spectral", "omega0"): omega0,
+            },
+        )
+        out_run, out_staged = tmp_path / "run", tmp_path / "staged"
+        assert main(["run", "--config", str(p), "--out", str(out_run), "--workers", "2"]) == 0
+        for cmd in ("generate", "simulate", "estimate", "reconstruct", "evaluate"):
+            assert main([cmd, "--config", str(p), "--out", str(out_staged)]) == 0
+        assert not (out_run / "timeseries").exists()
+        assert (out_staged / "timeseries" / "full.nsts").exists()
+        names = ["recovered_weights.txt"] + [
+            f"spectra/{f.name}" for f in sorted((out_staged / "spectra").glob("cpsd_*.txt"))
+        ]
+        assert len(names) == 1 + 1 + 4
+        for name in names:
+            assert (out_run / name).read_bytes() == (out_staged / name).read_bytes(), name
+
+    def test_run_holds_no_whole_record(self, tmp_path):
+        p = write_config(
+            tmp_path,
+            {
+                ("reconstruction", "mode"): "exact-directed",
+                ("simulation", "n_samples"): str(2**20),
+            },
+        )
+        cfg = load_config(p)
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg, tmp_path / "mem")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        record_bytes = cfg.network.n_nodes * cfg.sim.n_samples * 8
+        assert peak < record_bytes / 4
+
     def test_estimate_requires_saved_runs(self, tmp_path):
         p = write_config(tmp_path)
         assert main(["estimate", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
@@ -257,6 +303,24 @@ class TestStagedArtifacts:
         info = json.loads((out / "spectra" / "estimate.json").read_text())
         assert info["cost_model"] == "paper"
         assert info["segment_count"] == 1
+
+    def test_paper_cost_model_records_snap_distance(self, tmp_path):
+        # 1.5 snaps to bin 1 of 512 samples at dt = 0.01, 1.2272
+        p = write_config(
+            tmp_path,
+            {
+                ("reconstruction", "mode"): "boolean",
+                ("simulation", "n_samples"): "8192",
+                ("spectral", "segment_length"): "512",
+                ("spectral", "omega0"): "1.5",
+            },
+        )
+        out = tmp_path / "paper"
+        assert main(["run", "--config", str(p), "--out", str(out), "--cost-model", "paper"]) == 0
+        info = json.loads((out / "spectra" / "estimate.json").read_text())
+        snapped = 2 * np.pi / (512 * 0.01)
+        assert info["omega0"] == pytest.approx(snapped)
+        assert info["snap_distance"] == pytest.approx(1.5 - snapped)
 
     def test_estimate_records_snap_distance(self, tmp_path):
         # reference spectral settings: 0.5 snaps to bin 3 of 4096 samples at dt = 0.01,
@@ -296,6 +360,22 @@ class TestStagedArtifacts:
         a = (tmp_path / "s1" / "network.txt").read_bytes()
         b = (tmp_path / "s2" / "network.txt").read_bytes()
         assert a != b
+
+
+class TestBenchmarkTracing:
+    def test_traced_names_resolve(self, monkeypatch):
+        # the benchmark's traced runs wrap these names; a missing one crashes them
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+        spec.loader.exec_module(tracing)
+        import netspectra.cli
+        import netspectra.reconstruct
+
+        modules = {"pipeline": pl, "cli": netspectra.cli, "reconstruct": netspectra.reconstruct}
+        for module, attr, _, _ in tracing.TARGETS:
+            assert callable(getattr(modules[module], attr, None)), f"{module}.{attr}"
 
 
 class TestCliErrors:

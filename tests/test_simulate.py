@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from netspectra import (
     ConnectivityMatrix,
@@ -21,7 +22,7 @@ from netspectra import (
     simulate_grounded,
 )
 from netspectra.families import random_hurwitz_system, reference_laplacian_5
-from netspectra.simulate import PROPAGATE_BLOCK, _propagate, timeseries_to_csv
+from netspectra.simulate import PROPAGATE_BLOCK, _propagate, simulate_blocks, timeseries_to_csv
 
 from conftest import make_system
 
@@ -85,7 +86,9 @@ class TestPropagate:
     def test_defective_system_falls_back_and_matches(self, rng):
         sys = chain_system()
         phi, gam = discretize(sys, 0.01)
-        assert np.linalg.cond(np.linalg.eig(phi)[1]) > 1e8  # exercises the fallback
+        # the chain is a defective input (an ill-conditioned eigenbasis) to
+        # the one Schur cascade, which must still match the stepwise loop
+        assert np.linalg.cond(np.linalg.eig(phi)[1]) > 1e8
         w = rng.standard_normal((300, 3))
         y = _propagate(phi, gam, w, sys.output_matrix())
         ref = self.reference_loop(phi, gam, w, sys.output_matrix())
@@ -152,6 +155,34 @@ class TestSimulate:
     def test_labels(self):
         ts = simulate(make_system(np.zeros((3, 3))), NoiseConfig(), SimConfig(n_samples=64))
         assert ts.channel_labels == (1, 2, 3)
+
+
+class TestSimulateBlocks:
+    @pytest.mark.parametrize("shaping", ["none", "lowpass"])
+    def test_noise_blocks_equal_one_draw(self, shaping):
+        noise = NoiseConfig(variance=2.0, seed=6, shaping=shaping,
+                            shaping_pole=-2.0 if shaping == "lowpass" else None)
+        n = 2 * PROPAGATE_BLOCK + 33
+        blocks = list(noise._draws(np.random.default_rng(6), n, 3, 0.01))
+        assert max(len(w) for w in blocks) == PROPAGATE_BLOCK
+        whole = np.sqrt(2.0) * np.random.default_rng(6).standard_normal((n, 3))
+        if shaping == "lowpass":
+            phi = np.exp(-2.0 * 0.01)
+            whole = signal.lfilter([(phi - 1.0) / -2.0], [1.0, -phi], whole, axis=0)
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+    @pytest.mark.parametrize("ground", [None, 2])
+    def test_blocks_are_the_collected_record(self, ground):
+        sys = NetworkSystem(NodeDynamics.scalar_pole(-1.0), reference_laplacian_5())
+        noise, cfg = NoiseConfig(seed=3), SimConfig(dt=0.01, n_samples=2 * PROPAGATE_BLOCK + 9)
+        blocks = list(simulate_blocks(sys, noise, cfg, ground=ground))
+        ts = simulate(sys, noise, cfg) if ground is None else simulate_grounded(sys, ground, noise, cfg)
+        assert all(b.shape[0] == ts.n_channels and b.shape[1] <= PROPAGATE_BLOCK for b in blocks)
+        assert np.array_equal(np.concatenate(blocks, axis=1), ts.data)
+
+    def test_checks_run_before_the_first_block(self):
+        with pytest.raises(StabilityError):
+            simulate_blocks(make_system([[2.0]]), NoiseConfig(), SimConfig(n_samples=64))
 
 
 class TestSimulateGrounded:
@@ -277,3 +308,31 @@ class TestTimeSeriesIO:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             TimeSeriesMatrix(np.array([[np.nan, 0.0]]), 0.1, (1,))
+
+    def test_owned_read_only_record_is_kept(self, rng):
+        arr = rng.standard_normal((2, 50))
+        arr.flags.writeable = False
+        ts = TimeSeriesMatrix(arr, 0.1, (1, 2))
+        assert ts.data is arr
+
+    def test_writable_record_is_copied(self, rng):
+        arr = rng.standard_normal((2, 50))
+        ts = TimeSeriesMatrix(arr, 0.1, (1, 2))
+        arr[0, 0] = 99.0
+        assert ts.data[0, 0] != 99.0
+        assert not ts.data.flags.writeable
+
+    def test_read_only_view_is_copied(self, rng):
+        arr = rng.standard_normal((2, 50))
+        view = arr[:, :40]
+        view.flags.writeable = False
+        ts = TimeSeriesMatrix(view, 0.1, (1, 2))
+        arr[0, 0] = 99.0
+        assert ts.data is not view and ts.data[0, 0] != 99.0
+
+    def test_simulated_and_loaded_records_are_not_copied(self, tmp_path):
+        ts = simulate(make_system(np.zeros((2, 2))), NoiseConfig(), SimConfig(n_samples=64))
+        assert ts.data.base is None and not ts.data.flags.writeable
+        save_timeseries(tmp_path / "x.nsts", ts)
+        loaded = load_timeseries(tmp_path / "x.nsts")
+        assert loaded.data.base is None and not loaded.data.flags.writeable
