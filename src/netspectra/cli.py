@@ -35,7 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="experiment config file")
     common.add_argument("--out", default=None, help="run directory (overrides [output])")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for the grounded simulations")
+                        help="worker threads for the grounded simulations; the staged "
+                             "simulate and --cost-model paper hold up to this many "
+                             "whole records at once")
     common.add_argument("--seed-override", type=int, default=None,
                         help="replace the network and noise seeds")
     common.add_argument("--cost-model", choices=("fft", "paper"), default="fft",

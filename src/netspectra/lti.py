@@ -380,9 +380,12 @@ def load_cpsd(path) -> CpsdMatrix:
         )
     except (IndexError, ValueError) as exc:
         raise ValidationError(f"malformed CPSD file {path}: {exc}") from exc
+    estimated = source == "estimated" and k > 0
     return CpsdMatrix(
         values=values,
         omega=omega,
         source=source,
         segment_count=k if k > 0 else None,
+        # the values round-trip exactly, so the standard-error scale does too
+        stderr=float(np.linalg.norm(values) / np.sqrt(k)) if estimated else None,
     )

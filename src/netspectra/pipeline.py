@@ -11,9 +11,9 @@ everything needed to reproduce a run bit for bit.
 single-bin CPSD accumulator (:func:`stage_stream`), so it holds no whole record
 (with ``omega0 = auto``, the full run's alone, to choose the bin) and writes no
 ``timeseries/``.  The staged :func:`stage_simulate` and :func:`stage_estimate`
-hold and persist every record and give the same spectra byte for byte.  The
-``paper`` cost model collects whole records, which its lag-domain estimator
-needs.
+persist the records and give the same spectra byte for byte; they pass the
+records one at a time (up to ``workers`` in flight while simulating), as does
+the ``paper`` cost model, whose lag-domain estimator needs whole records.
 
 Section/key reference (defaults in parentheses)::
 
@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import configparser
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 import scipy
@@ -373,32 +374,52 @@ def _needs_grounding(mode: str) -> bool:
     return mode.replace("oracle-", "") in GROUNDING_MODES
 
 
-def _simulate_runs(cfg: ExperimentConfig, sys: NetworkSystem, workers: int) -> dict:
-    """Whole records of the full run and, when the mode grounds, the N grounded runs."""
-    runs: dict = {"full": simulate(sys, cfg.noise, cfg.sim)}
-    if _needs_grounding(cfg.recon.mode):
-        nodes = range(1, sys.n_nodes + 1)
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            runs.update(zip(nodes, pool.map(
-                lambda j: simulate_grounded(sys, j, cfg.noise, cfg.sim), nodes)))
-    return runs
+def _take(pending: deque) -> tuple:
+    """Pop the oldest ``(j, future)`` and return ``(j, record)``, keeping no reference."""
+    j, future = pending.popleft()
+    return j, future.result()
+
+
+def _simulate_runs(cfg: ExperimentConfig, sys: NetworkSystem, workers: int) -> Iterator[tuple]:
+    """Yield ``("full", record)`` then, when the mode grounds, ``(j, record)`` in node order.
+
+    A grounded run goes to the ``workers`` pool only after the caller has
+    asked for the next record, so a caller that drops each record before
+    asking holds at most ``workers`` records, counting those in flight.
+    """
+    yield "full", simulate(sys, cfg.noise, cfg.sim)
+    if not _needs_grounding(cfg.recon.mode):
+        return
+    workers = max(1, workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for j in range(1, sys.n_nodes + 1):
+            if len(pending) == workers:
+                yield _take(pending)
+            pending.append((j, pool.submit(simulate_grounded, sys, j, cfg.noise, cfg.sim)))
+        while pending:
+            yield _take(pending)
+
+
+def _timeseries_name(key) -> str:
+    return "full.nsts" if key == "full" else f"grounded_{key}.nsts"
 
 
 def stage_simulate(
     cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix, node: NodeDynamics,
     workers: int = 1,
-) -> dict:
+) -> None:
     """Run the full (and, when the mode grounds, the N grounded) simulations.
 
-    Every record is held and written to ``timeseries/*.nsts`` for the staged
-    ``estimate``; ``run`` streams instead (:func:`stage_stream`).
+    Each record is written to ``timeseries/*.nsts`` for the staged
+    ``estimate`` and dropped before the next is asked for, so at most
+    ``workers`` records are held; ``run`` streams instead (:func:`stage_stream`).
     """
-    runs = _simulate_runs(cfg, NetworkSystem(node, g), workers)
     ts_dir = out / "timeseries"
     ts_dir.mkdir(parents=True, exist_ok=True)
-    for key, ts in runs.items():
-        save_timeseries(ts_dir / ("full.nsts" if key == "full" else f"grounded_{key}.nsts"), ts)
-    return runs
+    for key, ts in _simulate_runs(cfg, NetworkSystem(node, g), workers):
+        save_timeseries(ts_dir / _timeseries_name(key), ts)
+        del ts  # before the loop asks for the next record
 
 
 def _resolve_omega0_empirical(
@@ -432,13 +453,20 @@ def _estimate_info(omega0: float, s_full: CpsdMatrix, cost_model: str) -> dict:
 
 
 def stage_estimate(
-    cfg: ExperimentConfig, out: Path, runs: dict, node: NodeDynamics,
+    cfg: ExperimentConfig, out: Path, runs: Iterable[tuple], node: NodeDynamics,
     cost_model: str = "fft",
 ) -> tuple[CpsdMatrix, list, dict]:
-    """Estimate the full and grounded CPSD matrices of held records at one snapped frequency."""
+    """Estimate the full and grounded CPSD matrices at one snapped frequency.
+
+    ``runs`` yields ``("full", record)`` first, then ``(j, record)`` for the
+    grounded runs in node order (:func:`load_saved_runs`, or the simulations
+    themselves).  omega0 is resolved on the full record; each record is estimated
+    and dropped before the next is pulled, so one record is held at a time.
+    """
     if cost_model not in ("fft", "paper"):
         raise ConfigError(f"unknown cost model {cost_model!r}")
-    full_ts = runs["full"]
+    runs = iter(runs)
+    _, full_ts = next(runs)
     omega0 = _resolve_omega0_empirical(cfg, full_ts, node)
     snapped, _ = snap_frequency(omega0, full_ts.dt, cfg.spectral)
 
@@ -449,7 +477,11 @@ def stage_estimate(
         return estimate_cpsd_matrix(ts, omega0, cfg.spectral)
 
     s_full = estimate_one(full_ts)
-    grounded = [(j, estimate_one(runs[j])) for j in sorted(k for k in runs if isinstance(k, int))]
+    del full_ts
+    grounded = []
+    for j, ts in runs:
+        grounded.append((j, estimate_one(ts)))
+        del ts  # before the loop asks for the next record
     info = _estimate_info(omega0, s_full, cost_model)
     _write_spectra(out, s_full, grounded, info)
     return s_full, grounded, info
@@ -713,7 +745,6 @@ def run_pipeline(
     else:  # the lag-domain estimator ("paper") needs whole records
         runs = _simulate_runs(cfg, NetworkSystem(node, truth), workers)
         s_full, grounded, info = stage_estimate(cfg, out, runs, node, cost_model=cost_model)
-        del runs
     result = stage_reconstruct(cfg, out, s_full, grounded, node,
                                eigenpair=truth.eigenpair)
     metrics = stage_evaluate(cfg, out, truth, result, info)
@@ -723,15 +754,17 @@ def run_pipeline(
 
 # helpers for running later stages from previously saved artifacts ----------
 
-def load_saved_runs(out: Path) -> dict:
+def load_saved_runs(out: Path) -> Iterator[tuple]:
+    """The saved records as ``("full", record)``, then ``(j, record)`` in node order.
+
+    Each file is read only when its record is asked for; a missing
+    ``full.nsts`` raises :class:`ConfigError` at the call.
+    """
     ts_dir = out / "timeseries"
     if not (ts_dir / "full.nsts").exists():
         raise ConfigError(f"no saved time series under {ts_dir}; run simulate first")
-    runs: dict = {"full": load_timeseries(ts_dir / "full.nsts")}
-    for p in sorted(ts_dir.glob("grounded_*.nsts")):
-        j = int(p.stem.split("_")[1])
-        runs[j] = load_timeseries(p)
-    return runs
+    nodes = sorted(int(p.stem.split("_")[1]) for p in ts_dir.glob("grounded_*.nsts"))
+    return ((key, load_timeseries(ts_dir / _timeseries_name(key))) for key in ["full", *nodes])
 
 
 def load_saved_spectra(out: Path) -> tuple[CpsdMatrix, list, dict]:
@@ -739,12 +772,17 @@ def load_saved_spectra(out: Path) -> tuple[CpsdMatrix, list, dict]:
     full_path = sp_dir / "cpsd_full.txt"
     if not full_path.exists():
         raise ConfigError(f"no saved spectra under {sp_dir}; run estimate first")
-    s_full = load_cpsd(full_path)
+    info_path = sp_dir / "estimate.json"
+    info = json.loads(info_path.read_text()) if info_path.exists() else {}
+
+    def load(path: Path) -> CpsdMatrix:
+        # every matrix of one estimate shares the snapped bin, so its snap distance
+        return replace(load_cpsd(path), snap_distance=info.get("snap_distance"))
+
+    s_full = load(full_path)
     grounded = []
     for p in sorted(sp_dir.glob("cpsd_grounded_*.txt"),
                     key=lambda p: int(p.stem.split("_")[2])):
         j = int(p.stem.split("_")[2])
-        grounded.append((j, load_cpsd(p)))
-    info_path = sp_dir / "estimate.json"
-    info = json.loads(info_path.read_text()) if info_path.exists() else {}
+        grounded.append((j, load(p)))
     return s_full, grounded, info

@@ -291,6 +291,11 @@ def estimate_cpsd_lag_domain(ts: TimeSeriesMatrix, omega0: float) -> CpsdMatrix:
     )
 
 
+#: Segments per transform batch of :func:`estimate_psd_grid`, which bounds its
+#: temporaries (2 MiB each for 4096-sample segments) whatever the record length.
+PSD_GRID_BATCH = 64
+
+
 def estimate_psd_grid(
     ts: TimeSeriesMatrix, cfg: SpectralConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -302,13 +307,17 @@ def estimate_psd_grid(
     n_seg = _check_record(ts.n_samples, cfg)
     win = cfg.window_values()
     scale = ts.dt / (n_seg * (win * win).sum())
-    psd = np.empty((ts.n_channels, cfg.segment_length // 2 + 1))
+    psd = np.zeros((ts.n_channels, cfg.segment_length // 2 + 1))
     for ch in range(ts.n_channels):
         segs = _segments(ts.data[ch], cfg)
-        if cfg.detrend == "mean":
-            segs = segs - segs.mean(axis=1, keepdims=True)
-        spec = np.fft.rfft(segs * win, axis=1)
-        psd[ch] = scale * (spec.real**2 + spec.imag**2).sum(axis=0)
+        for lo in range(0, n_seg, PSD_GRID_BATCH):
+            batch = segs[lo:lo + PSD_GRID_BATCH]
+            if cfg.detrend == "mean":
+                batch = batch - batch.mean(axis=1, keepdims=True)
+            spec = np.fft.rfft(batch * win, axis=1)
+            for power in spec.real**2 + spec.imag**2:
+                psd[ch] += power  # row by row, the order of a sum over axis 0
+        psd[ch] *= scale
     omegas = 2 * np.pi * np.fft.rfftfreq(cfg.segment_length, ts.dt)
     return omegas, psd
 

@@ -220,3 +220,14 @@ class TestSerialization:
         assert s2.omega == s.omega
         assert s2.source == "analytic"
         assert s2.segment_count is None
+
+    def test_estimated_cpsd_roundtrip_keeps_stderr(self, tmp_path, rng):
+        x = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        v = x.T @ x.conj() / 40
+        v = 0.5 * (v + v.conj().T)
+        s = CpsdMatrix(values=v, omega=0.6, source="estimated", segment_count=40,
+                       stderr=float(np.linalg.norm(v) / np.sqrt(40)))
+        save_cpsd(tmp_path / "s.txt", s)
+        s2 = load_cpsd(tmp_path / "s.txt")
+        assert np.array_equal(s.values, s2.values)
+        assert (s2.segment_count, s2.stderr) == (40, s.stderr)

@@ -284,6 +284,100 @@ class TestStagedArtifacts:
         record_bytes = cfg.network.n_nodes * cfg.sim.n_samples * 8
         assert peak < record_bytes / 4
 
+    def test_staged_commands_hold_one_record(self, tmp_path):
+        p = write_config(
+            tmp_path,
+            {
+                ("reconstruction", "mode"): "exact-directed",
+                ("simulation", "n_samples"): str(2**20),
+            },
+        )
+        cfg = load_config(p)
+        out = tmp_path / "mem"
+        args = ["--config", str(p), "--out", str(out), "--workers", "1"]
+        assert main(["generate", *args]) == 0
+        record_bytes = cfg.network.n_nodes * cfg.sim.n_samples * 8
+        for cmd in ("simulate", "estimate"):
+            tracemalloc.start()
+            try:
+                assert main([cmd, *args]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * record_bytes, (cmd, peak / record_bytes)
+
+    def test_staged_workers_give_identical_artifacts(self, tmp_path):
+        p = write_config(
+            tmp_path,
+            {
+                ("reconstruction", "mode"): "exact-directed",
+                ("simulation", "n_samples"): "16384",
+                ("spectral", "segment_length"): "512",
+                ("spectral", "omega0"): "1.5",
+            },
+        )
+        outs = {w: tmp_path / f"w{w}" for w in (1, 2)}
+        for w, out in outs.items():
+            for cmd in ("generate", "simulate", "estimate", "reconstruct"):
+                assert main([cmd, "--config", str(p), "--out", str(out),
+                             "--workers", str(w)]) == 0
+        names = sorted(
+            str(f.relative_to(outs[1]))
+            for pattern in ("timeseries/*.nsts", "spectra/*", "recovered_weights.txt")
+            for f in outs[1].glob(pattern)
+        )
+        assert len(names) == 5 + 6 + 1
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+    def test_staged_saves_and_loads_each_record_once(self, tmp_path, monkeypatch):
+        # the benchmark's spans sit on these names; each record crosses them once
+        calls = {"save_timeseries": 0, "load_timeseries": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(pl, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(pl, name, counted)
+        p = write_config(
+            tmp_path,
+            {
+                ("reconstruction", "mode"): "exact-directed",
+                ("simulation", "n_samples"): "8192",
+                ("spectral", "segment_length"): "512",
+                ("spectral", "omega0"): "1.5",
+            },
+        )
+        out = tmp_path / "count"
+        for cmd in ("generate", "simulate", "estimate"):
+            assert main([cmd, "--config", str(p), "--out", str(out), "--workers", "2"]) == 0
+        n = load_config(p).network.n_nodes
+        assert calls == {"save_timeseries": n + 1, "load_timeseries": n + 1}
+
+    @pytest.mark.parametrize("omega0", ["1.5", "auto"])
+    def test_saved_spectra_equal_streamed(self, tmp_path, omega0):
+        p = write_config(
+            tmp_path,
+            {
+                ("reconstruction", "mode"): "exact-directed",
+                ("simulation", "n_samples"): "16384",
+                ("spectral", "segment_length"): "512",
+                ("spectral", "omega0"): omega0,
+            },
+        )
+        cfg = load_config(p)
+        staged = tmp_path / "staged"
+        for cmd in ("generate", "simulate", "estimate"):
+            assert main([cmd, "--config", str(p), "--out", str(staged)]) == 0
+        s_full, grounded, _ = pl.load_saved_spectra(staged)
+        g, node = pl.stage_generate(cfg, tmp_path / "run")
+        r_full, r_grounded, _ = pl.stage_stream(cfg, tmp_path / "run", g, node)
+        assert [j for j, _ in grounded] == [j for j, _ in r_grounded] == [1, 2, 3, 4]
+        for a, b in [(s_full, r_full)] + [(x, y) for (_, x), (_, y) in zip(grounded, r_grounded)]:
+            assert np.array_equal(a.values, b.values)
+            assert (a.omega, a.source, a.segment_count, a.stderr, a.snap_distance) == (
+                b.omega, b.source, b.segment_count, b.stderr, b.snap_distance)
+            assert a.stderr is not None and a.snap_distance is not None
+
     def test_estimate_requires_saved_runs(self, tmp_path):
         p = write_config(tmp_path)
         assert main(["estimate", "--config", str(p), "--out", str(tmp_path / "e")]) == 2

@@ -22,7 +22,12 @@ from netspectra import (
     simulate,
     snap_frequency,
 )
-from netspectra.spectral import ACCUMULATOR_BATCH, CpsdAccumulator, _full_correlate
+from netspectra.spectral import (
+    ACCUMULATOR_BATCH,
+    PSD_GRID_BATCH,
+    CpsdAccumulator,
+    _full_correlate,
+)
 
 from conftest import make_system
 
@@ -272,6 +277,33 @@ class TestGrids:
         # scipy's two-sided grid wraps the Nyquist bin to -pi/dt; values agree
         assert np.allclose(omegas[:-1], 2 * np.pi * freqs[: half - 1])
         assert omegas[-1] == pytest.approx(abs(2 * np.pi * freqs[half - 1]))
+
+    @pytest.mark.parametrize("cfg", [
+        SpectralConfig(segment_length=256),
+        SpectralConfig(segment_length=256, overlap_fraction=0.0, window="rectangular",
+                       detrend="none"),
+    ])
+    def test_psd_grid_batches_match_whole_array(self, rng, cfg):
+        # more segments than one batch, with a partial last batch
+        n = (2 * PSD_GRID_BATCH + 7) * cfg.step + cfg.segment_length
+        ts = white_ts(rng, n_channels=3, n_samples=n)
+        n_seg = cfg.n_segments(n)
+        assert n_seg > 2 * PSD_GRID_BATCH and n_seg % PSD_GRID_BATCH
+        win = cfg.window_values()
+        ref = np.empty((3, cfg.segment_length // 2 + 1))
+        for ch in range(3):
+            segs = np.lib.stride_tricks.sliding_window_view(ts.data[ch], cfg.segment_length)
+            segs = segs[:: cfg.step]
+            if cfg.detrend == "mean":
+                segs = segs - segs.mean(axis=1, keepdims=True)
+            spec = np.fft.rfft(segs * win, axis=1)
+            ref[ch] = ts.dt / (n_seg * (win * win).sum()) * (
+                spec.real**2 + spec.imag**2).sum(axis=0)
+        omegas, psd = estimate_psd_grid(ts, cfg)
+        assert np.array_equal(psd, ref)
+        band = 0.5 * np.pi / ts.dt
+        floor = np.where((omegas > 0) & (omegas < band), ref.min(axis=0), -np.inf)
+        assert select_omega0(ts, band, cfg) == omegas[int(np.argmax(floor))]
 
     def test_cpsd_grid_consistent_with_single_bin(self, rng):
         ts = white_ts(rng, n_channels=2, n_samples=2**13)
