@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .bench import benchmark, parse_sweep, write_bench_csv
-from .graphs import compare, load_matrix
+from .graphs import compare, load_matrix  # noqa: F401  perfbench/tracing.py wraps cli.compare
 from .lti import load_node
 from . import pipeline as pl
 
@@ -112,17 +112,8 @@ def _cmd_evaluate(args) -> None:
     net_path = out / "network.txt"
     if not net_path.exists():
         raise ConfigError(f"no ground truth at {net_path}")
-    truth = load_matrix(net_path)
-    weights_path = out / "recovered_weights.txt"
-    boolean_path = out / "recovered_boolean.txt"
-    if weights_path.exists():
-        recovered = load_matrix(weights_path)
-    elif boolean_path.exists():
-        recovered = load_matrix(boolean_path)
-    else:
-        raise ConfigError(f"no recovery artifacts under {out}; run reconstruct first")
-    metrics = compare(truth, recovered, edge_tol=cfg.recon.tau).as_dict()
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
+    result, info = pl.load_saved_result(out)
+    metrics = pl.stage_evaluate(cfg, out, load_matrix(net_path), result, info)
     print(json.dumps(metrics, indent=2))
 
 

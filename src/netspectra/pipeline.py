@@ -767,13 +767,17 @@ def load_saved_runs(out: Path) -> Iterator[tuple]:
     return ((key, load_timeseries(ts_dir / _timeseries_name(key))) for key in ["full", *nodes])
 
 
+def _load_estimate_info(out: Path) -> dict:
+    info_path = out / "spectra" / "estimate.json"
+    return json.loads(info_path.read_text()) if info_path.exists() else {}
+
+
 def load_saved_spectra(out: Path) -> tuple[CpsdMatrix, list, dict]:
     sp_dir = out / "spectra"
     full_path = sp_dir / "cpsd_full.txt"
     if not full_path.exists():
         raise ConfigError(f"no saved spectra under {sp_dir}; run estimate first")
-    info_path = sp_dir / "estimate.json"
-    info = json.loads(info_path.read_text()) if info_path.exists() else {}
+    info = _load_estimate_info(out)
 
     def load(path: Path) -> CpsdMatrix:
         # every matrix of one estimate shares the snapped bin, so its snap distance
@@ -786,3 +790,32 @@ def load_saved_spectra(out: Path) -> tuple[CpsdMatrix, list, dict]:
         j = int(p.stem.split("_")[2])
         grounded.append((j, load(p)))
     return s_full, grounded, info
+
+
+def load_saved_result(out: Path) -> tuple[ReconstructionResult, dict]:
+    """The saved recovery and the estimate's info, as :func:`stage_evaluate` takes them.
+
+    The matrices come from ``recovered_*.txt``; ω0, the S_w estimate and the
+    threshold from the head of ``result.txt``, which holds them at round-trip
+    precision; the info from ``spectra/estimate.json``.
+    """
+    report = out / "result.txt"
+    if not report.exists():
+        raise ConfigError(f"no recovery artifacts under {out}; run reconstruct first")
+    try:
+        head = dict(line.split(" ", 1) for line in report.read_text().splitlines()[1:5])
+        omega0 = float(head["omega0"])
+        s_w, tau = (None if v in ("n/a", "None") else float(v)
+                    for v in (head["input_psd"].split()[0], head["threshold"]))
+    except (KeyError, ValueError, IndexError) as exc:
+        raise ValidationError(f"malformed reconstruction report {report}: {exc}") from exc
+    weights_path, boolean_path = out / "recovered_weights.txt", out / "recovered_boolean.txt"
+    result = ReconstructionResult(
+        omega0=omega0,
+        boolean_structure=(BooleanStructure(load_matrix(boolean_path).weights)
+                           if boolean_path.exists() else None),
+        weights=load_matrix(weights_path) if weights_path.exists() else None,
+        input_psd_estimate=s_w,
+        threshold_used=tau,
+    )
+    return result, _load_estimate_info(out)

@@ -3,9 +3,10 @@
 The continuous-time network is driven by independent per-node noise: a
 discrete white (optionally low-pass shaped) Gaussian sequence held constant
 over each sampling interval.  The held input makes the discretization exact
-(a matrix exponential, then a cascade of first-order filters in the Schur
-basis, exact for defective couplings too) and gives the injected noise a
-known, strictly positive power spectral density over a wide band:
+(a matrix exponential, then a cascade of first-order recursions in the Schur
+basis, each a banded triangular solve, exact for defective couplings too) and
+gives the injected noise a known, strictly positive power spectral density over
+a wide band:
 
     ``S_w(w) = sigma^2 * dt * sinc^2(w dt / 2)``            (unshaped)
 
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy.linalg import expm, rsf2csf, schur
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv, ztbsv
 
 from .errors import NumericalError, StabilityError, ValidationError
 from .graphs import _as_readonly
@@ -112,9 +113,13 @@ class NoiseConfig:
 
         Row-major chunks of ``standard_normal`` and an ``lfilter`` carrying its
         state give the same numbers, bit for bit, as one whole-record draw.
+        ``scipy.signal`` is imported here, at the first lowpass draw, so that
+        importing netspectra does not pay for it.
         """
         scale = math.sqrt(self.variance)
         if self.shaping == "lowpass":
+            from scipy.signal import lfilter
+
             p = float(self.shaping_pole)
             phi = math.exp(p * dt)
             gam = (phi - 1.0) / p
@@ -210,16 +215,39 @@ def discretize(sys: NetworkSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return e[:nx, :nx], e[:nx, nx:]
 
 
+def _row_solver(t: np.ndarray):
+    """In-place solver of row ``i``'s recursion ``z[k+1] = T[i, i] z[k] + v[k]``.
+
+    ``solve(i, x)`` takes ``x = [z[0], v[0], ..., v[n-1]]``, ``n <=
+    PROPAGATE_BLOCK``, and leaves ``x = [z[0], ..., z[n]]``: one unit
+    lower-bidiagonal solve (subdiagonal ``-T[i, i]``) by BLAS ``?tbsv``.  The
+    bands are Fortran-ordered and built once, so no call copies one.
+    """
+    tbsv = ztbsv if np.iscomplexobj(t) else dtbsv
+    bands = []
+    for pole in np.diag(t):
+        band = np.ones((2, PROPAGATE_BLOCK + 1), dtype=t.dtype, order="F")
+        band[1] = -pole
+        bands.append(band)
+
+    def solve(i: int, x: np.ndarray) -> None:
+        tbsv(1, bands[i][:, :x.size], x, lower=1, diag=1, overwrite_x=1)
+
+    return solve
+
+
 def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
              w_blocks: Iterable[np.ndarray], burn: int = 0) -> Iterator[np.ndarray]:
     """Outputs ``y[k] = C x[k]``, ``k >= burn``, of ``x[k+1] = Phi x[k] + Gamma w[k]``, ``x[0] = 0``.
 
     Exact for every ``Phi``, defective or not: in the Schur basis ``Phi = Q T Q*``
-    (complex only when real ``T`` has 2x2 blocks) row ``i`` of ``z = Q* x`` is one
-    ``lfilter`` driven by its input plus ``T[i, i+1:] z[i+1:]``, solved bottom row
-    first, block by block with carried states.  ``w_blocks`` are (samples x
-    inputs) blocks in time order; each yields its (channels x samples) outputs,
-    the burn-in left out, and a non-finite output raises ``NumericalError``.
+    (complex only when real ``T`` has 2x2 blocks) row ``i`` of ``z = Q* x`` is a
+    first-order recursion driven by its input plus ``T[i, i+1:] z[i+1:]``, solved
+    bottom row first as one banded triangular solve per block (:func:`_row_solver`).
+    Column 0 of each block's buffer carries the state in from the block before.
+    ``w_blocks`` are (samples x inputs) blocks of at most ``PROPAGATE_BLOCK``
+    samples in time order; each yields its (channels x samples) outputs, the
+    burn-in left out, and a non-finite output raises ``NumericalError``.
     """
     t, q = schur(phi, output="real")
     if np.any(np.diag(t, -1)):
@@ -227,19 +255,25 @@ def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
     g = q.conj().T @ gamma
     cq = cmat @ q
     nx = t.shape[0]
-    state = np.zeros((nx, 1), dtype=t.dtype)
+    solve = _row_solver(t)
+    z = np.zeros((nx, PROPAGATE_BLOCK + 1), dtype=t.dtype)
     lo = 0
     for w in w_blocks:
-        z = g @ w.T
+        n = w.shape[0]
+        if n > PROPAGATE_BLOCK:
+            raise ValueError(f"a block holds {n} samples, more than PROPAGATE_BLOCK")
+        zb = z[:, :n + 1]
+        np.matmul(g, w.T, out=zb[:, 1:])
         for i in range(nx - 1, -1, -1):
-            z[i] += t[i, i + 1:] @ z[i + 1:]
-            z[i], state[i] = lfilter([0.0, 1.0], [1.0, -t[i, i]], z[i], zi=state[i])
-        hi = lo + w.shape[0]
+            zb[i, 1:] += t[i, i + 1:] @ zb[i + 1:, :n]
+            solve(i, zb[i])
+        hi = lo + n
         if hi > burn:
-            y = (cq @ z).real[:, max(0, burn - lo):]
+            y = (cq @ zb[:, :n]).real[:, max(0, burn - lo):]
             if not np.isfinite(y).all():
                 raise NumericalError("simulation produced non-finite samples (overflow)")
             yield y
+        z[:, 0] = zb[:, n]
         lo = hi
 
 

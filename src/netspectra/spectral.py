@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import NumericalError, ValidationError
 from .lti import CpsdMatrix, InputPsdModel, NodeDynamics, nodal_transfer
@@ -80,9 +79,17 @@ class SpectralConfig:
         return max(1, int(round(self.segment_length * (1.0 - self.overlap_fraction))))
 
     def window_values(self) -> np.ndarray:
+        """The periodic window, bit for bit ``scipy.signal.get_window(window, M)``.
+
+        The Hann window is scipy's own cosine sum over ``M + 1`` symmetric
+        points with the last dropped; ``0.5 - 0.5 cos(2 pi n / M)`` differs
+        from it in the last bit.
+        """
+        m = self.segment_length
         if self.window == "rectangular":
-            return np.ones(self.segment_length)
-        return get_window("hann", self.segment_length)
+            return np.ones(m)
+        fac = np.linspace(-np.pi, np.pi, m + 1)
+        return (0.5 + 0.5 * np.cos(fac))[:m]
 
     def n_segments(self, n_samples: int) -> int:
         return (n_samples - self.segment_length) // self.step + 1

@@ -266,6 +266,22 @@ class TestStagedArtifacts:
         for name in names:
             assert (out_run / name).read_bytes() == (out_staged / name).read_bytes(), name
 
+    @pytest.mark.parametrize("config", ["reference", "oracle-boolean"])
+    def test_staged_evaluate_writes_the_run_metrics(self, tmp_path, config):
+        if config == "reference":
+            text = (Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
+            p = write_config(tmp_path, {("simulation", "n_samples"): "32768"}, text=text)
+        else:
+            p = write_config(tmp_path, {("reconstruction", "mode"): config,
+                                        ("simulation", "n_samples"): "8192"})
+        out_run, out_staged = tmp_path / "run", tmp_path / "staged"
+        assert main(["run", "--config", str(p), "--out", str(out_run)]) == 0
+        for cmd in ("generate", "simulate", "estimate", "reconstruct", "evaluate"):
+            assert main([cmd, "--config", str(p), "--out", str(out_staged)]) == 0
+        metrics = (out_run / "metrics.json").read_text()
+        assert (out_staged / "metrics.json").read_text() == metrics
+        assert {"omega0", "threshold_used", "input_psd_estimate"} <= json.loads(metrics).keys()
+
     def test_run_holds_no_whole_record(self, tmp_path):
         p = write_config(
             tmp_path,
@@ -504,6 +520,15 @@ class TestCliErrors:
             },
         )
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "n")]) == 3
+
+    def test_evaluate_needs_a_readable_report(self, tmp_path):
+        p, out = write_config(tmp_path), tmp_path / "e"
+        args = ["--config", str(p), "--out", str(out)]
+        assert main(["generate", *args]) == 0
+        assert main(["evaluate", *args]) == 2  # no result.txt yet
+        assert main(["reconstruct", *args]) == 0
+        (out / "result.txt").write_text("netspectra reconstruction report\nmode x\n")
+        assert main(["evaluate", *args]) == 2
 
 
 class TestBench:

@@ -22,7 +22,14 @@ from netspectra import (
     simulate_grounded,
 )
 from netspectra.families import random_hurwitz_system, reference_laplacian_5
-from netspectra.simulate import PROPAGATE_BLOCK, _propagate, simulate_blocks, timeseries_to_csv
+from netspectra.simulate import (
+    PROPAGATE_BLOCK,
+    _cascade,
+    _propagate,
+    _row_solver,
+    simulate_blocks,
+    timeseries_to_csv,
+)
 
 from conftest import make_system
 
@@ -106,6 +113,31 @@ class TestPropagate:
             y = _propagate(phi, gam, w, sys.output_matrix(), burn=burn)
             assert y.shape == ref[burn:].shape
             assert np.abs(y - ref[burn:]).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("a", [0.05, 0.6, 0.999999, -0.9, 0.7 + 0.6j])
+    def test_row_solve_is_a_first_order_filter(self, rng, a):
+        # two blocks, the second started from the state the first left
+        solve = _row_solver(np.array([[a]]))
+        s = 0.3 - 0.2j if isinstance(a, complex) else 0.3
+        v = rng.standard_normal(PROPAGATE_BLOCK + 100)
+        if isinstance(a, complex):
+            v = v + 1j * rng.standard_normal(v.size)
+        state, out = s, []
+        for part in (v[:PROPAGATE_BLOCK], v[PROPAGATE_BLOCK:]):
+            x = np.concatenate([[state], part])
+            solve(0, x)
+            out.append(x[:-1])
+            state = x[-1]
+        ref, ref_state = signal.lfilter([0.0, 1.0], [1.0, -a], v, zi=[s])
+        scale = np.abs(ref).max()
+        assert np.abs(np.concatenate(out) - ref).max() <= 1e-14 * scale
+        assert abs(state - ref_state[0]) <= 1e-14 * scale
+
+    def test_oversized_block_rejected(self):
+        # a band holds PROPAGATE_BLOCK + 1 entries; a longer solve would stop short
+        blocks = _cascade(np.eye(1) * 0.5, np.eye(1), np.eye(1), [np.ones((PROPAGATE_BLOCK + 1, 1))])
+        with pytest.raises(ValueError):
+            next(blocks)
 
     def test_defective_chain_runs_at_filter_speed(self):
         # a per-sample loop needs about 1 s of CPU here (3.8 us per sample)

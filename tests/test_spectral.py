@@ -50,6 +50,13 @@ class TestSpectralConfig:
         assert cfg.step == 256
         assert np.array_equal(cfg.window_values(), np.ones(256))
 
+    @pytest.mark.parametrize("m", [2, 16, 4096, 8192])
+    @pytest.mark.parametrize("window, scipy_name", [("hann", "hann"), ("rectangular", "boxcar")])
+    def test_window_is_scipy_window_bit_for_bit(self, m, window, scipy_name):
+        w = SpectralConfig(segment_length=m, window=window).window_values()
+        assert w.dtype == np.float64
+        assert np.array_equal(w, signal.get_window(scipy_name, m))
+
 
 class TestSnapFrequency:
     @pytest.mark.filterwarnings("ignore:only 7 segments")
