@@ -15,6 +15,9 @@ persist the records and give the same spectra byte for byte; they pass the
 records one at a time (up to ``workers`` in flight while simulating), as does
 the ``paper`` cost model, whose lag-domain estimator needs whole records.
 
+Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
+unknown-key check and the rendering of ``config.resolved.ini``.
+
 Section/key reference (defaults in parentheses)::
 
     [network]   source (random) | file; family (laplacian): directed-sparse,
@@ -41,6 +44,7 @@ import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -148,93 +152,82 @@ class ExperimentConfig:
         return float(self.omega0)
 
 
-_SCHEMA = {
-    "network": (
-        "source", "file", "family", "graph", "n_nodes", "edge_prob",
-        "weight_min", "weight_max", "seed",
-    ),
-    "node": ("preset", "pole", "file"),
-    "noise": ("variance", "shaping", "shaping_pole", "seed"),
-    "simulation": ("dt", "n_samples", "burn_in"),
-    "spectral": ("segment_length", "overlap", "window", "detrend", "omega0"),
-    "reconstruction": ("mode", "threshold", "tau"),
-    "output": ("directory",),
-}
+def _omega0_text(raw: str) -> str:
+    """``auto`` or a frequency, checked as a float but kept as written."""
+    if raw != "auto":
+        float(raw)
+    return raw
 
 
-def _get(parser, section, key, fallback, conv):
-    if not parser.has_option(section, key):
-        return fallback
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+#: Every config key, declared once: ``(section, key, attribute path in
+#: ExperimentConfig, type, text that stands for None)``.  Parsing, the
+#: unknown-key check and rendering all read it; rendering keeps its order.
+_KEYS = (
+    ("network", "source", "network.source", str, None),
+    ("network", "file", "network.file", str, None),
+    ("network", "family", "network.family", str, None),
+    ("network", "graph", "network.graph", str, None),
+    ("network", "n_nodes", "network.n_nodes", int, None),
+    ("network", "edge_prob", "network.edge_prob", float, None),
+    ("network", "weight_min", "network.weight_min", float, None),
+    ("network", "weight_max", "network.weight_max", float, None),
+    ("network", "seed", "network.seed", int, None),
+    ("node", "preset", "node.preset", str, None),
+    ("node", "pole", "node.pole", float, None),
+    ("node", "file", "node.file", str, None),
+    ("noise", "variance", "noise.variance", float, None),
+    ("noise", "shaping", "noise.shaping", str, None),
+    ("noise", "shaping_pole", "noise.shaping_pole", float, ""),
+    ("noise", "seed", "noise.seed", int, None),
+    ("simulation", "dt", "sim.dt", float, None),
+    ("simulation", "n_samples", "sim.n_samples", int, None),
+    ("simulation", "burn_in", "sim.burn_in", int, "auto"),
+    ("spectral", "segment_length", "spectral.segment_length", int, None),
+    ("spectral", "overlap", "spectral.overlap_fraction", float, None),
+    ("spectral", "window", "spectral.window", str, None),
+    ("spectral", "detrend", "spectral.detrend", str, None),
+    ("spectral", "omega0", "omega0", _omega0_text, None),
+    ("reconstruction", "mode", "recon.mode", str, None),
+    ("reconstruction", "threshold", "recon.threshold", str, None),
+    ("reconstruction", "tau", "recon.tau", float, None),
+    ("output", "directory", "out_dir", str, None),
+)
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment configuration file."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file {path} not found or empty")
+    known = {(section, key) for section, key, *_ in _KEYS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {s for s, _ in known}:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    top: dict = {}
+    nested: dict = {}
+    for section, key, attr, kind, none_text in _KEYS:
+        if not parser.has_option(section, key):
+            continue
+        raw = parser.get(section, key)
+        try:
+            value = None if raw == none_text else kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+        head, _, name = attr.partition(".")
+        if name:
+            nested.setdefault(head, {})[name] = value
+        else:
+            top[head] = value
+    base = ExperimentConfig()
     try:
-        network = NetworkSpec(
-            source=_get(parser, "network", "source", "random", str),
-            file=_get(parser, "network", "file", "", str),
-            family=_get(parser, "network", "family", "laplacian", str),
-            graph=_get(parser, "network", "graph", "ring", str),
-            n_nodes=_get(parser, "network", "n_nodes", 6, int),
-            edge_prob=_get(parser, "network", "edge_prob", 0.3, float),
-            weight_min=_get(parser, "network", "weight_min", 0.5, float),
-            weight_max=_get(parser, "network", "weight_max", 1.0, float),
-            seed=_get(parser, "network", "seed", 1, int),
-        )
-        shaping_pole = _get(parser, "noise", "shaping_pole", "", str)
-        noise = NoiseConfig(
-            variance=_get(parser, "noise", "variance", 1.0, float),
-            shaping=_get(parser, "noise", "shaping", "none", str),
-            shaping_pole=float(shaping_pole) if shaping_pole else None,
-            seed=_get(parser, "noise", "seed", 7, int),
-        )
-        burn = _get(parser, "simulation", "burn_in", "auto", str)
-        sim = SimConfig(
-            dt=_get(parser, "simulation", "dt", 0.01, float),
-            n_samples=_get(parser, "simulation", "n_samples", 65536, int),
-            burn_in=None if burn == "auto" else int(burn),
-        )
-        spectral = SpectralConfig(
-            segment_length=_get(parser, "spectral", "segment_length", 4096, int),
-            overlap_fraction=_get(parser, "spectral", "overlap", 0.5, float),
-            window=_get(parser, "spectral", "window", "hann", str),
-            detrend=_get(parser, "spectral", "detrend", "mean", str),
-        )
-        omega0 = _get(parser, "spectral", "omega0", "auto", str)
-        if omega0 != "auto":
-            float(omega0)  # validate now, keep the string for the manifest
-        recon = ReconSpec(
-            mode=_get(parser, "reconstruction", "mode", "exact-directed", str),
-            threshold=_get(parser, "reconstruction", "threshold", "gap", str),
-            tau=_get(parser, "reconstruction", "tau", 1e-6, float),
-        )
-        out_dir = _get(parser, "output", "directory", "out", str)
+        parts = {head: replace(getattr(base, head), **fields)
+                 for head, fields in nested.items()}
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = ExperimentConfig(
-        network=network, node=NodeSpec(
-            preset=_get(parser, "node", "preset", "scalar-pole", str),
-            pole=_get(parser, "node", "pole", -1.0, float),
-            file=_get(parser, "node", "file", "", str),
-        ),
-        noise=noise, sim=sim, spectral=spectral, omega0=omega0,
-        recon=recon, out_dir=out_dir,
-    )
+    cfg = replace(base, **parts, **top)
     validate_config(cfg)
     return cfg
 
@@ -263,49 +256,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Fully resolved configuration (defaults included) as section dicts."""
-    return {
-        "network": {
-            "source": cfg.network.source,
-            "file": cfg.network.file,
-            "family": cfg.network.family,
-            "graph": cfg.network.graph,
-            "n_nodes": str(cfg.network.n_nodes),
-            "edge_prob": format(cfg.network.edge_prob, ".17g"),
-            "weight_min": format(cfg.network.weight_min, ".17g"),
-            "weight_max": format(cfg.network.weight_max, ".17g"),
-            "seed": str(cfg.network.seed),
-        },
-        "node": {
-            "preset": cfg.node.preset,
-            "pole": format(cfg.node.pole, ".17g"),
-            "file": cfg.node.file,
-        },
-        "noise": {
-            "variance": format(cfg.noise.variance, ".17g"),
-            "shaping": cfg.noise.shaping,
-            "shaping_pole": "" if cfg.noise.shaping_pole is None
-            else format(cfg.noise.shaping_pole, ".17g"),
-            "seed": str(cfg.noise.seed),
-        },
-        "simulation": {
-            "dt": format(cfg.sim.dt, ".17g"),
-            "n_samples": str(cfg.sim.n_samples),
-            "burn_in": "auto" if cfg.sim.burn_in is None else str(cfg.sim.burn_in),
-        },
-        "spectral": {
-            "segment_length": str(cfg.spectral.segment_length),
-            "overlap": format(cfg.spectral.overlap_fraction, ".17g"),
-            "window": cfg.spectral.window,
-            "detrend": cfg.spectral.detrend,
-            "omega0": cfg.omega0,
-        },
-        "reconstruction": {
-            "mode": cfg.recon.mode,
-            "threshold": cfg.recon.threshold,
-            "tau": format(cfg.recon.tau, ".17g"),
-        },
-        "output": {"directory": cfg.out_dir},
-    }
+    out: dict = {}
+    for section, key, attr, kind, none_text in _KEYS:
+        value = attrgetter(attr)(cfg)
+        if value is None:
+            text = none_text
+        elif kind is float:
+            text = format(value, ".17g")
+        else:
+            text = str(value)
+        out.setdefault(section, {})[key] = text
+    return out
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
@@ -547,15 +508,8 @@ def stage_oracle_spectra(
     if _needs_grounding(cfg.recon.mode):
         for j in range(1, sys.n_nodes + 1):
             grounded.append((j, analytic_cpsd(sys.grounded(j), model, omega0)))
-    info = {
-        "omega0_requested": omega0,
-        "omega0": s_full.omega,
-        "snap_distance": 0.0,
-        "segment_count": None,
-        "stderr": None,
-        "cost_model": "oracle",
-        "true_input_psd": model(omega0),
-    }
+    info = {**_estimate_info(omega0, s_full, "oracle"), "snap_distance": 0.0,
+            "true_input_psd": model(omega0)}
     _write_spectra(out, s_full, grounded, info)
     return s_full, grounded, info
 
@@ -590,60 +544,35 @@ def stage_reconstruct(
     h = nodal_transfer(node, s_full.omega)
     s_w, s_w_source = _recover_input_psd(cfg, s_full, h, eigenpair, oracle)
 
-    def pick_tau(raw: np.ndarray) -> float:
-        if cfg.recon.threshold == "fixed":
-            return cfg.recon.tau
-        vals = raw[np.isfinite(raw)]
-        return threshold_heuristic(vals, fallback_tau=cfg.recon.tau)
+    if s_w is None and mode in ("exact-directed", "undirected"):
+        raise ConfigError(
+            f"{mode} reconstruction needs S_w: provide a network eigenpair "
+            "(laplacian/regular families do) or use an oracle mode"
+        )
+    # the gap policy reads the route's own raw statistics, so each route runs once
+    tau = cfg.recon.tau if cfg.recon.threshold == "fixed" else (
+        lambda raw: threshold_heuristic(raw, fallback_tau=cfg.recon.tau))
 
     if mode == "boolean":
-        first = boolean_directed(s_full, grounded, tau=cfg.recon.tau)
-        tau = pick_tau(first.diagnostics.raw_differences)
         result = boolean_directed(s_full, grounded, tau=tau)
     elif mode == "exact-directed":
-        if s_w is None:
-            raise ConfigError(
-                "exact-directed reconstruction needs S_w: provide a network "
-                "eigenpair (laplacian/regular families do) or use an oracle mode"
-            )
-        first = exact_directed(s_full, grounded, s_w, tau=cfg.recon.tau)
-        tau = pick_tau(first.diagnostics.raw_differences)
         result = exact_directed(s_full, grounded, s_w, tau=tau)
     elif mode == "undirected":
-        if s_w is None:
-            raise ConfigError(
-                "undirected reconstruction needs S_w: provide a network "
-                "eigenpair or use an oracle mode"
-            )
         clamp = 1e-8 if s_full.source == "analytic" else ESTIMATED_EIG_CLAMP
         rec = exact_undirected(s_full, h, s_w, eig_clamp_tol=clamp)
-        tau = cfg.recon.tau
         result = ReconstructionResult(
             omega0=s_full.omega,
             boolean_structure=BooleanStructure.from_weights(
-                rec.connectivity.weights, tau
+                rec.connectivity.weights, cfg.recon.tau
             ),
             weights=rec.connectivity,
             input_psd_estimate=s_w,
-            threshold_used=tau,
+            threshold_used=cfg.recon.tau,
             diagnostics=None,
         )
-        (out / "undirected_branch.json").write_text(
-            json.dumps(
-                {
-                    "flipped": rec.flipped,
-                    "branch_score": rec.branch_score,
-                    "branch_score_alternative": rec.branch_score_alternative,
-                    "clamped_eigenvalues": rec.clamped_eigenvalues,
-                    "condition_number": rec.condition_number,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        branch = {k: v for k, v in rec._asdict().items() if k != "connectivity"}
+        (out / "undirected_branch.json").write_text(json.dumps(branch, indent=2) + "\n")
     elif mode == "nonreciprocal":
-        first = nonreciprocal(s_full, h, s_w, tau=cfg.recon.tau)
-        tau = pick_tau(first.diagnostics.raw_differences)
         result = nonreciprocal(s_full, h, s_w, tau=tau)
     else:
         raise ConfigError(f"unknown reconstruction mode {cfg.recon.mode!r}")

@@ -19,16 +19,22 @@ band:
 
 Grounding node ``j`` deletes its row and column from both the coupling matrix
 and the CPSD; the inverse-CPSD diagonal of surviving node ``i`` then drops by
-exactly ``g_ji^2 / S_w``, which is the quantity thresholded (Boolean) or
-square-rooted (exact).  Diagonal entries ``g_jj`` are unobservable by
-construction (grounding removes them with the row/column); recovered
-diagonals are fixed at zero and flagged.
+exactly ``g_ji^2 / S_w``.  Both grounding routes threshold that drop; the
+exact route then weighs each present edge ``sqrt(S_w * drop)``.  Diagonal
+entries ``g_jj`` are unobservable by construction (grounding removes them
+with the row/column); recovered diagonals are fixed at zero and flagged.
+
+The three thresholded routes (Boolean, exact directed, nonreciprocal) each
+compute their raw statistic once, inverting every CPSD matrix once, compare
+the unscaled statistic with ``tau`` -- a number, or a policy such as
+:func:`threshold_heuristic` called on the finite raw values -- and give
+absent entries weight zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,6 +64,10 @@ DEFAULT_TAU = 1e-6
 
 #: |Im{1/h}| below this rejects the frequency for the skew-part method.
 IM_H_INV_TOL = 1e-8
+
+#: An edge threshold: a number, or a policy mapping the finite raw statistics
+#: to one (:func:`threshold_heuristic` is such a policy).
+Tau = Union[float, Callable[[np.ndarray], float]]
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,13 @@ class ReconstructionResult:
     diagnostics: Optional[ReconstructionDiagnostics] = None
 
 
+def _check_transfer(h: complex) -> None:
+    if abs(h) < H_ZERO_TOL:
+        raise FrequencyRejectedError(
+            "nodal transfer function vanishes at the evaluation frequency"
+        )
+
+
 def input_psd_from_eigenpair(
     s: CpsdMatrix,
     h: complex,
@@ -103,10 +120,7 @@ def input_psd_from_eigenpair(
     ``S_w`` needs no knowledge of the rest of ``G``.  The formula is invariant
     to the scaling of ``u``.
     """
-    if abs(h) < H_ZERO_TOL:
-        raise FrequencyRejectedError(
-            "nodal transfer function vanishes at the evaluation frequency"
-        )
+    _check_transfer(h)
     u = np.asarray(eigenvector, dtype=float)
     if u.shape != (s.n_nodes,):
         raise ValidationError(
@@ -145,6 +159,19 @@ class RowRecovery(NamedTuple):
     clamped: int
 
 
+def _grounded_row(s_inv: np.ndarray, sj_inv: np.ndarray, j: int) -> np.ndarray:
+    """Full minus grounded-at-``j`` inverse-CPSD diagonal, ``nan`` at ``j``.
+
+    Grounded indices above ``j`` sit one lower, so entry ``j`` of the full
+    diagonal is skipped before the subtraction.
+    """
+    full = s_inv.diagonal().real
+    keep = np.arange(full.size) != j - 1
+    row = np.full(full.size, np.nan)
+    row[keep] = full[keep] - sj_inv.diagonal().real
+    return row
+
+
 def recover_row(
     s_inv: np.ndarray,
     sj_inv: np.ndarray,
@@ -170,25 +197,24 @@ def recover_row(
         raise IndexError(f"node index {j} out of range [1, {n}]")
     if s_w <= 0:
         raise ValidationError("S_w must be positive")
-    raw = np.full(n, np.nan)
-    weights = np.zeros(n)
-    clamped = 0
-    for i in range(1, n + 1):
-        if i == j:
-            continue
-        si = i - 1 if i < j else i - 2
-        d = float(s_inv[i - 1, i - 1].real - sj_inv[si, si].real)
-        raw[i - 1] = d
-        if d < 0.0:
-            clamped += 1
-            d = 0.0
-        weights[i - 1] = np.sqrt(s_w * d)
-    return RowRecovery(weights=weights, raw_differences=raw, clamped=clamped)
+    raw = _grounded_row(s_inv, sj_inv, j)
+    d = np.nan_to_num(raw, nan=0.0)
+    return RowRecovery(
+        weights=np.sqrt(s_w * np.clip(d, 0.0, None)),
+        raw_differences=raw,
+        clamped=int(np.sum(d < 0.0)),
+    )
 
 
-def _grounded_inverses(
+def _grounding_statistic(
     s: CpsdMatrix, grounded: Sequence[tuple[int, CpsdMatrix]]
-) -> tuple[CpsdInverse, dict[int, CpsdInverse]]:
+) -> tuple[np.ndarray, dict[str, CpsdInverse]]:
+    """The raw grounding differences and the inverses they came from.
+
+    Row ``j - 1`` of the raw matrix is :func:`_grounded_row` of the
+    grounded-at-``j`` experiment.  Every matrix is checked before any is
+    inverted, and each is inverted once.
+    """
     n = s.n_nodes
     by_node: dict[int, CpsdMatrix] = {}
     for j, sj in grounded:
@@ -210,115 +236,104 @@ def _grounded_inverses(
     missing = sorted(set(range(1, n + 1)) - set(by_node))
     if missing:
         raise ValidationError(f"missing grounded CPSD for nodes {missing}")
-    return estimate_inverse_cpsd(s), {
-        j: estimate_inverse_cpsd(sj) for j, sj in by_node.items()
-    }
-
-
-def _raw_difference_matrix(
-    s_inv: CpsdInverse, grounded_inv: dict[int, CpsdInverse]
-) -> np.ndarray:
-    n = s_inv.values.shape[0]
+    inverses = {"full": estimate_inverse_cpsd(s)}
     raw = np.full((n, n), np.nan)
-    for j, inv_j in grounded_inv.items():
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            si = i - 1 if i < j else i - 2
-            raw[j - 1, i - 1] = float(
-                s_inv.values[i - 1, i - 1].real - inv_j.values[si, si].real
-            )
-    return raw
+    for j, sj in by_node.items():
+        inverses[f"grounded_{j}"] = inv_j = estimate_inverse_cpsd(sj)
+        raw[j - 1] = _grounded_row(inverses["full"].values, inv_j.values, j)
+    return raw, inverses
 
 
-def _conditioning(
-    s_inv: CpsdInverse, grounded_inv: dict[int, CpsdInverse]
-) -> tuple[dict, tuple]:
-    conds = {"full": s_inv.condition_number}
-    loaded = ["full"] if s_inv.loaded else []
-    for j, inv_j in grounded_inv.items():
-        conds[f"grounded_{j}"] = inv_j.condition_number
-        if inv_j.loaded:
-            loaded.append(f"grounded_{j}")
-    return conds, tuple(loaded)
+def _decide(
+    omega: float,
+    raw: np.ndarray,
+    tau: Tau,
+    s_w: Optional[float],
+    inverses: dict[str, CpsdInverse],
+    notes: tuple,
+    root: bool = False,
+) -> ReconstructionResult:
+    """Declare ``v_i -> v_j`` present where ``raw[j, i] > tau``, and weigh it.
+
+    A policy ``tau`` is called once on the finite raw values.  With ``s_w``,
+    present entries weigh ``S_w * raw``, or its square root when ``root``
+    (the grounding statistic, whose negative values clamp to zero and are
+    counted, as are the positive ones at or below ``tau``); absent entries
+    weigh zero.
+    """
+    if callable(tau):
+        tau = tau(raw[np.isfinite(raw)])
+    n = raw.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    present = np.zeros((n, n), dtype=bool)
+    present[off] = raw[off] > tau
+    weights, clamp_count, suppressed = None, 0, 0
+    if s_w is not None:
+        w = np.nan_to_num(raw, nan=0.0) * s_w
+        if root:
+            w = np.sqrt(np.clip(w, 0.0, None))
+            clamp_count = int(np.sum(raw[off] < 0.0))
+            suppressed = int(np.sum((raw[off] > 0.0) & (raw[off] <= tau)))
+        w[~present] = 0.0
+        weights = ConnectivityMatrix(w)
+    return ReconstructionResult(
+        omega0=omega,
+        boolean_structure=BooleanStructure(present.astype(int)),
+        weights=weights,
+        input_psd_estimate=None if s_w is None else float(s_w),
+        threshold_used=float(tau),
+        diagnostics=ReconstructionDiagnostics(
+            raw_differences=raw,
+            clamp_count=clamp_count,
+            suppressed_count=suppressed,
+            condition_numbers={k: inv.condition_number for k, inv in inverses.items()},
+            loaded=tuple(k for k, inv in inverses.items() if inv.loaded),
+            notes=notes,
+        ),
+    )
 
 
 def boolean_directed(
     s: CpsdMatrix,
     grounded: Sequence[tuple[int, CpsdMatrix]],
-    tau: float = DEFAULT_TAU,
+    tau: Tau = DEFAULT_TAU,
 ) -> ReconstructionResult:
     """Edge presence from grounding, with no knowledge of the input noise.
 
     Declares ``v_i -> v_j`` present iff the raw inverse-CPSD diagonal
     difference exceeds ``tau``.  The difference itself (not scaled by
     ``S_w``) is thresholded; all raw values are retained in the diagnostics
-    so other thresholds can be applied after the fact.
+    so other thresholds can be applied after the fact.  ``tau`` may be a
+    policy such as :func:`threshold_heuristic`, called on the finite raw
+    values.
     """
-    s_inv, grounded_inv = _grounded_inverses(s, grounded)
-    raw = _raw_difference_matrix(s_inv, grounded_inv)
-    entries = np.zeros_like(raw, dtype=int)
-    off = ~np.eye(s.n_nodes, dtype=bool)
-    entries[off] = raw[off] > tau
-    conds, loaded = _conditioning(s_inv, grounded_inv)
-    return ReconstructionResult(
-        omega0=s.omega,
-        boolean_structure=BooleanStructure(entries),
-        threshold_used=float(tau),
-        diagnostics=ReconstructionDiagnostics(
-            raw_differences=raw,
-            condition_numbers=conds,
-            loaded=loaded,
-            notes=("self-loops are unobservable; diagonal forced to absent",),
-        ),
-    )
+    raw, inverses = _grounding_statistic(s, grounded)
+    return _decide(s.omega, raw, tau, None, inverses,
+                   ("self-loops are unobservable; diagonal forced to absent",))
 
 
 def exact_directed(
     s: CpsdMatrix,
     grounded: Sequence[tuple[int, CpsdMatrix]],
     s_w: float,
-    tau: float = DEFAULT_TAU,
+    tau: Tau = DEFAULT_TAU,
 ) -> ReconstructionResult:
     """Edge weights from grounding plus the input density at ``w0``.
 
-    Assembles every row through :func:`recover_row`.  Entries whose raw
-    statistic does not exceed ``tau`` are reported as absent (weight zero);
-    the raw statistics stay available in the diagnostics.  Negative raw
-    differences (estimation noise; impossible analytically) are clamped and
-    counted.
+    Each weight is ``sqrt(S_w * D)`` for the raw difference ``D`` of
+    :func:`recover_row`.  Entries whose raw statistic does not exceed ``tau``
+    (a number, or a policy called on the finite raw values) are reported as
+    absent (weight zero); the raw statistics stay available in the
+    diagnostics.  Negative raw differences (estimation noise; impossible
+    analytically) are clamped and counted.
     """
     if s_w <= 0:
         raise ValidationError("S_w must be positive")
-    s_inv, grounded_inv = _grounded_inverses(s, grounded)
-    raw = _raw_difference_matrix(s_inv, grounded_inv)
-    n = s.n_nodes
-    weights = np.sqrt(np.clip(np.nan_to_num(raw, nan=0.0) * s_w, 0.0, None))
-    off = ~np.eye(n, dtype=bool)
-    present = np.zeros((n, n), dtype=bool)
-    present[off] = raw[off] > tau
-    weights[~present] = 0.0
-    clamp_count = int(np.sum(raw[off] < 0.0))
-    suppressed = int(np.sum((raw[off] > 0.0) & (raw[off] <= tau)))
-    conds, loaded = _conditioning(s_inv, grounded_inv)
-    return ReconstructionResult(
-        omega0=s.omega,
-        boolean_structure=BooleanStructure(present.astype(int)),
-        weights=ConnectivityMatrix(weights),
-        input_psd_estimate=float(s_w),
-        threshold_used=float(tau),
-        diagnostics=ReconstructionDiagnostics(
-            raw_differences=raw,
-            clamp_count=clamp_count,
-            suppressed_count=suppressed,
-            condition_numbers=conds,
-            loaded=loaded,
-            notes=(
-                "recovered off-diagonal weights are magnitudes",
-                "self-loops are unobservable; diagonal fixed at zero",
-            ),
-        ),
-    )
+    raw, inverses = _grounding_statistic(s, grounded)
+    return _decide(s.omega, raw, tau, s_w, inverses, (
+        "recovered off-diagonal weights are magnitudes",
+        "self-loops are unobservable; diagonal fixed at zero",
+    ), root=True)
 
 
 class UndirectedRecovery(NamedTuple):
@@ -362,10 +377,7 @@ def exact_undirected(
     are clamped to zero; more negative ones raise, since they signal an
     eigenvalue of ``G`` straddling ``Re{1/h}`` or an unusable estimate.
     """
-    if abs(h) < H_ZERO_TOL:
-        raise FrequencyRejectedError(
-            "nodal transfer function vanishes at the evaluation frequency"
-        )
+    _check_transfer(h)
     if s_w <= 0:
         raise ValidationError("S_w must be positive")
     inv = estimate_inverse_cpsd(s)
@@ -390,22 +402,18 @@ def exact_undirected(
         )
     root = root.real
     default_sign = -1.0 if a.real >= 0.0 else 1.0
-    candidates = {}
+    candidates = []
     for sign in (default_sign, -default_sign):
         g = a.real * np.eye(n) + sign * root
         g = 0.5 * (g + g.T)
-        candidates[sign] = (g, _branch_score(g))
-    g_default, score_default = candidates[default_sign]
-    g_other, score_other = candidates[-default_sign]
+        candidates.append((g, _branch_score(g)))
+    (g_default, score_default), (g_other, score_other) = candidates
     tol = 1e-12 * max(1.0, float(np.abs(root).max()))
-    flip = score_other < score_default - tol or (
+    flipped = bool(score_other < score_default - tol or (
         abs(score_other - score_default) <= tol
         and np.linalg.norm(g_other) < np.linalg.norm(g_default) - tol
-    )
-    if flip:
-        chosen, flipped, res, res_alt = g_other, True, score_other, score_default
-    else:
-        chosen, flipped, res, res_alt = g_default, False, score_default, score_other
+    ))
+    (chosen, res), (_, res_alt) = candidates[::-1] if flipped else candidates
     return UndirectedRecovery(
         connectivity=ConnectivityMatrix(chosen),
         flipped=flipped,
@@ -420,58 +428,34 @@ def nonreciprocal(
     s: CpsdMatrix,
     h: complex,
     s_w: Optional[float] = None,
-    tau: float = DEFAULT_TAU,
+    tau: Tau = DEFAULT_TAU,
 ) -> ReconstructionResult:
     """Nonreciprocal (no bidirectional pairs) recovery, no grounding.
 
     The imaginary part of the inverse CPSD equals ``Im{1/h} (G - G^T) / S_w``;
     for a nonreciprocal nonnegative ``G`` the positive part of the skew matrix
-    is ``G`` itself.  The Boolean structure needs only the sign of
-    ``Im{1/h}``, so it is available without ``S_w``; weights additionally
-    require ``s_w``.  Frequencies where ``Im{1/h}`` (the strictly-proper
-    node's phase) vanishes are rejected.
+    is ``G`` itself.  The skew statistic ``(G - G^T) / S_w`` is what is
+    reported and compared with ``tau`` (a number, or a policy called on its
+    finite values), so the Boolean structure needs only the sign of
+    ``Im{1/h}`` and is available without ``S_w``; weights additionally
+    require ``s_w`` and are ``S_w`` times the statistic where an edge is
+    present, zero elsewhere.  Frequencies where ``Im{1/h}`` (the
+    strictly-proper node's phase) vanishes are rejected.
     """
-    if abs(h) < H_ZERO_TOL:
-        raise FrequencyRejectedError(
-            "nodal transfer function vanishes at the evaluation frequency"
-        )
+    _check_transfer(h)
     a = 1.0 / h
     if abs(a.imag) < IM_H_INV_TOL:
         raise FrequencyRejectedError(
             f"|Im(1/h)| = {abs(a.imag):.3e} too small at omega={s.omega:.6g}; "
             "choose a nonzero frequency away from the node's phase zeros"
         )
+    if s_w is not None and s_w <= 0:
+        raise ValidationError("S_w must be positive")
     inv = estimate_inverse_cpsd(s)
     skew = inv.values.imag / a.imag  # equals (G - G^T)/S_w, zero diagonal
-    n = s.n_nodes
-    off = ~np.eye(n, dtype=bool)
-    entries = np.zeros((n, n), dtype=int)
-    entries[off] = skew[off] > tau
-    weights = None
-    s_w_out = None
-    raw = skew.copy()
-    if s_w is not None:
-        if s_w <= 0:
-            raise ValidationError("S_w must be positive")
-        raw = s_w * skew
-        w = np.clip(raw, 0.0, None)
-        np.fill_diagonal(w, 0.0)
-        weights = ConnectivityMatrix(w)
-        s_w_out = float(s_w)
-    np.fill_diagonal(raw, np.nan)
-    return ReconstructionResult(
-        omega0=s.omega,
-        boolean_structure=BooleanStructure(entries),
-        weights=weights,
-        input_psd_estimate=s_w_out,
-        threshold_used=float(tau),
-        diagnostics=ReconstructionDiagnostics(
-            raw_differences=raw,
-            condition_numbers={"full": inv.condition_number},
-            loaded=("full",) if inv.loaded else (),
-            notes=("skew-part method; assumes Tr(G^2) = 0 and G >= 0",),
-        ),
-    )
+    np.fill_diagonal(skew, np.nan)
+    return _decide(s.omega, skew, tau, s_w, {"full": inv},
+                   ("skew-part method; assumes Tr(G^2) = 0 and G >= 0",))
 
 
 def threshold_heuristic(

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib.util
 import json
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -77,6 +79,12 @@ def write_config(tmp_path, overrides=None, text=BASE_CONFIG):
     return path
 
 
+def config_ini_of(sections: dict) -> str:
+    return "\n\n".join(
+        "\n".join([f"[{section}]"] + [f"{k} = {v}" for k, v in entries.items()])
+        for section, entries in sections.items()) + "\n"
+
+
 class TestConfig:
     def test_defaults_and_roundtrip(self, tmp_path):
         p = tmp_path / "min.ini"
@@ -116,6 +124,136 @@ class TestConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
+
+    # every key set away from its default, in another order and spelling
+    EVERY_KEY = """
+[output]
+directory = runs/every-key
+
+[reconstruction]
+tau = 1e-5
+threshold = fixed
+mode = oracle-nonreciprocal
+
+[network]
+source = file
+file = net.txt
+family = symmetric
+graph = pairs
+n_nodes = 5
+edge_prob = 0.4
+weight_min = 0.25
+weight_max = 2
+seed = 3
+
+[node]
+preset = file
+pole = -2.5
+file = node.txt
+
+[noise]
+variance = 0.5
+shaping = lowpass
+shaping_pole = -3
+seed = 9
+
+[simulation]
+dt = 0.02
+n_samples = 8192
+burn_in = 100
+
+[spectral]
+segment_length = 512
+overlap = 0.25
+window = rectangular
+detrend = none
+omega0 = 1.5
+"""
+
+    # what config.resolved.ini and manifest.json hold for it, byte for byte
+    EVERY_KEY_RESOLVED = """\
+[network]
+source = file
+file = net.txt
+family = symmetric
+graph = pairs
+n_nodes = 5
+edge_prob = 0.40000000000000002
+weight_min = 0.25
+weight_max = 2
+seed = 3
+
+[node]
+preset = file
+pole = -2.5
+file = node.txt
+
+[noise]
+variance = 0.5
+shaping = lowpass
+shaping_pole = -3
+seed = 9
+
+[simulation]
+dt = 0.02
+n_samples = 8192
+burn_in = 100
+
+[spectral]
+segment_length = 512
+overlap = 0.25
+window = rectangular
+detrend = none
+omega0 = 1.5
+
+[reconstruction]
+mode = oracle-nonreciprocal
+threshold = fixed
+tau = 1.0000000000000001e-05
+
+[output]
+directory = runs/every-key
+"""
+
+    def test_every_key_renders_to_the_pinned_text(self, tmp_path):
+        p = tmp_path / "every.ini"
+        p.write_text(self.EVERY_KEY)
+        cfg = load_config(p)
+        assert cfg != pl.ExperimentConfig()
+        assert pl.config_to_ini(cfg) == self.EVERY_KEY_RESOLVED
+
+    def test_pinned_text_loads_back_equal(self, tmp_path):
+        p, q = tmp_path / "every.ini", tmp_path / "resolved.ini"
+        p.write_text(self.EVERY_KEY)
+        q.write_text(self.EVERY_KEY_RESOLVED)
+        assert load_config(q) == load_config(p)
+
+    def test_key_table_declares_every_field_once(self):
+        from netspectra import NoiseConfig, SimConfig, SpectralConfig
+
+        specs = {"network": pl.NetworkSpec, "node": pl.NodeSpec, "noise": NoiseConfig,
+                 "sim": SimConfig, "spectral": SpectralConfig, "recon": pl.ReconSpec}
+        fields = [f"{head}.{f.name}" for head, cls in specs.items()
+                  for f in dataclasses.fields(cls)] + ["omega0", "out_dir"]
+        attrs = [attr for _, _, attr, _, _ in pl._KEYS]
+        assert sorted(attrs) == sorted(fields)
+        keys = [(section, key) for section, key, *_ in pl._KEYS]
+        assert len(set(keys)) == len(keys)
+
+    def test_module_reference_lists_every_key_with_its_default(self, tmp_path):
+        reference = pl.__doc__.split("Section/key reference")[1]
+        documented = {}
+        for section, body in re.findall(r"\[(\w+)\]\s*(.*?)(?=\n\s*\[\w+\]|\Z)",
+                                        reference, re.S):
+            for key, default in re.findall(r"(\w+) \(([^)]*)\)", body):
+                documented[(section, key)] = default
+        assert set(documented) == {(section, key) for section, key, *_ in pl._KEYS}
+        p = tmp_path / "documented.ini"
+        p.write_text(config_ini_of(
+            {section: {key: default for (s, key), default in documented.items()
+                       if s == section and default}
+             for section in {s for s, _ in documented}}))
+        assert load_config(p) == pl.ExperimentConfig()
 
 
 class TestOraclePipeline:
@@ -217,6 +355,38 @@ class TestOraclePipeline:
         assert (tmp_path / "w1" / "recovered_weights.txt").read_bytes() == (
             tmp_path / "w4" / "recovered_weights.txt"
         ).read_bytes()
+
+
+class TestReconstructOnce:
+    # N = 4: the full matrix and 4 grounded ones, plus one for the eigenpair S_w
+    @pytest.mark.parametrize("threshold", ["gap", "fixed"])
+    @pytest.mark.parametrize("mode, family, route, inversions", [
+        ("oracle-exact-directed", "laplacian", "exact_directed", 4 + 2),
+        ("oracle-boolean", "directed-sparse", "boolean_directed", 4 + 1),
+        ("oracle-nonreciprocal", "nonreciprocal-ring", "nonreciprocal", 1),
+    ])
+    def test_route_runs_once_and_inverts_each_matrix_once(
+        self, tmp_path, monkeypatch, threshold, mode, family, route, inversions
+    ):
+        import netspectra.reconstruct as rc
+
+        calls = {"invert": 0, "route": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(rc, "estimate_inverse_cpsd",
+                            counted("invert", rc.estimate_inverse_cpsd))
+        monkeypatch.setattr(pl, route, counted("route", getattr(pl, route)))
+        p = write_config(tmp_path, {("network", "family"): family,
+                                    ("reconstruction", "mode"): mode,
+                                    ("reconstruction", "threshold"): threshold})
+        metrics = run_pipeline(load_config(p), tmp_path / "o")
+        assert calls == {"invert": inversions, "route": 1}
+        assert metrics["f1"] == 1.0
 
 
 class TestStagedArtifacts:
@@ -520,6 +690,14 @@ class TestCliErrors:
             },
         )
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "n")]) == 3
+
+    @pytest.mark.parametrize("section, key", [
+        ("spectral", "omega0"), ("simulation", "burn_in"), ("noise", "shaping_pole"),
+    ])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, section, key):
+        p = write_config(tmp_path, {(section, key): "x"})
+        assert main(["generate", "--config", str(p), "--out", str(tmp_path / "g")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: [{section}] {key} = 'x': ")
 
     def test_evaluate_needs_a_readable_report(self, tmp_path):
         p, out = write_config(tmp_path), tmp_path / "e"

@@ -141,6 +141,44 @@ class TestRecoverRow:
         with pytest.raises(ValidationError):
             recover_row(np.eye(3, dtype=complex), np.eye(3, dtype=complex), 1, 1.0)
 
+    @staticmethod
+    def _loop_row(s_inv, sj_inv, j, s_w):
+        # the entry-by-entry form of the grounded-index shift, as a reference
+        n = s_inv.shape[0]
+        raw, weights, clamped = np.full(n, np.nan), np.zeros(n), 0
+        for i in range(1, n + 1):
+            if i == j:
+                continue
+            si = i - 1 if i < j else i - 2
+            d = float(s_inv[i - 1, i - 1].real - sj_inv[si, si].real)
+            raw[i - 1] = d
+            if d < 0.0:
+                clamped += 1
+                d = 0.0
+            weights[i - 1] = np.sqrt(s_w * d)
+        return weights, raw, clamped
+
+    def test_rows_equal_the_loop_and_the_routes_statistic(self, rng, scalar_node):
+        g = random_orientation(6, 0.5, (0.3, 1.0), rng, spectral_radius=0.8)
+        s, grounded = oracle_spectra(NetworkSystem(scalar_node, g), 1.0, 0.6)
+        res = exact_directed(s, grounded, 0.5)
+        s_inv = estimate_inverse_cpsd(s).values
+        oracle = [(s_inv, estimate_inverse_cpsd(sj).values, j) for j, sj in grounded]
+        # random diagonals give negative differences, which clamp
+        noisy = [(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
+                  rng.normal(size=(4, 4)) + 0j, j) for j in (1, 3, 5)]
+        cases = oracle + noisy
+        rows = [recover_row(a, b, j, 0.5) for a, b, j in cases]
+        for row, (a, b, j) in zip(rows, cases):
+            weights, raw, clamped = self._loop_row(a, b, j, 0.5)
+            assert np.array_equal(row.weights, weights)
+            assert np.array_equal(row.raw_differences, raw, equal_nan=True)
+            assert row.clamped == clamped
+        assert sum(row.clamped for row in rows[len(oracle):]) > 0
+        for row, (_, _, j) in zip(rows, oracle):
+            assert np.array_equal(res.diagnostics.raw_differences[j - 1],
+                                  row.raw_differences, equal_nan=True)
+
 
 class TestBooleanDirected:
     def test_empty_graph(self):
@@ -408,3 +446,53 @@ class TestStatisticalCalibration:
             err = abs(res.weights.weights[j0, i0] - true_w)
             # 5-sigma band, plus a term for the shared S_w estimate noise
             assert err <= 5.0 * (sigma_w + true_w / (2 * np.sqrt(k)))
+
+
+class TestDecision:
+    # S_w = 0.01 puts the unscaled statistics (g/S_w, g^2/S_w, 9 to 90) above
+    # tau = 5 and the S_w-scaled ones (g, g^2, below 1) under it
+    S_W, TAU = 0.01, 5.0
+    ROUTES = ["boolean", "exact-directed", "nonreciprocal"]
+
+    @pytest.fixture
+    def ring(self, rng, scalar_node):
+        g = nonreciprocal_ring(5, (0.3, 0.9), rng)
+        s, grounded = oracle_spectra(NetworkSystem(scalar_node, g), self.S_W, 0.7)
+        return g, s, grounded, nodal_transfer(scalar_node, s.omega)
+
+    def _route(self, route, ring, tau):
+        _, s, grounded, h = ring
+        if route == "boolean":
+            return boolean_directed(s, grounded, tau=tau)
+        if route == "exact-directed":
+            return exact_directed(s, grounded, self.S_W, tau=tau)
+        return nonreciprocal(s, h, self.S_W, tau=tau)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_decides_on_the_reported_statistic(self, route, ring):
+        res = self._route(route, ring, self.TAU)
+        off = ~np.eye(5, dtype=bool)
+        raw = res.diagnostics.raw_differences
+        boolean = res.boolean_structure.entries.astype(bool)
+        assert res.threshold_used == self.TAU
+        assert np.array_equal(boolean[off], raw[off] > res.threshold_used)
+        assert np.array_equal(boolean, ring[0].weights > 0)
+        if res.weights is not None:
+            assert np.array_equal(res.weights.weights != 0, boolean)
+            assert np.abs(res.weights.weights - ring[0].weights).max() <= 1e-8
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_policy_tau_reads_the_raw_statistics(self, route, ring):
+        seen = []
+
+        def policy(values):
+            seen.append(np.array(values))
+            return threshold_heuristic(values)
+
+        res = self._route(route, ring, policy)
+        finite = res.diagnostics.raw_differences
+        finite = finite[np.isfinite(finite)]
+        assert len(seen) == 1 and np.array_equal(seen[0], finite)
+        assert res.threshold_used == threshold_heuristic(finite)
+        fixed = self._route(route, ring, res.threshold_used)
+        assert np.array_equal(fixed.boolean_structure.entries, res.boolean_structure.entries)
