@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import families
 from .errors import ConfigError, StabilityError
 from .graphs import ConnectivityMatrix
 from .lti import NetworkSystem, NodeDynamics, analytic_cpsd, is_hurwitz
@@ -59,12 +60,10 @@ def parse_sweep(text: str) -> list[tuple[int, int]]:
 
 def _stable_sparse(n: int, rng: np.random.Generator, node: NodeDynamics) -> ConnectivityMatrix:
     """Sparse directed coupling rescaled until the closed loop is Hurwitz."""
-    mask = rng.random((n, n)) < max(0.05, min(0.3, 8.0 / n))
-    w = rng.uniform(0.3, 1.0, (n, n)) * mask
-    np.fill_diagonal(w, 0.0)
+    w = families.directed_sparse(n, max(0.05, min(0.3, 8.0 / n)), (0.3, 1.0), rng).weights
     rho = np.abs(np.linalg.eigvals(w)).max()
     if rho > 0:
-        w *= 0.5 / rho
+        w = w * (0.5 / rho)
     for _ in range(20):
         g = ConnectivityMatrix(w)
         if is_hurwitz(NetworkSystem(node, g)).stable:

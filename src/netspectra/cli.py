@@ -35,8 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="experiment config file")
     common.add_argument("--out", default=None, help="run directory (overrides [output])")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for the grounded simulations; the staged "
-                             "simulate and --cost-model paper hold up to this many "
+                        help="worker threads for the grounded runs; the staged simulate "
+                             "and estimate and --cost-model paper hold up to this many "
                              "whole records at once")
     common.add_argument("--seed-override", type=int, default=None,
                         help="replace the network and noise seeds")
@@ -92,9 +92,10 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_estimate(args) -> None:
     cfg, out = _load(args)
-    _, node = _load_truth_and_node(cfg, out)
-    runs = pl.load_saved_runs(out)
-    pl.stage_estimate(cfg, out, runs, node, cost_model=args.cost_model)
+    truth, node = _load_truth_and_node(cfg, out)
+    runs = pl.load_saved_runs(cfg, out, truth.n_nodes)
+    pl.stage_estimate(cfg, out, runs, node, truth.n_nodes, workers=args.workers,
+                      cost_model=args.cost_model)
 
 
 def _cmd_reconstruct(args) -> None:
@@ -103,7 +104,7 @@ def _cmd_reconstruct(args) -> None:
     if cfg.recon.mode.startswith("oracle-"):
         s_full, grounded, _ = pl.stage_oracle_spectra(cfg, out, truth, node)
     else:
-        s_full, grounded, _ = pl.load_saved_spectra(out)
+        s_full, grounded, _ = pl.load_saved_spectra(cfg, out, truth.n_nodes)
     pl.stage_reconstruct(cfg, out, s_full, grounded, node, eigenpair=truth.eigenpair)
 
 

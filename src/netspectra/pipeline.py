@@ -7,13 +7,13 @@ under the output directory, so stages can be rerun or golden-tested in
 isolation, and a ``manifest.json`` plus ``config.resolved.ini`` capture
 everything needed to reproduce a run bit for bit.
 
-:func:`run_pipeline` streams: each run's simulation blocks go straight into a
-single-bin CPSD accumulator (:func:`stage_stream`), so it holds no whole record
-(with ``omega0 = auto``, the full run's alone, to choose the bin) and writes no
-``timeseries/``.  The staged :func:`stage_simulate` and :func:`stage_estimate`
-persist the records and give the same spectra byte for byte; they pass the
-records one at a time (up to ``workers`` in flight while simulating), as does
-the ``paper`` cost model, whose lag-domain estimator needs whole records.
+An experiment's runs are listed once, by :func:`_run_keys`, and go through
+:func:`_each_run`, which holds at most ``workers`` records.  The one estimate
+stage, :func:`stage_estimate`, takes a run source: :func:`run_pipeline` streams
+:func:`simulated_runs` into single-bin CPSD accumulators and writes no
+``timeseries/`` (it holds the full record with ``omega0 = auto``, and each
+record for the ``paper`` lag-domain estimator); the staged ``estimate`` reads
+:func:`load_saved_runs` and gives the same spectra byte for byte.
 
 Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
 unknown-key check and the rendering of ``config.resolved.ini``.
@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import configparser
 import json
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 import scipy
@@ -252,6 +251,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown threshold policy {cfg.recon.threshold!r}")
     if cfg.network.n_nodes < 2:
         raise ConfigError("n_nodes must be at least 2")
+    if cfg.network.seed < 0:
+        raise ConfigError("network seed must be nonnegative")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -331,39 +332,48 @@ def stage_generate(cfg: ExperimentConfig, out: Path) -> tuple[ConnectivityMatrix
     return g, node
 
 
-def _needs_grounding(mode: str) -> bool:
-    return mode.replace("oracle-", "") in GROUNDING_MODES
+def _run_keys(cfg: ExperimentConfig, n_nodes: int) -> list:
+    """``["full", 1..N]`` (key j: node j grounded), or ``["full"]`` when the mode does not ground.
 
-
-def _take(pending: deque) -> tuple:
-    """Pop the oldest ``(j, future)`` and return ``(j, record)``, keeping no reference."""
-    j, future = pending.popleft()
-    return j, future.result()
-
-
-def _simulate_runs(cfg: ExperimentConfig, sys: NetworkSystem, workers: int) -> Iterator[tuple]:
-    """Yield ``("full", record)`` then, when the mode grounds, ``(j, record)`` in node order.
-
-    A grounded run goes to the ``workers`` pool only after the caller has
-    asked for the next record, so a caller that drops each record before
-    asking holds at most ``workers`` records, counting those in flight.
+    The only place that decides which runs exist.
     """
-    yield "full", simulate(sys, cfg.noise, cfg.sim)
-    if not _needs_grounding(cfg.recon.mode):
-        return
-    workers = max(1, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for j in range(1, sys.n_nodes + 1):
-            if len(pending) == workers:
-                yield _take(pending)
-            pending.append((j, pool.submit(simulate_grounded, sys, j, cfg.noise, cfg.sim)))
-        while pending:
-            yield _take(pending)
+    if cfg.recon.mode.replace("oracle-", "") in GROUNDING_MODES:
+        return ["full", *range(1, n_nodes + 1)]
+    return ["full"]
 
 
-def _timeseries_name(key) -> str:
-    return "full.nsts" if key == "full" else f"grounded_{key}.nsts"
+def _run_name(key) -> str:
+    return "full" if key == "full" else f"grounded_{key}"
+
+
+def _each_run(fn, keys: list, workers: int) -> list:
+    """``[fn(key) for key in keys]``: the first key in this thread, the rest on the pool.
+
+    The full run goes first, alone, so that it can fix what the others share
+    (the ``omega0 = auto`` bin).  ``fn`` is done with its run's record when it
+    returns (it saves or estimates it), so at most ``workers`` records are held.
+    """
+    first = fn(keys[0])
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        return [first, *pool.map(fn, keys[1:])]
+
+
+def simulated_runs(cfg: ExperimentConfig, g: ConnectivityMatrix, node: NodeDynamics):
+    """The run source that simulates: ``source(key, whole)`` for a key of :func:`_run_keys`.
+
+    It returns the whole record when ``whole``, else the block generator of
+    :func:`simulate_blocks`, which yields the same numbers and holds no record.
+    """
+    sys = NetworkSystem(node, g)
+
+    def source(key, whole: bool):
+        if not whole:
+            return simulate_blocks(sys, cfg.noise, cfg.sim, ground=None if key == "full" else key)
+        if key == "full":
+            return simulate(sys, cfg.noise, cfg.sim)
+        return simulate_grounded(sys, key, cfg.noise, cfg.sim)
+
+    return source
 
 
 def stage_simulate(
@@ -373,119 +383,68 @@ def stage_simulate(
     """Run the full (and, when the mode grounds, the N grounded) simulations.
 
     Each record is written to ``timeseries/*.nsts`` for the staged
-    ``estimate`` and dropped before the next is asked for, so at most
-    ``workers`` records are held; ``run`` streams instead (:func:`stage_stream`).
+    ``estimate`` by the task that simulated it, so at most ``workers`` records
+    are held; ``run`` streams instead (:func:`stage_estimate`).
     """
     ts_dir = out / "timeseries"
     ts_dir.mkdir(parents=True, exist_ok=True)
-    for key, ts in _simulate_runs(cfg, NetworkSystem(node, g), workers):
-        save_timeseries(ts_dir / _timeseries_name(key), ts)
-        del ts  # before the loop asks for the next record
+    runs = simulated_runs(cfg, g, node)
+    _each_run(lambda key: save_timeseries(ts_dir / f"{_run_name(key)}.nsts", runs(key, True)),
+              _run_keys(cfg, g.n_nodes), workers)
 
 
-def _resolve_omega0_empirical(
-    cfg: ExperimentConfig, full_ts: TimeSeriesMatrix, node: NodeDynamics
-) -> float:
-    fixed = cfg.omega0_value()
-    if fixed is not None:
-        return fixed
-    band = cfg.noise.input_psd_model(cfg.sim.dt)
-    return select_omega0(full_ts, band, cfg.spectral, node=node)
-
-
-def _write_spectra(out: Path, s_full: CpsdMatrix, grounded: list, info: dict) -> None:
+def _write_spectra(out: Path, keys: list, spectra: list, omega0: float, cost_model: str,
+                   **extra) -> tuple:
+    """Save one CPSD matrix per run key and ``estimate.json``; return them as the stages do."""
+    s_full = spectra[0]
+    info = {"omega0_requested": omega0, "omega0": s_full.omega,
+            "snap_distance": s_full.snap_distance, "segment_count": s_full.segment_count,
+            "stderr": s_full.stderr, "cost_model": cost_model, **extra}
     sp_dir = out / "spectra"
     sp_dir.mkdir(parents=True, exist_ok=True)
-    save_cpsd(sp_dir / "cpsd_full.txt", s_full)
-    for j, sj in grounded:
-        save_cpsd(sp_dir / f"cpsd_grounded_{j}.txt", sj)
+    for key, s in zip(keys, spectra):
+        save_cpsd(sp_dir / f"cpsd_{_run_name(key)}.txt", s)
     (sp_dir / "estimate.json").write_text(json.dumps(info, indent=2) + "\n")
-
-
-def _estimate_info(omega0: float, s_full: CpsdMatrix, cost_model: str) -> dict:
-    return {
-        "omega0_requested": omega0,
-        "omega0": s_full.omega,
-        "snap_distance": s_full.snap_distance,
-        "segment_count": s_full.segment_count,
-        "stderr": s_full.stderr,
-        "cost_model": cost_model,
-    }
+    return s_full, list(zip(keys[1:], spectra[1:])), info
 
 
 def stage_estimate(
-    cfg: ExperimentConfig, out: Path, runs: Iterable[tuple], node: NodeDynamics,
-    cost_model: str = "fft",
+    cfg: ExperimentConfig, out: Path, runs, node: NodeDynamics, n_nodes: int,
+    workers: int = 1, cost_model: str = "fft",
 ) -> tuple[CpsdMatrix, list, dict]:
-    """Estimate the full and grounded CPSD matrices at one snapped frequency.
+    """Estimate the CPSD matrix of each run of :func:`_run_keys` at one snapped frequency.
 
-    ``runs`` yields ``("full", record)`` first, then ``(j, record)`` for the
-    grounded runs in node order (:func:`load_saved_runs`, or the simulations
-    themselves).  omega0 is resolved on the full record; each record is estimated
-    and dropped before the next is pulled, so one record is held at a time.
+    ``runs(key, whole)`` (:func:`simulated_runs`, :func:`load_saved_runs`)
+    gives run ``key`` as a :class:`TimeSeriesMatrix` or, unless ``whole``,
+    possibly as (channels x samples) blocks.  With a fixed omega0 and the
+    ``fft`` estimator, blocks stream into a :class:`CpsdAccumulator` sized
+    from the key; ``omega0 = auto`` holds the full record to choose the bin
+    on its PSD grid, and the ``paper`` estimator holds each record.
     """
     if cost_model not in ("fft", "paper"):
         raise ConfigError(f"unknown cost model {cost_model!r}")
-    runs = iter(runs)
-    _, full_ts = next(runs)
-    omega0 = _resolve_omega0_empirical(cfg, full_ts, node)
-    snapped, _ = snap_frequency(omega0, full_ts.dt, cfg.spectral)
-
-    def estimate_one(ts: TimeSeriesMatrix) -> CpsdMatrix:
-        if cost_model == "paper":
-            s = estimate_cpsd_lag_domain(ts, snapped)
-            return replace(s, snap_distance=float(abs(snapped - abs(omega0))))
-        return estimate_cpsd_matrix(ts, omega0, cfg.spectral)
-
-    s_full = estimate_one(full_ts)
-    del full_ts
-    grounded = []
-    for j, ts in runs:
-        grounded.append((j, estimate_one(ts)))
-        del ts  # before the loop asks for the next record
-    info = _estimate_info(omega0, s_full, cost_model)
-    _write_spectra(out, s_full, grounded, info)
-    return s_full, grounded, info
-
-
-def _stream_cpsd(sys: NetworkSystem, cfg: ExperimentConfig, omega0: float,
-                 ground: Optional[int] = None) -> CpsdMatrix:
-    acc = CpsdAccumulator(sys.n_nodes - (ground is not None), cfg.sim.dt, omega0, cfg.spectral)
-    for block in simulate_blocks(sys, cfg.noise, cfg.sim, ground=ground):
-        acc.feed(block)
-    return acc.result()
-
-
-def stage_stream(
-    cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix, node: NodeDynamics,
-    workers: int = 1,
-) -> tuple[CpsdMatrix, list, dict]:
-    """Simulate and estimate in one pass, block by block, holding no whole record.
-
-    Each run's blocks go straight into a :class:`CpsdAccumulator`; the
-    grounded runs share the ``workers`` pool.  The spectra equal, byte for
-    byte, those of :func:`stage_simulate` then :func:`stage_estimate`.  With
-    ``omega0 = auto`` the bin is chosen on the full run's PSD grid, so that one
-    record (only) is held while it is estimated.
-    """
-    sys = NetworkSystem(node, g)
     omega0 = cfg.omega0_value()
-    if omega0 is None:
-        full_ts = simulate(sys, cfg.noise, cfg.sim)
-        omega0 = _resolve_omega0_empirical(cfg, full_ts, node)
-        s_full = estimate_cpsd_matrix(full_ts, omega0, cfg.spectral)
-        del full_ts
-    else:
-        s_full = _stream_cpsd(sys, cfg, omega0)
-    grounded = []
-    if _needs_grounding(cfg.recon.mode):
-        nodes = range(1, sys.n_nodes + 1)
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            grounded = list(zip(nodes, pool.map(
-                lambda j: _stream_cpsd(sys, cfg, omega0, ground=j), nodes)))
-    info = _estimate_info(omega0, s_full, "fft")
-    _write_spectra(out, s_full, grounded, info)
-    return s_full, grounded, info
+
+    def estimate(key) -> CpsdMatrix:
+        nonlocal omega0
+        run = runs(key, cost_model == "paper" or omega0 is None)
+        if omega0 is None:  # auto: chosen on the full run, which _each_run estimates first
+            band = cfg.noise.input_psd_model(cfg.sim.dt)
+            omega0 = select_omega0(run, band, cfg.spectral, node=node)
+        if cost_model == "paper":
+            snapped, _ = snap_frequency(omega0, run.dt, cfg.spectral)
+            s = estimate_cpsd_lag_domain(run, snapped)
+            return replace(s, snap_distance=float(abs(snapped - abs(omega0))))
+        if isinstance(run, TimeSeriesMatrix):
+            return estimate_cpsd_matrix(run, omega0, cfg.spectral)
+        acc = CpsdAccumulator(n_nodes - (key != "full"), cfg.sim.dt, omega0, cfg.spectral)
+        for block in run:
+            acc.feed(block)
+        return acc.result()
+
+    keys = _run_keys(cfg, n_nodes)
+    spectra = _each_run(estimate, keys, workers)
+    return _write_spectra(out, keys, spectra, omega0, cost_model)
 
 
 def _oracle_omega0(cfg: ExperimentConfig) -> float:
@@ -503,15 +462,11 @@ def stage_oracle_spectra(
     sys = NetworkSystem(node, g)
     model = cfg.noise.input_psd_model(cfg.sim.dt)
     omega0 = _oracle_omega0(cfg)
-    s_full = analytic_cpsd(sys, model, omega0)
-    grounded = []
-    if _needs_grounding(cfg.recon.mode):
-        for j in range(1, sys.n_nodes + 1):
-            grounded.append((j, analytic_cpsd(sys.grounded(j), model, omega0)))
-    info = {**_estimate_info(omega0, s_full, "oracle"), "snap_distance": 0.0,
-            "true_input_psd": model(omega0)}
-    _write_spectra(out, s_full, grounded, info)
-    return s_full, grounded, info
+    keys = _run_keys(cfg, sys.n_nodes)
+    spectra = [analytic_cpsd(sys if key == "full" else sys.grounded(key), model, omega0)
+               for key in keys]
+    return _write_spectra(out, keys, spectra, omega0, "oracle", snap_distance=0.0,
+                          true_input_psd=model(omega0))
 
 
 def _recover_input_psd(
@@ -669,11 +624,10 @@ def run_pipeline(
     truth, node = stage_generate(cfg, out)
     if cfg.recon.mode.startswith("oracle-"):
         s_full, grounded, info = stage_oracle_spectra(cfg, out, truth, node)
-    elif cost_model == "fft":
-        s_full, grounded, info = stage_stream(cfg, out, truth, node, workers=workers)
-    else:  # the lag-domain estimator ("paper") needs whole records
-        runs = _simulate_runs(cfg, NetworkSystem(node, truth), workers)
-        s_full, grounded, info = stage_estimate(cfg, out, runs, node, cost_model=cost_model)
+    else:
+        s_full, grounded, info = stage_estimate(
+            cfg, out, simulated_runs(cfg, truth, node), node, truth.n_nodes,
+            workers=workers, cost_model=cost_model)
     result = stage_reconstruct(cfg, out, s_full, grounded, node,
                                eigenpair=truth.eigenpair)
     metrics = stage_evaluate(cfg, out, truth, result, info)
@@ -683,17 +637,25 @@ def run_pipeline(
 
 # helpers for running later stages from previously saved artifacts ----------
 
-def load_saved_runs(out: Path) -> Iterator[tuple]:
-    """The saved records as ``("full", record)``, then ``(j, record)`` in node order.
+def _saved(directory: Path, names: list, stage: str) -> list:
+    """The paths of ``names`` under ``directory``; a missing one raises :class:`ConfigError`."""
+    missing = [name for name in names if not (directory / name).exists()]
+    if missing:
+        raise ConfigError(f"no saved {', '.join(missing)} under {directory}; run {stage} first")
+    return [directory / name for name in names]
 
-    Each file is read only when its record is asked for; a missing
-    ``full.nsts`` raises :class:`ConfigError` at the call.
+
+def load_saved_runs(cfg: ExperimentConfig, out: Path, n_nodes: int):
+    """The run source that reads the saved ``timeseries/*.nsts`` records.
+
+    ``source(key, whole)`` reads run ``key``'s file, whole, only when asked
+    for it.  Every run of :func:`_run_keys` must be saved: a missing file
+    raises :class:`ConfigError` at the call; files of other runs are ignored.
     """
-    ts_dir = out / "timeseries"
-    if not (ts_dir / "full.nsts").exists():
-        raise ConfigError(f"no saved time series under {ts_dir}; run simulate first")
-    nodes = sorted(int(p.stem.split("_")[1]) for p in ts_dir.glob("grounded_*.nsts"))
-    return ((key, load_timeseries(ts_dir / _timeseries_name(key))) for key in ["full", *nodes])
+    keys = _run_keys(cfg, n_nodes)
+    names = [f"{_run_name(key)}.nsts" for key in keys]
+    paths = dict(zip(keys, _saved(out / "timeseries", names, "simulate")))
+    return lambda key, whole: load_timeseries(paths[key])
 
 
 def _load_estimate_info(out: Path) -> dict:
@@ -701,24 +663,19 @@ def _load_estimate_info(out: Path) -> dict:
     return json.loads(info_path.read_text()) if info_path.exists() else {}
 
 
-def load_saved_spectra(out: Path) -> tuple[CpsdMatrix, list, dict]:
-    sp_dir = out / "spectra"
-    full_path = sp_dir / "cpsd_full.txt"
-    if not full_path.exists():
-        raise ConfigError(f"no saved spectra under {sp_dir}; run estimate first")
+def load_saved_spectra(
+    cfg: ExperimentConfig, out: Path, n_nodes: int,
+) -> tuple[CpsdMatrix, list, dict]:
+    """The saved ``spectra/cpsd_*.txt`` of each run of :func:`_run_keys`, as the stages return them.
+
+    A missing file raises :class:`ConfigError`; files of other runs are ignored.
+    """
+    keys = _run_keys(cfg, n_nodes)
+    paths = _saved(out / "spectra", [f"cpsd_{_run_name(key)}.txt" for key in keys], "estimate")
     info = _load_estimate_info(out)
-
-    def load(path: Path) -> CpsdMatrix:
-        # every matrix of one estimate shares the snapped bin, so its snap distance
-        return replace(load_cpsd(path), snap_distance=info.get("snap_distance"))
-
-    s_full = load(full_path)
-    grounded = []
-    for p in sorted(sp_dir.glob("cpsd_grounded_*.txt"),
-                    key=lambda p: int(p.stem.split("_")[2])):
-        j = int(p.stem.split("_")[2])
-        grounded.append((j, load(p)))
-    return s_full, grounded, info
+    # every matrix of one estimate shares the snapped bin, so its snap distance
+    spectra = [replace(load_cpsd(p), snap_distance=info.get("snap_distance")) for p in paths]
+    return spectra[0], list(zip(keys[1:], spectra[1:])), info
 
 
 def load_saved_result(out: Path) -> tuple[ReconstructionResult, dict]:

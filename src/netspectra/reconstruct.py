@@ -27,8 +27,9 @@ with the row/column); recovered diagonals are fixed at zero and flagged.
 The three thresholded routes (Boolean, exact directed, nonreciprocal) each
 compute their raw statistic once, inverting every CPSD matrix once, compare
 the unscaled statistic with ``tau`` -- a number, or a policy such as
-:func:`threshold_heuristic` called on the finite raw values -- and give
-absent entries weight zero.
+:func:`threshold_heuristic` called on the finite raw values (the positive
+ones for the antisymmetric nonreciprocal skew) -- and give absent entries
+weight zero.
 """
 
 from __future__ import annotations
@@ -436,7 +437,8 @@ def nonreciprocal(
     for a nonreciprocal nonnegative ``G`` the positive part of the skew matrix
     is ``G`` itself.  The skew statistic ``(G - G^T) / S_w`` is what is
     reported and compared with ``tau`` (a number, or a policy called on its
-    finite values), so the Boolean structure needs only the sign of
+    positive values: the statistic is antisymmetric, so its negative half
+    mirrors the edges), so the Boolean structure needs only the sign of
     ``Im{1/h}`` and is available without ``S_w``; weights additionally
     require ``s_w`` and are ``S_w`` times the statistic where an edge is
     present, zero elsewhere.  Frequencies where ``Im{1/h}`` (the
@@ -454,6 +456,9 @@ def nonreciprocal(
     inv = estimate_inverse_cpsd(s)
     skew = inv.values.imag / a.imag  # equals (G - G^T)/S_w, zero diagonal
     np.fill_diagonal(skew, np.nan)
+    if callable(tau):  # the negative half mirrors the edges; it is no noise sample
+        policy = tau
+        tau = lambda raw: policy(raw[raw > 0.0])
     return _decide(s.omega, skew, tau, s_w, {"full": inv},
                    ("skew-part method; assumes Tr(G^2) = 0 and G >= 0",))
 

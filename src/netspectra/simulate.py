@@ -79,6 +79,8 @@ class NoiseConfig:
     def __post_init__(self):
         if self.variance <= 0:
             raise ValidationError("noise variance must be positive")
+        if self.seed < 0:
+            raise ValidationError("noise seed must be nonnegative")
         if self.shaping not in ("none", "lowpass"):
             raise ValidationError(f"unknown shaping {self.shaping!r}")
         if self.shaping == "lowpass":
@@ -305,9 +307,9 @@ def simulate_blocks(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig,
     samples, at most ``PROPAGATE_BLOCK`` each, and are the same numbers
     :func:`simulate` and :func:`simulate_grounded` return as one record.
     """
-    run_seed = noise.seed
+    run = 0
     if ground is not None:
-        sys, run_seed = sys.grounded(ground), noise.seed ^ ground
+        sys, run = sys.grounded(ground), ground
     report = is_hurwitz(sys)
     if not report.stable:
         raise StabilityError(
@@ -327,7 +329,7 @@ def simulate_blocks(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig,
                 "burn_in explicitly if this is intended"
             )
     phi, gamma = discretize(sys, cfg.dt)
-    rng = np.random.default_rng(run_seed)
+    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, run)))
     draws = noise._draws(rng, cfg.n_samples + burn, sys.n_nodes, cfg.dt)
     return _cascade(phi, gamma, sys.output_matrix(), draws, burn)
 
@@ -347,9 +349,10 @@ def simulate_grounded(sys: NetworkSystem, j: int, noise: NoiseConfig,
     """Sampled outputs with node ``j`` grounded (N-1 channels).
 
     The grounded run is simulated directly on the reduced coupling matrix and
-    driven by its own independent streams, seeded ``noise.seed XOR j`` so that
-    running the N grounded experiments in any order (or in parallel) cannot
-    change the result.
+    driven by its own independent streams, seeded ``SeedSequence((noise.seed,
+    j))`` (the full run's ``(noise.seed, 0)`` equals ``noise.seed``), so no two
+    runs of any seeds share a stream and running the N grounded experiments in
+    any order (or in parallel) cannot change the result.
     """
     blocks = simulate_blocks(sys, noise, cfg, ground=j)
     labels = tuple(i for i in range(1, sys.n_nodes + 1) if i != j)

@@ -554,15 +554,54 @@ class TestStagedArtifacts:
         staged = tmp_path / "staged"
         for cmd in ("generate", "simulate", "estimate"):
             assert main([cmd, "--config", str(p), "--out", str(staged)]) == 0
-        s_full, grounded, _ = pl.load_saved_spectra(staged)
         g, node = pl.stage_generate(cfg, tmp_path / "run")
-        r_full, r_grounded, _ = pl.stage_stream(cfg, tmp_path / "run", g, node)
+        s_full, grounded, _ = pl.load_saved_spectra(cfg, staged, g.n_nodes)
+        r_full, r_grounded, _ = pl.stage_estimate(
+            cfg, tmp_path / "run", pl.simulated_runs(cfg, g, node), node, g.n_nodes)
         assert [j for j, _ in grounded] == [j for j, _ in r_grounded] == [1, 2, 3, 4]
         for a, b in [(s_full, r_full)] + [(x, y) for (_, x), (_, y) in zip(grounded, r_grounded)]:
             assert np.array_equal(a.values, b.values)
             assert (a.omega, a.source, a.segment_count, a.stderr, a.snap_distance) == (
                 b.omega, b.source, b.segment_count, b.stderr, b.snap_distance)
             assert a.stderr is not None and a.snap_distance is not None
+
+    SAVED = {("reconstruction", "mode"): "exact-directed",
+             ("simulation", "n_samples"): "8192",
+             ("spectral", "segment_length"): "512",
+             ("spectral", "omega0"): "1.5"}
+
+    def _simulated(self, tmp_path):
+        p, out = write_config(tmp_path, self.SAVED), tmp_path / "runs"
+        for cmd in ("generate", "simulate"):
+            assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
+        return p, out
+
+    def test_estimate_ignores_a_stray_timeseries_file(self, tmp_path):
+        p, out = self._simulated(tmp_path)
+        (out / "timeseries" / "grounded_x.nsts").write_bytes(b"")
+        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 0
+
+    def test_non_grounding_mode_estimates_only_the_full_run(self, tmp_path, monkeypatch):
+        _, out = self._simulated(tmp_path)  # leaves the grounded runs behind
+        loads = []
+
+        def counted(path, _fn=pl.load_timeseries):
+            loads.append(Path(path).name)
+            return _fn(path)
+
+        monkeypatch.setattr(pl, "load_timeseries", counted)
+        p = write_config(tmp_path, {**self.SAVED, ("reconstruction", "mode"): "nonreciprocal"})
+        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 0
+        assert loads == ["full.nsts"]
+        assert sorted(f.name for f in (out / "spectra").iterdir()) == [
+            "cpsd_full.txt", "estimate.json"]
+        assert main(["reconstruct", "--config", str(p), "--out", str(out)]) == 0
+
+    def test_estimate_needs_every_grounded_run(self, tmp_path, capsys):
+        p, out = self._simulated(tmp_path)
+        (out / "timeseries" / "grounded_3.nsts").unlink()
+        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 2
+        assert "grounded_3.nsts" in capsys.readouterr().err
 
     def test_estimate_requires_saved_runs(self, tmp_path):
         p = write_config(tmp_path)
@@ -642,6 +681,24 @@ class TestStagedArtifacts:
         assert a != b
 
 
+class TestNonreciprocalGap:
+    def test_gap_reads_only_the_positive_skew(self, tmp_path):
+        # the skew statistic is antisymmetric: its negative half mirrors the
+        # edges, so the gap policy must not take it for a noise sample
+        # (with it, this run's threshold was 91.8 and F1 0.667)
+        ring = ConnectivityMatrix(0.8 * np.roll(np.eye(6), 1, axis=0),
+                                  eigenpair=(0.8, np.ones(6)))
+        net = tmp_path / "ring.txt"
+        save_matrix(net, ring)
+        text = (Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
+        p = write_config(tmp_path, {("network", "source"): "file",
+                                    ("network", "file"): str(net),
+                                    ("reconstruction", "mode"): "nonreciprocal"}, text=text)
+        metrics = run_pipeline(load_config(p), tmp_path / "nr")
+        assert metrics["threshold_used"] == pytest.approx(36.3, abs=0.05)
+        assert metrics["f1"] == 1.0
+
+
 class TestBenchmarkTracing:
     def test_traced_names_resolve(self, monkeypatch):
         # the benchmark's traced runs wrap these names; a missing one crashes them
@@ -698,6 +755,17 @@ class TestCliErrors:
         p = write_config(tmp_path, {(section, key): "x"})
         assert main(["generate", "--config", str(p), "--out", str(tmp_path / "g")]) == 2
         assert capsys.readouterr().err.startswith(f"error: [{section}] {key} = 'x': ")
+
+    @pytest.mark.parametrize("section, override", [
+        ("noise", None), ("network", None), (None, "-3"),
+    ])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, section, override):
+        p = write_config(tmp_path, {(section, "seed"): "-1"} if section else {})
+        args = ["--config", str(p), "--out", str(tmp_path / "g")]
+        if override:
+            args += ["--seed-override", override]
+        assert main(["run", *args]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
     def test_evaluate_needs_a_readable_report(self, tmp_path):
         p, out = write_config(tmp_path), tmp_path / "e"

@@ -492,6 +492,8 @@ class TestDecision:
         res = self._route(route, ring, policy)
         finite = res.diagnostics.raw_differences
         finite = finite[np.isfinite(finite)]
+        if route == "nonreciprocal":  # the antisymmetric skew's negative half mirrors its edges
+            finite = finite[finite > 0]
         assert len(seen) == 1 and np.array_equal(seen[0], finite)
         assert res.threshold_used == threshold_heuristic(finite)
         fixed = self._route(route, ring, res.threshold_used)

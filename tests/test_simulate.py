@@ -225,8 +225,11 @@ class TestSimulateGrounded:
         ts = simulate_grounded(sys, 2, NoiseConfig(seed=3), SimConfig(n_samples=512))
         assert ts.n_channels == 1
         assert ts.channel_labels == (1,)
-        # node 1 receives nothing, so its grounded run equals an isolated node run
-        iso = simulate(make_system(np.zeros((1, 1))), NoiseConfig(seed=3 ^ 2), SimConfig(n_samples=512))
+        # node 1 receives nothing, so its grounded run equals an isolated node
+        # run on the same stream: SeedSequence((3, 2)) has the entropy words of
+        # the integer seed 3 + 2 * 2**32
+        iso = simulate(make_system(np.zeros((1, 1))), NoiseConfig(seed=3 + (2 << 32)),
+                       SimConfig(n_samples=512))
         assert np.allclose(ts.data, iso.data)
 
     def test_decoupled_statistics_match_full_run_in_law(self):
@@ -267,6 +270,28 @@ class TestSimulateGrounded:
         second = [simulate_grounded(sys, j, noise, cfg).data for j in (3, 2, 1)][::-1]
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+    def test_streams_differ_across_seeds_and_runs(self):
+        # seed 1's grounded-2 run and seed 2's grounded-1 run once shared a stream
+        sys = make_system(np.zeros((3, 3)))
+        cfg = SimConfig(n_samples=256)
+        a = simulate_grounded(sys, 2, NoiseConfig(seed=1), cfg)
+        b = simulate_grounded(sys, 1, NoiseConfig(seed=2), cfg)
+        assert not np.allclose(a.data, b.data)
+
+    def test_full_run_draws_the_seed_stream(self):
+        # the full run is (seed, 0), whose stream is the one of the plain seed
+        sys = make_system(np.zeros((2, 2)))
+        cfg = SimConfig(dt=0.01, n_samples=300, burn_in=0)
+        ts = simulate(sys, NoiseConfig(seed=5), cfg)
+        phi, gam = discretize(sys, cfg.dt)
+        w = np.random.default_rng(5).standard_normal((cfg.n_samples, 2))
+        assert np.array_equal(ts.data, _propagate(phi, gam, w, sys.output_matrix()).T)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            NoiseConfig(seed=-1)
 
 
 class TestStationarity:
