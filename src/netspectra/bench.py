@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,8 @@ from . import families
 from .errors import ConfigError, StabilityError
 from .graphs import ConnectivityMatrix
 from .lti import NetworkSystem, NodeDynamics, analytic_cpsd, is_hurwitz
-from .pipeline import ExperimentConfig
+from .pipeline import ExperimentConfig, simulated_runs
 from .reconstruct import recover_row
-from .simulate import simulate, simulate_grounded
 from .spectral import (
     estimate_cpsd_lag_domain,
     estimate_cpsd_matrix,
@@ -73,45 +73,41 @@ def _stable_sparse(n: int, rng: np.random.Generator, node: NodeDynamics) -> Conn
 
 
 def _make_stages(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
-                 oracle: bool, node: NodeDynamics) -> list[tuple[str, object]]:
+                 node: NodeDynamics) -> list[tuple[str, object]]:
     rng = np.random.default_rng(cfg.network.seed + n)
     g = _stable_sparse(n, rng, node)
-    sys = NetworkSystem(node, g)
+    keys = ["full", *range(1, n + 1)]  # key j: node j grounded, as in the pipeline
     stages: list[tuple[str, object]] = []
-    if oracle:
-        mats = [analytic_cpsd(sys, 1.0, BENCH_OMEGA0)]
-        for j in range(1, n + 1):
-            mats.append(analytic_cpsd(sys.grounded(j), 1.0, BENCH_OMEGA0))
+    if cfg.recon.oracle:
+        sys = NetworkSystem(node, g)
+        mats = {key: analytic_cpsd(sys if key == "full" else sys.grounded(key), 1.0, BENCH_OMEGA0)
+                for key in keys}
     else:
-        sim = type(cfg.sim)(dt=cfg.sim.dt, n_samples=l, burn_in=cfg.sim.burn_in)
-        runs = [simulate(sys, cfg.noise, sim)]
-        for j in range(1, n + 1):
-            runs.append(simulate_grounded(sys, j, cfg.noise, sim))
+        runs = simulated_runs(replace(cfg, sim=replace(cfg.sim, n_samples=l)), g, node)
+        records = {key: runs(key, True) for key in keys}
         if cost_model == "paper":
-            def correlate():
-                return [estimate_cpsd_lag_domain(ts, BENCH_OMEGA0) for ts in runs]
+            estimate = lambda ts: estimate_cpsd_lag_domain(ts, BENCH_OMEGA0)
         else:
-            snapped, _ = snap_frequency(BENCH_OMEGA0, sim.dt, cfg.spectral)
+            snapped, _ = snap_frequency(BENCH_OMEGA0, cfg.sim.dt, cfg.spectral)
+            estimate = lambda ts: estimate_cpsd_matrix(ts, snapped, cfg.spectral)
 
-            def correlate():
-                return [estimate_cpsd_matrix(ts, snapped, cfg.spectral) for ts in runs]
+        def correlate():
+            return {key: estimate(ts) for key, ts in records.items()}
 
         stages.append(("correlation", correlate))
         mats = correlate()
     inverses: dict = {}
 
     def invert():
-        inverses.clear()
-        inverses["full"] = estimate_inverse_cpsd(mats[0])
-        for j in range(1, n + 1):
-            inverses[j] = estimate_inverse_cpsd(mats[j])
+        for key, mat in mats.items():
+            inverses[key] = estimate_inverse_cpsd(mat)
 
     invert()
 
     def reconstruct():
         w = np.zeros((n, n))
         s_inv = inverses["full"].values
-        for j in range(1, n + 1):
+        for j in keys[1:]:
             w[j - 1] = recover_row(s_inv, inverses[j].values, j, 1.0).weights
         return w
 
@@ -135,15 +131,16 @@ def benchmark(
     """
     if cost_model not in ("fft", "paper"):
         raise ConfigError(f"unknown cost model {cost_model!r}")
-    oracle = cfg.recon.mode.startswith("oracle-")
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
     if cfg.node.preset != "scalar-pole":
         raise ConfigError("benchmark supports the scalar-pole node preset")
     node = NodeDynamics.scalar_pole(cfg.node.pole)
     prepared = [
-        (n, l, _make_stages(cfg, n, l, cost_model, oracle, node)) for n, l in sweep
+        (n, l, _make_stages(cfg, n, l, cost_model, node)) for n, l in sweep
     ]
     best: dict[tuple, float] = {}
-    for round_index in range(max(1, repeats)):
+    for round_index in range(repeats):
         # alternate the visit order so slow machine drift cannot
         # systematically penalise one end of the sweep
         ordered = prepared if round_index % 2 == 0 else prepared[::-1]
@@ -161,7 +158,7 @@ def benchmark(
                 {
                     "n_nodes": n,
                     "n_samples": l,
-                    "cost_model": "oracle" if oracle else cost_model,
+                    "cost_model": "oracle" if cfg.recon.oracle else cost_model,
                     "stage": name,
                     "seconds": best[(n, l, name)],
                     "repeats": repeats,

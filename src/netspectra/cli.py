@@ -4,7 +4,10 @@ Subcommands mirror the pipeline stages (``generate``, ``simulate``,
 ``estimate``, ``reconstruct``, ``evaluate``), plus ``run`` for the whole
 pipeline and ``bench`` for stage timing sweeps.  Every stage reads its inputs
 from, and writes its outputs to, the run directory, so stages can be re-driven
-individually against saved artifacts.
+individually against saved artifacts.  Each does only its own stage, as
+``run`` composes them (in oracle modes ``simulate`` writes nothing and
+``estimate`` the analytic spectra), and every command after ``generate``
+exits 2, writing nothing, without its ``network.txt`` and ``node.txt``.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure,
 4 stability rejection.
@@ -25,8 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .bench import benchmark, parse_sweep, write_bench_csv
-from .graphs import compare, load_matrix  # noqa: F401  perfbench/tracing.py wraps cli.compare
-from .lti import load_node
+from .graphs import compare  # noqa: F401  perfbench/tracing.py wraps cli.compare
 from . import pipeline as pl
 
 
@@ -65,18 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[pl.ExperimentConfig, Path]:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = pl.load_config(args.config)
     if args.seed_override is not None:
         cfg = pl.apply_seed_override(cfg, args.seed_override)
     out = Path(args.out) if args.out else Path(cfg.out_dir)
     return cfg, out
-
-
-def _load_truth_and_node(cfg, out: Path):
-    net_path, node_path = out / "network.txt", out / "node.txt"
-    if net_path.exists() and node_path.exists():
-        return load_matrix(net_path), load_node(node_path)
-    return pl.stage_generate(cfg, out)
 
 
 def _cmd_generate(args) -> None:
@@ -86,35 +83,33 @@ def _cmd_generate(args) -> None:
 
 def _cmd_simulate(args) -> None:
     cfg, out = _load(args)
-    truth, node = _load_truth_and_node(cfg, out)
+    truth, node = pl.load_saved_truth(out)
     pl.stage_simulate(cfg, out, truth, node, workers=args.workers)
 
 
 def _cmd_estimate(args) -> None:
     cfg, out = _load(args)
-    truth, node = _load_truth_and_node(cfg, out)
-    runs = pl.load_saved_runs(cfg, out, truth.n_nodes)
-    pl.stage_estimate(cfg, out, runs, node, truth.n_nodes, workers=args.workers,
-                      cost_model=args.cost_model)
+    truth, node = pl.load_saved_truth(out)
+    if cfg.recon.oracle:
+        pl.stage_oracle_spectra(cfg, out, truth, node)
+    else:
+        runs = pl.load_saved_runs(cfg, out, truth.n_nodes)
+        pl.stage_estimate(cfg, out, runs, node, truth.n_nodes, workers=args.workers,
+                          cost_model=args.cost_model)
 
 
 def _cmd_reconstruct(args) -> None:
     cfg, out = _load(args)
-    truth, node = _load_truth_and_node(cfg, out)
-    if cfg.recon.mode.startswith("oracle-"):
-        s_full, grounded, _ = pl.stage_oracle_spectra(cfg, out, truth, node)
-    else:
-        s_full, grounded, _ = pl.load_saved_spectra(cfg, out, truth.n_nodes)
+    truth, node = pl.load_saved_truth(out)
+    s_full, grounded, _ = pl.load_saved_spectra(cfg, out, truth.n_nodes)
     pl.stage_reconstruct(cfg, out, s_full, grounded, node, eigenpair=truth.eigenpair)
 
 
 def _cmd_evaluate(args) -> None:
     cfg, out = _load(args)
-    net_path = out / "network.txt"
-    if not net_path.exists():
-        raise ConfigError(f"no ground truth at {net_path}")
+    truth, _ = pl.load_saved_truth(out)
     result, info = pl.load_saved_result(out)
-    metrics = pl.stage_evaluate(cfg, out, load_matrix(net_path), result, info)
+    metrics = pl.stage_evaluate(cfg, out, truth, result, info)
     print(json.dumps(metrics, indent=2))
 
 
@@ -126,9 +121,9 @@ def _cmd_run(args) -> None:
 
 def _cmd_bench(args) -> None:
     cfg, out = _load(args)
-    out.mkdir(parents=True, exist_ok=True)
     rows = benchmark(cfg, parse_sweep(args.sweep), cost_model=args.cost_model,
                      repeats=args.repeats)
+    out.mkdir(parents=True, exist_ok=True)
     write_bench_csv(out / "bench.csv", rows)
     for row in rows:
         print(f"N={row['n_nodes']} L={row['n_samples']} "

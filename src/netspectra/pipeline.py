@@ -4,8 +4,8 @@ Experiments are described by a declarative INI-style file with ``key = value``
 sections (unknown sections or keys are errors, so typos cannot silently fall
 back to defaults).  Every stage reads and writes documented artifact files
 under the output directory, so stages can be rerun or golden-tested in
-isolation, and a ``manifest.json`` plus ``config.resolved.ini`` capture
-everything needed to reproduce a run bit for bit.
+isolation; ``config.resolved.ini`` reproduces a run bit for bit, given the
+``--cost-model`` that ``manifest.json`` records.
 
 An experiment's runs are listed once, by :func:`_run_keys`, and go through
 :func:`_each_run`, which holds at most ``workers`` records.  The one estimate
@@ -13,10 +13,12 @@ stage, :func:`stage_estimate`, takes a run source: :func:`run_pipeline` streams
 :func:`simulated_runs` into single-bin CPSD accumulators and writes no
 ``timeseries/`` (it holds the full record with ``omega0 = auto``, and each
 record for the ``paper`` lag-domain estimator); the staged ``estimate`` reads
-:func:`load_saved_runs` and gives the same spectra byte for byte.
+:func:`load_saved_runs` and gives the same spectra byte for byte.  Oracle
+modes take :func:`stage_oracle_spectra` in place of both stages.
 
 Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
-unknown-key check and the rendering of ``config.resolved.ini``.
+unknown-key check and the rendering of ``config.resolved.ini``; each config
+part checks its own values when it is built.
 
 Section/key reference (defaults in parentheses)::
 
@@ -119,6 +121,21 @@ class NetworkSpec:
     weight_max: float = 1.0
     seed: int = 1
 
+    def __post_init__(self):
+        if self.source not in ("random", "file"):
+            raise ValidationError(f"unknown network source {self.source!r}")
+        if self.source == "file" and not self.file:
+            raise ValidationError("network source 'file' needs a file path")
+        if self.source == "random" and self.family not in (
+            "directed-sparse", "laplacian", "nonreciprocal-ring", "symmetric",
+            "reference",
+        ):
+            raise ValidationError(f"unknown network family {self.family!r}")
+        if self.n_nodes < 2:
+            raise ValidationError("n_nodes must be at least 2")
+        if self.seed < 0:
+            raise ValidationError("network seed must be nonnegative")
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -126,12 +143,29 @@ class NodeSpec:
     pole: float = -1.0
     file: str = ""
 
+    def __post_init__(self):
+        if self.preset not in ("scalar-pole", "file"):
+            raise ValidationError(f"unknown node preset {self.preset!r}")
+        if self.preset == "file" and not self.file:
+            raise ValidationError("node preset 'file' needs a file path")
+
 
 @dataclass(frozen=True)
 class ReconSpec:
     mode: str = "exact-directed"
     threshold: str = "gap"
     tau: float = 1e-6
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValidationError(f"unknown reconstruction mode {self.mode!r}")
+        if self.threshold not in ("gap", "fixed"):
+            raise ValidationError(f"unknown threshold policy {self.threshold!r}")
+
+    @property
+    def oracle(self) -> bool:
+        """Whether the mode takes analytic spectra in place of simulation and estimation."""
+        return self.mode.startswith("oracle-")
 
 
 @dataclass(frozen=True)
@@ -226,33 +260,7 @@ def load_config(path) -> ExperimentConfig:
                  for head, fields in nested.items()}
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = replace(base, **parts, **top)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.network.source not in ("random", "file"):
-        raise ConfigError(f"unknown network source {cfg.network.source!r}")
-    if cfg.network.source == "file" and not cfg.network.file:
-        raise ConfigError("network source 'file' needs a file path")
-    if cfg.network.source == "random" and cfg.network.family not in (
-        "directed-sparse", "laplacian", "nonreciprocal-ring", "symmetric",
-        "reference",
-    ):
-        raise ConfigError(f"unknown network family {cfg.network.family!r}")
-    if cfg.node.preset not in ("scalar-pole", "file"):
-        raise ConfigError(f"unknown node preset {cfg.node.preset!r}")
-    if cfg.node.preset == "file" and not cfg.node.file:
-        raise ConfigError("node preset 'file' needs a file path")
-    if cfg.recon.mode not in MODES:
-        raise ConfigError(f"unknown reconstruction mode {cfg.recon.mode!r}")
-    if cfg.recon.threshold not in ("gap", "fixed"):
-        raise ConfigError(f"unknown threshold policy {cfg.recon.threshold!r}")
-    if cfg.network.n_nodes < 2:
-        raise ConfigError("n_nodes must be at least 2")
-    if cfg.network.seed < 0:
-        raise ConfigError("network seed must be nonnegative")
+    return replace(base, **parts, **top)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -354,7 +362,7 @@ def _each_run(fn, keys: list, workers: int) -> list:
     returns (it saves or estimates it), so at most ``workers`` records are held.
     """
     first = fn(keys[0])
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return [first, *pool.map(fn, keys[1:])]
 
 
@@ -384,8 +392,12 @@ def stage_simulate(
 
     Each record is written to ``timeseries/*.nsts`` for the staged
     ``estimate`` by the task that simulated it, so at most ``workers`` records
-    are held; ``run`` streams instead (:func:`stage_estimate`).
+    are held; ``run`` streams instead (:func:`stage_estimate`).  Oracle modes
+    take analytic spectra (:func:`stage_oracle_spectra`), so they simulate and
+    write nothing.
     """
+    if cfg.recon.oracle:
+        return
     ts_dir = out / "timeseries"
     ts_dir.mkdir(parents=True, exist_ok=True)
     runs = simulated_runs(cfg, g, node)
@@ -447,21 +459,15 @@ def stage_estimate(
     return _write_spectra(out, keys, spectra, omega0, cost_model)
 
 
-def _oracle_omega0(cfg: ExperimentConfig) -> float:
-    fixed = cfg.omega0_value()
-    if fixed is not None:
-        return fixed
-    band = cfg.noise.input_psd_model(cfg.sim.dt)
-    return min(0.5, band.omega_max / 2.0)
-
-
 def stage_oracle_spectra(
     cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix, node: NodeDynamics
 ) -> tuple[CpsdMatrix, list, dict]:
     """Analytic CPSD matrices in place of simulation + estimation."""
     sys = NetworkSystem(node, g)
     model = cfg.noise.input_psd_model(cfg.sim.dt)
-    omega0 = _oracle_omega0(cfg)
+    omega0 = cfg.omega0_value()
+    if omega0 is None:
+        omega0 = min(0.5, model.omega_max / 2.0)
     keys = _run_keys(cfg, sys.n_nodes)
     spectra = [analytic_cpsd(sys if key == "full" else sys.grounded(key), model, omega0)
                for key in keys]
@@ -469,17 +475,12 @@ def stage_oracle_spectra(
                           true_input_psd=model(omega0))
 
 
-def _recover_input_psd(
-    cfg: ExperimentConfig,
-    s_full: CpsdMatrix,
-    h: complex,
-    eigenpair,
-    oracle: bool,
-) -> tuple[Optional[float], str]:
+def _recover_input_psd(cfg: ExperimentConfig, s_full: CpsdMatrix, h: complex,
+                       eigenpair) -> tuple[Optional[float], str]:
     if eigenpair is not None:
         lam, u = eigenpair
         return input_psd_from_eigenpair(s_full, h, lam, u), "eigenpair"
-    if oracle:
+    if cfg.recon.oracle:
         model = cfg.noise.input_psd_model(cfg.sim.dt)
         return model(s_full.omega), "noise-model (oracle)"
     return None, "unavailable"
@@ -495,9 +496,8 @@ def stage_reconstruct(
 ) -> ReconstructionResult:
     """Run the configured reconstruction on previously estimated spectra."""
     mode = cfg.recon.mode.replace("oracle-", "")
-    oracle = cfg.recon.mode.startswith("oracle-")
     h = nodal_transfer(node, s_full.omega)
-    s_w, s_w_source = _recover_input_psd(cfg, s_full, h, eigenpair, oracle)
+    s_w, s_w_source = _recover_input_psd(cfg, s_full, h, eigenpair)
 
     if s_w is None and mode in ("exact-directed", "undirected"):
         raise ConfigError(
@@ -617,12 +617,12 @@ def run_pipeline(
     """Full generate -> (simulate -> estimate | oracle) -> reconstruct -> evaluate run.
 
     Returns the metrics dictionary; all artifacts land under the output
-    directory.  Reruns with the same resolved configuration are byte-identical.
+    directory.  Reruns with the same resolved configuration and ``cost_model``
+    are byte-identical.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     truth, node = stage_generate(cfg, out)
-    if cfg.recon.mode.startswith("oracle-"):
+    if cfg.recon.oracle:
         s_full, grounded, info = stage_oracle_spectra(cfg, out, truth, node)
     else:
         s_full, grounded, info = stage_estimate(
@@ -643,6 +643,12 @@ def _saved(directory: Path, names: list, stage: str) -> list:
     if missing:
         raise ConfigError(f"no saved {', '.join(missing)} under {directory}; run {stage} first")
     return [directory / name for name in names]
+
+
+def load_saved_truth(out: Path) -> tuple[ConnectivityMatrix, NodeDynamics]:
+    """The saved ``network.txt`` and ``node.txt``; a missing one raises :class:`ConfigError`."""
+    net_path, node_path = _saved(out, ["network.txt", "node.txt"], "generate")
+    return load_matrix(net_path), load_node(node_path)
 
 
 def load_saved_runs(cfg: ExperimentConfig, out: Path, n_nodes: int):

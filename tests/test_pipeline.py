@@ -12,6 +12,8 @@ import pytest
 from netspectra import (
     ConfigError,
     ConnectivityMatrix,
+    ValidationError,
+    laplacian_connectivity,
     load_config,
     load_matrix,
     run_pipeline,
@@ -124,6 +126,22 @@ class TestConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
+
+    @pytest.mark.parametrize("part, field, value, message", [
+        (pl.NetworkSpec, "source", "randm", "unknown network source"),
+        (pl.NetworkSpec, "source", "file", "needs a file path"),
+        (pl.NetworkSpec, "family", "laplacain", "unknown network family"),
+        (pl.NetworkSpec, "n_nodes", 1, "n_nodes must be at least 2"),
+        (pl.NetworkSpec, "seed", -1, "network seed must be nonnegative"),
+        (pl.NodeSpec, "preset", "scalar", "unknown node preset"),
+        (pl.NodeSpec, "preset", "file", "needs a file path"),
+        (pl.ReconSpec, "mode", "exact-direct", "unknown reconstruction mode"),
+        (pl.ReconSpec, "threshold", "fixd", "unknown threshold policy"),
+    ])
+    def test_parts_reject_typos_at_construction(self, part, field, value, message):
+        # a config built in code is checked as a config file is
+        with pytest.raises(ValidationError, match=message):
+            part(**{field: value})
 
     # every key set away from its default, in another order and spelling
     EVERY_KEY = """
@@ -452,6 +470,43 @@ class TestStagedArtifacts:
         assert (out_staged / "metrics.json").read_text() == metrics
         assert {"omega0", "threshold_used", "input_psd_estimate"} <= json.loads(metrics).keys()
 
+    # networks the grounding-free routes apply to, each with an eigenpair for S_w
+    ROUTE_NETWORKS = {
+        "undirected": laplacian_connectivity(0.5 * (np.roll(np.eye(4), 1, axis=0)
+                                                    + np.roll(np.eye(4), -1, axis=0))),
+        "nonreciprocal": ConnectivityMatrix(0.8 * np.roll(np.eye(4), 1, axis=0),
+                                            eigenpair=(0.8, np.ones(4))),
+    }
+
+    @pytest.mark.parametrize("mode", pl.MODES)
+    def test_staged_files_equal_the_run_files(self, tmp_path, mode):
+        overrides = {("reconstruction", "mode"): mode,
+                     ("simulation", "n_samples"): "8192",
+                     ("spectral", "segment_length"): "512",
+                     ("spectral", "omega0"): "1.5"}
+        network = self.ROUTE_NETWORKS.get(mode.replace("oracle-", ""))
+        if network is not None:
+            save_matrix(tmp_path / "net.txt", network)
+            overrides.update({("network", "source"): "file",
+                              ("network", "file"): str(tmp_path / "net.txt")})
+        p = write_config(tmp_path, overrides)
+        out_run, out_staged = tmp_path / "run", tmp_path / "staged"
+        code = main(["run", "--config", str(p), "--out", str(out_run)])
+        for cmd in ("generate", "simulate", "estimate", "reconstruct", "evaluate"):
+            staged_code = main([cmd, "--config", str(p), "--out", str(out_staged)])
+            if staged_code:
+                break
+        # the empirical undirected route rejects estimated spectra (imaginary
+        # residue of the square root), so both paths stop at reconstruction
+        assert staged_code == code == (3 if mode == "undirected" else 0)
+        ran, staged = ({str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()}
+                       for out in (out_run, out_staged))
+        timeseries = {name for name in staged if name.startswith("timeseries/")}
+        assert bool(timeseries) != mode.startswith("oracle-")
+        assert ran - {"manifest.json", "config.resolved.ini"} == staged - timeseries
+        for name in staged - timeseries:
+            assert (out_run / name).read_bytes() == (out_staged / name).read_bytes(), name
+
     def test_run_holds_no_whole_record(self, tmp_path):
         p = write_config(
             tmp_path,
@@ -767,11 +822,32 @@ class TestCliErrors:
         assert main(["run", *args]) == 2
         assert "seed must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exact-directed", "oracle-exact-directed"])
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "reconstruct", "evaluate"])
+    def test_staged_command_needs_the_generated_truth(self, tmp_path, capsys, command, mode):
+        p, out = write_config(tmp_path, {("reconstruction", "mode"): mode}), tmp_path / "e"
+        out.mkdir()
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+        assert "network.txt, node.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workers", "-3"],
+        ["simulate", "--workers", "0"],
+        ["bench", "--sweep", "4:1024", "--repeats", "0"],
+    ])
+    def test_counts_below_one_exit_code(self, tmp_path, capsys, argv):
+        p, out = write_config(tmp_path), tmp_path / "w"
+        assert main([*argv, "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_evaluate_needs_a_readable_report(self, tmp_path):
         p, out = write_config(tmp_path), tmp_path / "e"
         args = ["--config", str(p), "--out", str(out)]
         assert main(["generate", *args]) == 0
         assert main(["evaluate", *args]) == 2  # no result.txt yet
+        assert main(["estimate", *args]) == 0
         assert main(["reconstruct", *args]) == 0
         (out / "result.txt").write_text("netspectra reconstruction report\nmode x\n")
         assert main(["evaluate", *args]) == 2
