@@ -42,7 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "whole records at once")
     common.add_argument("--seed-override", type=int, default=None,
                         help="replace the network and noise seeds")
-    common.add_argument("--cost-model", choices=("fft", "paper"), default="fft",
+    # only the commands that estimate spectra read the cost model
+    costed = argparse.ArgumentParser(add_help=False, parents=[common])
+    costed.add_argument("--cost-model", choices=("fft", "paper"), default="fft",
                         help="spectral estimation route (paper = lag-domain correlations)")
 
     parser = argparse.ArgumentParser(
@@ -50,16 +52,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reconstruct network topology from output cross-power spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("generate", "materialise the ground-truth network and node dynamics"),
-        ("simulate", "run the full and grounded noise-driven simulations"),
-        ("estimate", "estimate CPSD matrices from saved time series"),
-        ("reconstruct", "recover the topology from saved CPSD matrices"),
-        ("evaluate", "score a saved recovery against the ground truth"),
-        ("run", "full pipeline"),
+    for name, parent, doc in (
+        ("generate", common, "materialise the ground-truth network and node dynamics"),
+        ("simulate", common, "run the full and grounded noise-driven simulations"),
+        ("estimate", costed, "estimate CPSD matrices from saved time series"),
+        ("reconstruct", common, "recover the topology from saved CPSD matrices"),
+        ("evaluate", common, "score a saved recovery against the ground truth"),
+        ("run", costed, "full pipeline"),
     ):
-        sub.add_parser(name, parents=[common], help=doc)
-    bench_p = sub.add_parser("bench", parents=[common], help="stage timing sweep")
+        sub.add_parser(name, parents=[parent], help=doc)
+    bench_p = sub.add_parser("bench", parents=[costed], help="stage timing sweep")
     bench_p.add_argument("--sweep", required=True,
                          help="comma-separated N:L pairs, e.g. 8:16384,16:16384")
     bench_p.add_argument("--repeats", type=int, default=3)

@@ -114,13 +114,6 @@ class BooleanStructure:
     def n_nodes(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def from_weights(cls, weights: np.ndarray, edge_tol: float) -> "BooleanStructure":
-        """Threshold |weights| > edge_tol off the diagonal."""
-        e = (np.abs(np.asarray(weights, dtype=float)) > edge_tol).astype(int)
-        np.fill_diagonal(e, 0)
-        return cls(e)
-
 
 def _check_node_index(j: int, n: int) -> int:
     j = int(j)

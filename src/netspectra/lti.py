@@ -9,10 +9,12 @@ Two routes to the N x N frequency response are kept deliberately:
 * :func:`network_transfer_direct` assembles and inverts the full ``Nn x Nn``
   resolvent.  It is the trusted oracle.
 * :func:`network_transfer_closed` inverts only ``I_N / h(jw) - G`` where ``h``
-  is the nodal transfer function.  It is the production path.
+  is the nodal transfer function.
 
 Their agreement is an executable matrix-inversion-lemma identity and is kept
-under test permanently; the analytic output CPSD follows from the closed form.
+under test permanently; the package itself calls neither.  :func:`analytic_cpsd`
+inverts its own closed form of the output CPSD, which equals
+``S_w H(jw) H^*(jw)`` for that response.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def network_transfer_direct(sys: NetworkSystem, omega: float) -> np.ndarray:
 
 
 def network_transfer_closed(sys: NetworkSystem, omega: float) -> np.ndarray:
-    """N x N response via ``(I_N / h(jw) - G)^{-1}`` (the production route).
+    """N x N response via ``(I_N / h(jw) - G)^{-1}``.
 
     Agrees with :func:`network_transfer_direct` wherever both are defined.
     Raises :class:`FrequencyRejectedError` at transmission zeros of the node

@@ -105,9 +105,6 @@ EMPIRICAL_MODES = ("boolean", "exact-directed", "undirected", "nonreciprocal")
 MODES = EMPIRICAL_MODES + tuple("oracle-" + m for m in EMPIRICAL_MODES)
 GROUNDING_MODES = ("boolean", "exact-directed")
 
-#: Looser eigenvalue clamp for the undirected square root on estimated CPSDs.
-ESTIMATED_EIG_CLAMP = 0.05
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -394,8 +391,9 @@ def stage_simulate(
     ``estimate`` by the task that simulated it, so at most ``workers`` records
     are held; ``run`` streams instead (:func:`stage_estimate`).  Oracle modes
     take analytic spectra (:func:`stage_oracle_spectra`), so they simulate and
-    write nothing.
+    write nothing; a mode without S_w (:func:`_require_input_psd`) raises first.
     """
+    _require_input_psd(cfg, g.eigenpair)
     if cfg.recon.oracle:
         return
     ts_dir = out / "timeseries"
@@ -475,6 +473,15 @@ def stage_oracle_spectra(
                           true_input_psd=model(omega0))
 
 
+def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
+    """Raise :class:`ConfigError` when an empirical weighted mode has no eigenpair for S_w."""
+    if eigenpair is None and cfg.recon.mode in ("exact-directed", "undirected"):
+        raise ConfigError(
+            f"{cfg.recon.mode} reconstruction needs S_w: provide a network eigenpair "
+            "(laplacian/regular families do) or use an oracle mode"
+        )
+
+
 def _recover_input_psd(cfg: ExperimentConfig, s_full: CpsdMatrix, h: complex,
                        eigenpair) -> tuple[Optional[float], str]:
     if eigenpair is not None:
@@ -495,15 +502,10 @@ def stage_reconstruct(
     eigenpair=None,
 ) -> ReconstructionResult:
     """Run the configured reconstruction on previously estimated spectra."""
+    _require_input_psd(cfg, eigenpair)
     mode = cfg.recon.mode.replace("oracle-", "")
     h = nodal_transfer(node, s_full.omega)
     s_w, s_w_source = _recover_input_psd(cfg, s_full, h, eigenpair)
-
-    if s_w is None and mode in ("exact-directed", "undirected"):
-        raise ConfigError(
-            f"{mode} reconstruction needs S_w: provide a network eigenpair "
-            "(laplacian/regular families do) or use an oracle mode"
-        )
     # the gap policy reads the route's own raw statistics, so each route runs once
     tau = cfg.recon.tau if cfg.recon.threshold == "fixed" else (
         lambda raw: threshold_heuristic(raw, fallback_tau=cfg.recon.tau))
@@ -513,24 +515,12 @@ def stage_reconstruct(
     elif mode == "exact-directed":
         result = exact_directed(s_full, grounded, s_w, tau=tau)
     elif mode == "undirected":
-        clamp = 1e-8 if s_full.source == "analytic" else ESTIMATED_EIG_CLAMP
-        rec = exact_undirected(s_full, h, s_w, eig_clamp_tol=clamp)
-        result = ReconstructionResult(
-            omega0=s_full.omega,
-            boolean_structure=BooleanStructure.from_weights(
-                rec.connectivity.weights, cfg.recon.tau
-            ),
-            weights=rec.connectivity,
-            input_psd_estimate=s_w,
-            threshold_used=cfg.recon.tau,
-            diagnostics=None,
-        )
-        branch = {k: v for k, v in rec._asdict().items() if k != "connectivity"}
+        rec = exact_undirected(s_full, h, s_w, tau=tau)
+        result = rec.result
+        branch = {k: v for k, v in rec._asdict().items() if k != "result"}
         (out / "undirected_branch.json").write_text(json.dumps(branch, indent=2) + "\n")
-    elif mode == "nonreciprocal":
+    else:  # nonreciprocal; ReconSpec admits no other mode
         result = nonreciprocal(s_full, h, s_w, tau=tau)
-    else:
-        raise ConfigError(f"unknown reconstruction mode {cfg.recon.mode!r}")
 
     out.mkdir(parents=True, exist_ok=True)
     if result.boolean_structure is not None:
@@ -622,6 +612,7 @@ def run_pipeline(
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     truth, node = stage_generate(cfg, out)
+    _require_input_psd(cfg, truth.eigenpair)
     if cfg.recon.oracle:
         s_full, grounded, info = stage_oracle_spectra(cfg, out, truth, node)
     else:

@@ -13,7 +13,7 @@ band:
   matrix is known a priori, e.g. diffusive/Laplacian coupling or in-regular
   adjacencies).
 * :func:`exact_undirected` -- symmetric networks, no grounding required: a
-  Hermitian square root plus a scalar shift.
+  real symmetric square root plus a scalar shift.
 * :func:`nonreciprocal` -- networks with no bidirectional pairs, no grounding
   required: the skew part of the inverse CPSD carries ``G - G^T``.
 
@@ -24,12 +24,12 @@ exact route then weighs each present edge ``sqrt(S_w * drop)``.  Diagonal
 entries ``g_jj`` are unobservable by construction (grounding removes them
 with the row/column); recovered diagonals are fixed at zero and flagged.
 
-The three thresholded routes (Boolean, exact directed, nonreciprocal) each
-compute their raw statistic once, inverting every CPSD matrix once, compare
-the unscaled statistic with ``tau`` -- a number, or a policy such as
+Every route computes its raw statistic once, inverting every CPSD matrix
+once, compares it with ``tau`` -- a number, or a policy such as
 :func:`threshold_heuristic` called on the finite raw values (the positive
-ones for the antisymmetric nonreciprocal skew) -- and give absent entries
-weight zero.
+ones for the antisymmetric nonreciprocal skew) -- and gives absent entries
+weight zero.  The statistic is unscaled by ``S_w``, except in the undirected
+route, whose statistic is its off-diagonal weights.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ DEFAULT_TAU = 1e-6
 
 #: |Im{1/h}| below this rejects the frequency for the skew-part method.
 IM_H_INV_TOL = 1e-8
+
+#: Relative eigenvalue clamp of the undirected square root, by CPSD source:
+#: an estimate's eigenvalues scatter by about ``K^-1/2``.
+EIG_CLAMP_TOL = {"analytic": 1e-8, "estimated": 0.05}
 
 #: An edge threshold: a number, or a policy mapping the finite raw statistics
 #: to one (:func:`threshold_heuristic` is such a policy).
@@ -253,14 +257,15 @@ def _decide(
     inverses: dict[str, CpsdInverse],
     notes: tuple,
     root: bool = False,
+    weights: Optional[np.ndarray] = None,
 ) -> ReconstructionResult:
     """Declare ``v_i -> v_j`` present where ``raw[j, i] > tau``, and weigh it.
 
     A policy ``tau`` is called once on the finite raw values.  With ``s_w``,
     present entries weigh ``S_w * raw``, or its square root when ``root``
     (the grounding statistic, whose negative values clamp to zero and are
-    counted, as are the positive ones at or below ``tau``); absent entries
-    weigh zero.
+    counted, as are the positive ones at or below ``tau``), or what
+    ``weights`` gives, diagonal included; absent entries weigh zero.
     """
     if callable(tau):
         tau = tau(raw[np.isfinite(raw)])
@@ -268,19 +273,19 @@ def _decide(
     off = ~np.eye(n, dtype=bool)
     present = np.zeros((n, n), dtype=bool)
     present[off] = raw[off] > tau
-    weights, clamp_count, suppressed = None, 0, 0
+    recovered, clamp_count, suppressed = None, 0, 0
     if s_w is not None:
-        w = np.nan_to_num(raw, nan=0.0) * s_w
+        w = np.nan_to_num(raw, nan=0.0) * s_w if weights is None else weights.copy()
         if root:
             w = np.sqrt(np.clip(w, 0.0, None))
             clamp_count = int(np.sum(raw[off] < 0.0))
             suppressed = int(np.sum((raw[off] > 0.0) & (raw[off] <= tau)))
-        w[~present] = 0.0
-        weights = ConnectivityMatrix(w)
+        w[off & ~present] = 0.0
+        recovered = ConnectivityMatrix(w)
     return ReconstructionResult(
         omega0=omega,
         boolean_structure=BooleanStructure(present.astype(int)),
-        weights=weights,
+        weights=recovered,
         input_psd_estimate=None if s_w is None else float(s_w),
         threshold_used=float(tau),
         diagnostics=ReconstructionDiagnostics(
@@ -338,14 +343,19 @@ def exact_directed(
 
 
 class UndirectedRecovery(NamedTuple):
-    """Symmetric-network recovery plus the square-root branch audit trail."""
+    """Symmetric-network recovery, its square-root branch audit and the input's skew."""
 
-    connectivity: ConnectivityMatrix
+    result: ReconstructionResult
     flipped: bool
     branch_score: float
     branch_score_alternative: float
     clamped_eigenvalues: int
-    condition_number: float
+    skew: float
+
+    @property
+    def connectivity(self) -> ConnectivityMatrix:
+        """The recovered coupling matrix: absent edges zero, diagonal kept."""
+        return self.result.weights
 
 
 def _branch_score(g: np.ndarray) -> float:
@@ -358,56 +368,59 @@ def exact_undirected(
     s: CpsdMatrix,
     h: complex,
     s_w: float,
-    eig_clamp_tol: float = 1e-8,
+    tau: Tau = DEFAULT_TAU,
 ) -> UndirectedRecovery:
     """Symmetric coupling matrix from the CPSD at one frequency, no grounding.
 
-    Computes ``M = S^{-1} S_w - Im^2{1/h} I`` (equal to ``(G - Re{1/h} I)^2``
-    for symmetric ``G``), takes its principal Hermitian square root ``R``, and
-    forms ``Re{1/h} I +/- R``.  The square root only determines
-    ``G - Re{1/h} I`` up to sign, and the CPSD itself cannot discriminate:
-    both sign candidates reproduce it exactly.  The default takes ``-R`` when
-    ``Re{1/h} >= 0`` (the case for diffusive coupling with stable first-order
-    nodes, where stability forces the spectrum of ``G`` below ``Re{1/h}``)
-    and the choice is verified against the model's nonnegative-coupling
-    assumption: the wrong branch negates the off-diagonal, so the candidate
-    with less negative off-diagonal mass (smaller norm on ties) wins.  A flip
-    of the default is reported, not silent.
+    For symmetric ``G``, ``Im{S^{-1}}`` (the skew statistic of
+    :func:`nonreciprocal`) is zero and ``M = Re{S^{-1}} S_w - Im^2{1/h} I``
+    equals ``(G - Re{1/h} I)^2``: the route forms ``Re{1/h} I +/- R`` from
+    the real symmetric square root ``R`` of ``M``.  The square root only determines ``G - Re{1/h} I``
+    up to sign, and the CPSD itself cannot discriminate: both sign candidates
+    reproduce it exactly.  The default takes ``-R`` when ``Re{1/h} >= 0``
+    (the case for diffusive coupling with stable first-order nodes, where
+    stability forces the spectrum of ``G`` below ``Re{1/h}``) and the choice
+    is verified against the model's nonnegative-coupling assumption: the
+    wrong branch negates the off-diagonal, so the candidate with less
+    negative off-diagonal mass (smaller norm on ties) wins.  A flip of the
+    default is reported, not silent.
 
-    Eigenvalues of ``M`` within ``-eig_clamp_tol`` (relative to the largest)
-    are clamped to zero; more negative ones raise, since they signal an
-    eigenvalue of ``G`` straddling ``Re{1/h}`` or an unusable estimate.
+    Tolerances come from ``s.source``.  An analytic CPSD whose skew
+    ``max|Im S^{-1}| / max|S^{-1}|`` exceeds ``1e-8`` is no symmetric
+    network's and raises; an estimate's skew, of order ``K^-1/2`` on any
+    network, is only reported.  Eigenvalues of ``M`` down to
+    ``-EIG_CLAMP_TOL[s.source]`` times the largest are clamped to zero; more
+    negative ones (an eigenvalue of ``G`` straddling ``Re{1/h}``, or an
+    unusable estimate) raise.  Edges are the off-diagonal weights above
+    ``tau`` (a number, or a policy called on them); absent entries weigh zero
+    and the diagonal is kept.
     """
     _check_transfer(h)
     if s_w <= 0:
         raise ValidationError("S_w must be positive")
     inv = estimate_inverse_cpsd(s)
+    skew = float(np.abs(inv.values.imag).max() / np.abs(inv.values).max())
+    if s.source == "analytic" and skew > 1e-8:
+        raise NumericalError(
+            f"skew part {skew:.3e} of the inverse CPSD exceeds 1e-8 of its largest "
+            "entry; the input CPSD is inconsistent with a symmetric network"
+        )
     a = 1.0 / h
     n = s.n_nodes
-    m = inv.values * s_w - (a.imag**2) * np.eye(n)
-    m = 0.5 * (m + m.conj().T)
-    lam, v = np.linalg.eigh(m)
+    lam, v = np.linalg.eigh(inv.values.real * s_w - (a.imag**2) * np.eye(n))
     scale = max(1.0, float(lam[-1]))
-    if lam[0] < -eig_clamp_tol * scale:
+    clamp_tol = EIG_CLAMP_TOL[s.source]
+    if lam[0] < -clamp_tol * scale:
         raise NumericalError(
-            f"S^-1 S_w - Im^2(1/h) I has eigenvalue {lam[0]:.3e} below "
-            f"-{eig_clamp_tol:.1e} * {scale:.3g}; wrong branch or bad estimate"
+            f"Re(S^-1) S_w - Im^2(1/h) I has eigenvalue {lam[0]:.3e} below "
+            f"-{clamp_tol:.1e} * {scale:.3g}; wrong branch or bad estimate"
         )
     clamped = int(np.sum(lam < 0.0))
-    root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
-    residue = float(np.abs(root.imag).max())
-    if residue > 1e-8 * max(1.0, float(np.abs(root.real).max())):
-        raise NumericalError(
-            f"imaginary residue {residue:.3e} in the matrix square root; "
-            "the input CPSD is inconsistent with a symmetric network"
-        )
-    root = root.real
+    half = v * np.sqrt(np.sqrt(np.clip(lam, 0.0, None)))
+    root = half @ half.T  # a Gram product, so exactly symmetric
     default_sign = -1.0 if a.real >= 0.0 else 1.0
-    candidates = []
-    for sign in (default_sign, -default_sign):
-        g = a.real * np.eye(n) + sign * root
-        g = 0.5 * (g + g.T)
-        candidates.append((g, _branch_score(g)))
+    candidates = [(g, _branch_score(g)) for g in (
+        a.real * np.eye(n) + sign * root for sign in (default_sign, -default_sign))]
     (g_default, score_default), (g_other, score_other) = candidates
     tol = 1e-12 * max(1.0, float(np.abs(root).max()))
     flipped = bool(score_other < score_default - tol or (
@@ -415,14 +428,10 @@ def exact_undirected(
         and np.linalg.norm(g_other) < np.linalg.norm(g_default) - tol
     ))
     (chosen, res), (_, res_alt) = candidates[::-1] if flipped else candidates
-    return UndirectedRecovery(
-        connectivity=ConnectivityMatrix(chosen),
-        flipped=flipped,
-        branch_score=res,
-        branch_score_alternative=res_alt,
-        clamped_eigenvalues=clamped,
-        condition_number=inv.condition_number,
-    )
+    raw = np.where(np.eye(n, dtype=bool), np.nan, chosen)
+    result = _decide(s.omega, raw, tau, s_w, {"full": inv},
+                     ("real square-root method; assumes G = G^T",), weights=chosen)
+    return UndirectedRecovery(result, flipped, res, res_alt, clamped, skew)
 
 
 def nonreciprocal(

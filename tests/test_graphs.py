@@ -210,13 +210,6 @@ class TestBooleanStructure:
         with pytest.raises(ValidationError):
             BooleanStructure(np.eye(2, dtype=int))
 
-    def test_from_weights(self):
-        w = np.array([[0.9, 0.5], [1e-9, 0.0]])
-        b = BooleanStructure.from_weights(w, edge_tol=1e-6)
-        assert b.entries[0, 1] == 1
-        assert b.entries[1, 0] == 0
-        assert b.entries[0, 0] == 0  # diagonal ignored even above tol
-
 
 class TestMatrixIO:
     def test_roundtrip_with_eigenpair(self, tmp_path, rng):

@@ -496,9 +496,7 @@ class TestStagedArtifacts:
             staged_code = main([cmd, "--config", str(p), "--out", str(out_staged)])
             if staged_code:
                 break
-        # the empirical undirected route rejects estimated spectra (imaginary
-        # residue of the square root), so both paths stop at reconstruction
-        assert staged_code == code == (3 if mode == "undirected" else 0)
+        assert staged_code == code == 0
         ran, staged = ({str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()}
                        for out in (out_run, out_staged))
         timeseries = {name for name in staged if name.startswith("timeseries/")}
@@ -754,6 +752,67 @@ class TestNonreciprocalGap:
         assert metrics["f1"] == 1.0
 
 
+def reference_config(tmp_path, overrides=None):
+    """``configs/reference.ini`` with ``overrides``, written under ``tmp_path``."""
+    text = (Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
+    return write_config(tmp_path, overrides, text=text)
+
+
+def worst_relative_edge_error(truth, recovered) -> float:
+    edges = (truth.weights != 0) & ~np.eye(truth.n_nodes, dtype=bool)
+    return float(np.max(np.abs(recovered.weights[edges] / truth.weights[edges] - 1.0)))
+
+
+class TestEmpiricalRecovery:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_undirected_route_recovers_a_symmetric_ring(self, tmp_path, seed):
+        # one simulation, no grounding: edges are the off-diagonal weights
+        # above the gap threshold, and the Laplacian diagonal is kept
+        adjacency = np.roll(np.eye(6), 1, axis=0)
+        ring = laplacian_connectivity(adjacency + adjacency.T)
+        save_matrix(tmp_path / "ring.txt", ring)
+        p = reference_config(tmp_path, {("network", "source"): "file",
+                                        ("network", "file"): str(tmp_path / "ring.txt"),
+                                        ("reconstruction", "mode"): "undirected"})
+        out = tmp_path / "und"
+        assert main(["run", "--config", str(p), "--out", str(out),
+                     "--seed-override", str(seed)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        recovered = load_matrix(out / "recovered_weights.txt")
+        assert metrics["f1"] == 1.0
+        assert worst_relative_edge_error(ring, recovered) <= 0.15
+        assert np.abs(np.diag(recovered.weights) + 2.0).max() <= 0.3
+        report = (out / "result.txt").read_text().splitlines()
+        at = report.index("raw_differences") + 1
+        raw = np.array([[float(v) for v in line.split()] for line in report[at:at + 6]])
+        gap = pl.threshold_heuristic(raw[np.isfinite(raw)], fallback_tau=1e-6)
+        assert metrics["threshold_used"] == gap != 1e-6
+        branch = json.loads((out / "undirected_branch.json").read_text())
+        assert branch["flipped"] is False
+        assert 0.0 < branch["skew"] < 0.2  # recorded, not judged
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exact_directed_recovers_under_lowpass_input_noise(self, tmp_path, seed):
+        # the input PSD is unknown to the method: at omega0 = 0.5 this one is
+        # about a quarter of the unshaped level
+        p = reference_config(tmp_path, {("noise", "shaping"): "lowpass",
+                                        ("noise", "shaping_pole"): "-2.0"})
+        cfg = pl.apply_seed_override(load_config(p), seed)
+        out = tmp_path / "lp"
+        metrics = run_pipeline(cfg, out)
+        truth, recovered = (load_matrix(out / name)
+                            for name in ("network.txt", "recovered_weights.txt"))
+        model = cfg.noise.input_psd_model(cfg.sim.dt)(metrics["omega0"])
+        assert metrics["f1"] == 1.0
+        assert worst_relative_edge_error(truth, recovered) <= 0.10
+        assert abs(metrics["input_psd_estimate"] / model - 1.0) <= 0.10
+
+    def test_oracle_undirected_rejects_a_directed_network(self, tmp_path, capsys):
+        p = reference_config(tmp_path, {("reconstruction", "mode"): "oracle-undirected"})
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+        assert "inconsistent with a symmetric network" in capsys.readouterr().err
+
+
 class TestBenchmarkTracing:
     def test_traced_names_resolve(self, monkeypatch):
         # the benchmark's traced runs wrap these names; a missing one crashes them
@@ -830,6 +889,27 @@ class TestCliErrors:
         assert main([command, "--config", str(p), "--out", str(out)]) == 2
         assert list(out.iterdir()) == []
         assert "network.txt, node.txt" in capsys.readouterr().err
+
+    def test_a_mode_without_s_w_fails_before_simulating(self, tmp_path, capsys):
+        # a directed-sparse network has no eigenpair, so exact-directed cannot weigh it
+        p = write_config(tmp_path, {("network", "family"): "directed-sparse",
+                                    ("reconstruction", "mode"): "exact-directed"})
+        out = tmp_path / "s"
+        args = ["--config", str(p), "--out", str(out)]
+        assert main(["run", *args]) == 2
+        assert not (out / "spectra").exists()
+        assert main(["simulate", *args]) == 2
+        assert not (out / "timeseries").exists()
+        assert "needs S_w" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "simulate", "reconstruct", "evaluate"])
+    def test_cost_model_is_read_only_where_spectra_are_estimated(self, tmp_path, command):
+        p = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(p), "--out", str(tmp_path / "c"),
+                  "--cost-model", "paper"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("argv", [
         ["run", "--workers", "-3"],
