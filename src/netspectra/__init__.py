@@ -59,7 +59,6 @@ from .spectral import (
     SpectralConfig,
     estimate_cpsd_lag_domain,
     estimate_cpsd_matrix,
-    estimate_cpsd_grid,
     estimate_inverse_cpsd,
     estimate_psd_grid,
     select_omega0,

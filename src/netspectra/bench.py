@@ -43,7 +43,10 @@ BENCH_OMEGA0 = 0.5
 
 
 def parse_sweep(text: str) -> list[tuple[int, int]]:
-    """Parse ``"N:L,N:L,..."`` into a list of (n_nodes, n_samples) pairs."""
+    """Parse ``"N:L,N:L,..."`` into a list of (n_nodes, n_samples) pairs.
+
+    Every node is grounded in turn, so N must be at least 2, as must L.
+    """
     pairs = []
     for item in text.split(","):
         try:
@@ -53,6 +56,8 @@ def parse_sweep(text: str) -> list[tuple[int, int]]:
             raise ConfigError(
                 f"bad sweep item {item!r}; expected N:L pairs like 8:16384"
             ) from exc
+        if min(pairs[-1]) < 2:
+            raise ConfigError(f"bad sweep item {item!r}: N and L must be at least 2")
     if not pairs:
         raise ConfigError("empty sweep")
     return pairs

@@ -103,7 +103,7 @@ def _cmd_estimate(args) -> None:
 def _cmd_reconstruct(args) -> None:
     cfg, out = _load(args)
     truth, node = pl.load_saved_truth(out)
-    s_full, grounded, _ = pl.load_saved_spectra(cfg, out, truth.n_nodes)
+    s_full, grounded = pl.load_saved_spectra(cfg, out, truth.n_nodes)
     pl.stage_reconstruct(cfg, out, s_full, grounded, node, eigenpair=truth.eigenpair)
 
 

@@ -236,16 +236,16 @@ class CpsdMatrix:
     ``S_w(w) [H H^*]_ij`` with ``H`` the network transfer matrix.
 
     ``source`` is ``"analytic"`` (exact, from the model) or ``"estimated"``
-    (from data).  Estimated instances carry the averaged segment count and a
-    crude standard-error scale ``||S||_F / sqrt(K)``.
+    (from data); estimated instances carry the averaged segment count ``K``.
+    The fields are exactly what :func:`save_cpsd` writes.  How far the
+    requested frequency was snapped is a fact of the estimate, not of the
+    matrix: ``spectra/estimate.json`` records it.
     """
 
     values: np.ndarray
     omega: float
     source: str
     segment_count: Optional[int] = None
-    stderr: Optional[float] = None
-    snap_distance: Optional[float] = None
 
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
@@ -270,6 +270,17 @@ class CpsdMatrix:
     @property
     def n_nodes(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def stderr(self) -> Optional[float]:
+        """The crude scale ``||S||_F / sqrt(K)``, or None without ``K``.
+
+        It is one number for the whole matrix, not the standard error of any
+        entry (a Welch entry's is about ``sqrt(S_ii S_jj / K_eff)``).
+        """
+        if self.segment_count is None:
+            return None
+        return float(np.linalg.norm(self.values) / np.sqrt(self.segment_count))
 
 
 def analytic_cpsd(
@@ -382,12 +393,6 @@ def load_cpsd(path) -> CpsdMatrix:
         )
     except (IndexError, ValueError) as exc:
         raise ValidationError(f"malformed CPSD file {path}: {exc}") from exc
-    estimated = source == "estimated" and k > 0
     return CpsdMatrix(
-        values=values,
-        omega=omega,
-        source=source,
-        segment_count=k if k > 0 else None,
-        # the values round-trip exactly, so the standard-error scale does too
-        stderr=float(np.linalg.norm(values) / np.sqrt(k)) if estimated else None,
+        values=values, omega=omega, source=source, segment_count=k if k > 0 else None
     )

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -182,10 +183,18 @@ class ExperimentConfig:
         return float(self.omega0)
 
 
+def _finite(raw: str) -> float:
+    """A float key's value: nan and inf are refused, as no stage can use them."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
 def _omega0_text(raw: str) -> str:
-    """``auto`` or a frequency, checked as a float but kept as written."""
+    """``auto`` or a frequency, checked as a finite float but kept as written."""
     if raw != "auto":
-        float(raw)
+        _finite(raw)
     return raw
 
 
@@ -198,28 +207,28 @@ _KEYS = (
     ("network", "family", "network.family", str, None),
     ("network", "graph", "network.graph", str, None),
     ("network", "n_nodes", "network.n_nodes", int, None),
-    ("network", "edge_prob", "network.edge_prob", float, None),
-    ("network", "weight_min", "network.weight_min", float, None),
-    ("network", "weight_max", "network.weight_max", float, None),
+    ("network", "edge_prob", "network.edge_prob", _finite, None),
+    ("network", "weight_min", "network.weight_min", _finite, None),
+    ("network", "weight_max", "network.weight_max", _finite, None),
     ("network", "seed", "network.seed", int, None),
     ("node", "preset", "node.preset", str, None),
-    ("node", "pole", "node.pole", float, None),
+    ("node", "pole", "node.pole", _finite, None),
     ("node", "file", "node.file", str, None),
-    ("noise", "variance", "noise.variance", float, None),
+    ("noise", "variance", "noise.variance", _finite, None),
     ("noise", "shaping", "noise.shaping", str, None),
-    ("noise", "shaping_pole", "noise.shaping_pole", float, ""),
+    ("noise", "shaping_pole", "noise.shaping_pole", _finite, ""),
     ("noise", "seed", "noise.seed", int, None),
-    ("simulation", "dt", "sim.dt", float, None),
+    ("simulation", "dt", "sim.dt", _finite, None),
     ("simulation", "n_samples", "sim.n_samples", int, None),
     ("simulation", "burn_in", "sim.burn_in", int, "auto"),
     ("spectral", "segment_length", "spectral.segment_length", int, None),
-    ("spectral", "overlap", "spectral.overlap_fraction", float, None),
+    ("spectral", "overlap", "spectral.overlap_fraction", _finite, None),
     ("spectral", "window", "spectral.window", str, None),
     ("spectral", "detrend", "spectral.detrend", str, None),
     ("spectral", "omega0", "omega0", _omega0_text, None),
     ("reconstruction", "mode", "recon.mode", str, None),
     ("reconstruction", "threshold", "recon.threshold", str, None),
-    ("reconstruction", "tau", "recon.tau", float, None),
+    ("reconstruction", "tau", "recon.tau", _finite, None),
     ("output", "directory", "out_dir", str, None),
 )
 
@@ -267,7 +276,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         value = attrgetter(attr)(cfg)
         if value is None:
             text = none_text
-        elif kind is float:
+        elif kind is _finite:
             text = format(value, ".17g")
         else:
             text = str(value)
@@ -405,10 +414,15 @@ def stage_simulate(
 
 def _write_spectra(out: Path, keys: list, spectra: list, omega0: float, cost_model: str,
                    **extra) -> tuple:
-    """Save one CPSD matrix per run key and ``estimate.json``; return them as the stages do."""
+    """Save one CPSD matrix per run key and ``estimate.json``; return them as the stages do.
+
+    ``estimate.json`` is the one place the snap distance ``| |omega| - |omega0| |``
+    is computed: every matrix of one estimate shares the bin of ``s_full``.
+    """
     s_full = spectra[0]
     info = {"omega0_requested": omega0, "omega0": s_full.omega,
-            "snap_distance": s_full.snap_distance, "segment_count": s_full.segment_count,
+            "snap_distance": abs(abs(s_full.omega) - abs(omega0)),
+            "segment_count": s_full.segment_count,
             "stderr": s_full.stderr, "cost_model": cost_model, **extra}
     sp_dir = out / "spectra"
     sp_dir.mkdir(parents=True, exist_ok=True)
@@ -439,12 +453,10 @@ def stage_estimate(
         nonlocal omega0
         run = runs(key, cost_model == "paper" or omega0 is None)
         if omega0 is None:  # auto: chosen on the full run, which _each_run estimates first
-            band = cfg.noise.input_psd_model(cfg.sim.dt)
-            omega0 = select_omega0(run, band, cfg.spectral, node=node)
+            omega_max = cfg.noise.input_psd_model(cfg.sim.dt).omega_max
+            omega0 = select_omega0(run, omega_max, cfg.spectral, node=node)
         if cost_model == "paper":
-            snapped, _ = snap_frequency(omega0, run.dt, cfg.spectral)
-            s = estimate_cpsd_lag_domain(run, snapped)
-            return replace(s, snap_distance=float(abs(snapped - abs(omega0))))
+            return estimate_cpsd_lag_domain(run, snap_frequency(omega0, run.dt, cfg.spectral)[0])
         if isinstance(run, TimeSeriesMatrix):
             return estimate_cpsd_matrix(run, omega0, cfg.spectral)
         acc = CpsdAccumulator(n_nodes - (key != "full"), cfg.sim.dt, omega0, cfg.spectral)
@@ -469,8 +481,7 @@ def stage_oracle_spectra(
     keys = _run_keys(cfg, sys.n_nodes)
     spectra = [analytic_cpsd(sys if key == "full" else sys.grounded(key), model, omega0)
                for key in keys]
-    return _write_spectra(out, keys, spectra, omega0, "oracle", snap_distance=0.0,
-                          true_input_psd=model(omega0))
+    return _write_spectra(out, keys, spectra, omega0, "oracle", true_input_psd=model(omega0))
 
 
 def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
@@ -655,24 +666,20 @@ def load_saved_runs(cfg: ExperimentConfig, out: Path, n_nodes: int):
     return lambda key, whole: load_timeseries(paths[key])
 
 
-def _load_estimate_info(out: Path) -> dict:
-    info_path = out / "spectra" / "estimate.json"
-    return json.loads(info_path.read_text()) if info_path.exists() else {}
-
-
 def load_saved_spectra(
     cfg: ExperimentConfig, out: Path, n_nodes: int,
-) -> tuple[CpsdMatrix, list, dict]:
-    """The saved ``spectra/cpsd_*.txt`` of each run of :func:`_run_keys`, as the stages return them.
+) -> tuple[CpsdMatrix, list]:
+    """The saved ``spectra/cpsd_*.txt`` of each run of :func:`_run_keys`: ``(s_full, grounded)``.
 
-    A missing file raises :class:`ConfigError`; files of other runs are ignored.
+    ``grounded`` pairs each grounded key with its matrix, as the estimate
+    stages return them; ``estimate.json`` is not read, since reconstruction
+    needs only the matrices.  A missing file raises :class:`ConfigError`;
+    files of other runs are ignored.
     """
     keys = _run_keys(cfg, n_nodes)
     paths = _saved(out / "spectra", [f"cpsd_{_run_name(key)}.txt" for key in keys], "estimate")
-    info = _load_estimate_info(out)
-    # every matrix of one estimate shares the snapped bin, so its snap distance
-    spectra = [replace(load_cpsd(p), snap_distance=info.get("snap_distance")) for p in paths]
-    return spectra[0], list(zip(keys[1:], spectra[1:])), info
+    spectra = [load_cpsd(p) for p in paths]
+    return spectra[0], list(zip(keys[1:], spectra[1:]))
 
 
 def load_saved_result(out: Path) -> tuple[ReconstructionResult, dict]:
@@ -701,4 +708,5 @@ def load_saved_result(out: Path) -> tuple[ReconstructionResult, dict]:
         input_psd_estimate=s_w,
         threshold_used=tau,
     )
-    return result, _load_estimate_info(out)
+    info_path = out / "spectra" / "estimate.json"
+    return result, json.loads(info_path.read_text()) if info_path.exists() else {}

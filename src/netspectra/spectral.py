@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .lti import CpsdMatrix, InputPsdModel, NodeDynamics, nodal_transfer
+from .lti import CpsdMatrix, NodeDynamics, nodal_transfer
 from .simulate import TimeSeriesMatrix
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "estimate_cpsd_matrix",
     "estimate_cpsd_lag_domain",
     "estimate_psd_grid",
-    "estimate_cpsd_grid",
     "estimate_inverse_cpsd",
     "select_omega0",
 ]
@@ -154,7 +153,6 @@ class CpsdAccumulator:
 
     def __init__(self, n_channels: int, dt: float, omega0: float, cfg: SpectralConfig):
         self.omega, k = snap_frequency(omega0, dt, cfg)
-        self.snap_distance = float(abs(self.omega - abs(omega0)))
         self.dt, self.cfg = dt, cfg
         s = cfg.segment_length
         phase = cfg.window_values() * np.exp(-2j * np.pi * k * np.arange(s) / s)
@@ -204,14 +202,7 @@ class CpsdAccumulator:
         s = scale * (x.T @ x.conj())
         s = 0.5 * (s + s.conj().T)
         s[np.diag_indices_from(s)] = np.maximum(np.diag(s).real, 0.0)
-        return CpsdMatrix(
-            values=s,
-            omega=self.omega,
-            source="estimated",
-            segment_count=n_seg,
-            stderr=float(np.linalg.norm(s) / np.sqrt(n_seg)),
-            snap_distance=self.snap_distance,
-        )
+        return CpsdMatrix(values=s, omega=self.omega, source="estimated", segment_count=n_seg)
 
 
 def estimate_cpsd_matrix(
@@ -219,13 +210,12 @@ def estimate_cpsd_matrix(
 ) -> CpsdMatrix:
     """Welch-averaged CPSD matrix at the bin nearest ``omega0``.
 
-    The result is exactly Hermitian with a real nonnegative diagonal, carries
-    the averaged segment count ``K`` and the standard-error scale
-    ``||S||_F / sqrt(K)``, and records how far the requested frequency was
-    snapped.  Density convention: two-sided, per angular frequency, i.e.
-    directly comparable with :func:`netspectra.lti.analytic_cpsd`.  The
-    record goes through :class:`CpsdAccumulator`, so a streamed record gives
-    the same matrix bit for bit.
+    The result is exactly Hermitian with a real nonnegative diagonal and
+    carries the averaged segment count ``K``.  Density convention: two-sided,
+    per angular frequency, i.e. directly comparable with
+    :func:`netspectra.lti.analytic_cpsd`.  The record goes through
+    :class:`CpsdAccumulator`, so a streamed record gives the same matrix bit
+    for bit.
     """
     acc = CpsdAccumulator(ts.n_channels, ts.dt, omega0, cfg)
     acc.feed(ts.data)
@@ -289,13 +279,7 @@ def estimate_cpsd_lag_domain(ts: TimeSeriesMatrix, omega0: float) -> CpsdMatrix:
             s[i, j] = val
             s[j, i] = np.conj(val)
     s[np.diag_indices_from(s)] = np.maximum(np.diag(s).real, 0.0)
-    return CpsdMatrix(
-        values=s,
-        omega=float(abs(omega0)),
-        source="estimated",
-        segment_count=1,
-        stderr=float(np.linalg.norm(s)),
-    )
+    return CpsdMatrix(values=s, omega=float(abs(omega0)), source="estimated", segment_count=1)
 
 
 #: Segments per transform batch of :func:`estimate_psd_grid`, which bounds its
@@ -327,30 +311,6 @@ def estimate_psd_grid(
         psd[ch] *= scale
     omegas = 2 * np.pi * np.fft.rfftfreq(cfg.segment_length, ts.dt)
     return omegas, psd
-
-
-def estimate_cpsd_grid(
-    ts: TimeSeriesMatrix, cfg: SpectralConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full-grid CPSD matrices (diagnostic only; the pipeline needs one bin).
-
-    Returns ``(omegas, s)`` with ``s[f]`` the Hermitian matrix at
-    ``omegas[f]``.
-    """
-    n_seg = _check_record(ts.n_samples, cfg)
-    win = cfg.window_values()
-    scale = ts.dt / (n_seg * (win * win).sum())
-    specs = []
-    for ch in range(ts.n_channels):
-        segs = _segments(ts.data[ch], cfg)
-        if cfg.detrend == "mean":
-            segs = segs - segs.mean(axis=1, keepdims=True)
-        specs.append(np.fft.rfft(segs * win, axis=1))
-    specs = np.stack(specs, axis=2)  # (K, F, N)
-    s = scale * np.einsum("kfi,kfj->fij", specs, specs.conj())
-    s = 0.5 * (s + np.conj(np.swapaxes(s, 1, 2)))
-    omegas = 2 * np.pi * np.fft.rfftfreq(cfg.segment_length, ts.dt)
-    return omegas, s
 
 
 @dataclass(frozen=True)
@@ -402,24 +362,18 @@ def estimate_inverse_cpsd(s: CpsdMatrix) -> CpsdInverse:
 
 def select_omega0(
     ts: TimeSeriesMatrix,
-    noise_band: Union[tuple[float, float], InputPsdModel, float],
+    omega_max: float,
     cfg: SpectralConfig,
     node: Optional[NodeDynamics] = None,
 ) -> float:
     """Pick a reconstruction frequency on the estimator's bin grid.
 
-    Any frequency inside the excitation band is theoretically valid; this
-    policy maximises the worst-channel estimated PSD (best signal floor)
-    over the bins in ``(0, Omega)``, skipping bins where the nodal transfer
-    function is within ``1e-6`` of a transmission zero.  Deterministic given
-    the inputs; ties resolve to the lowest frequency.
+    Any frequency inside the excitation band ``(0, omega_max)`` is
+    theoretically valid; this policy maximises the worst-channel estimated
+    PSD (best signal floor) over the bins in it, skipping bins where the nodal
+    transfer function is within ``1e-6`` of a transmission zero.
+    Deterministic given the inputs; ties resolve to the lowest frequency.
     """
-    if isinstance(noise_band, InputPsdModel):
-        omega_max = noise_band.omega_max
-    elif isinstance(noise_band, (int, float)):
-        omega_max = float(noise_band)
-    else:
-        omega_max = float(noise_band[1])
     if omega_max <= 0:
         raise ValidationError("noise band upper edge must be positive")
     omegas, psd = estimate_psd_grid(ts, cfg)

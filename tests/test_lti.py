@@ -225,8 +225,7 @@ class TestSerialization:
         x = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
         v = x.T @ x.conj() / 40
         v = 0.5 * (v + v.conj().T)
-        s = CpsdMatrix(values=v, omega=0.6, source="estimated", segment_count=40,
-                       stderr=float(np.linalg.norm(v) / np.sqrt(40)))
+        s = CpsdMatrix(values=v, omega=0.6, source="estimated", segment_count=40)
         save_cpsd(tmp_path / "s.txt", s)
         s2 = load_cpsd(tmp_path / "s.txt")
         assert np.array_equal(s.values, s2.values)

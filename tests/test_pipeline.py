@@ -608,15 +608,15 @@ class TestStagedArtifacts:
         for cmd in ("generate", "simulate", "estimate"):
             assert main([cmd, "--config", str(p), "--out", str(staged)]) == 0
         g, node = pl.stage_generate(cfg, tmp_path / "run")
-        s_full, grounded, _ = pl.load_saved_spectra(cfg, staged, g.n_nodes)
+        s_full, grounded = pl.load_saved_spectra(cfg, staged, g.n_nodes)
         r_full, r_grounded, _ = pl.stage_estimate(
             cfg, tmp_path / "run", pl.simulated_runs(cfg, g, node), node, g.n_nodes)
         assert [j for j, _ in grounded] == [j for j, _ in r_grounded] == [1, 2, 3, 4]
         for a, b in [(s_full, r_full)] + [(x, y) for (_, x), (_, y) in zip(grounded, r_grounded)]:
             assert np.array_equal(a.values, b.values)
-            assert (a.omega, a.source, a.segment_count, a.stderr, a.snap_distance) == (
-                b.omega, b.source, b.segment_count, b.stderr, b.snap_distance)
-            assert a.stderr is not None and a.snap_distance is not None
+            assert (a.omega, a.source, a.segment_count, a.stderr) == (
+                b.omega, b.source, b.segment_count, b.stderr)
+            assert a.stderr is not None
 
     SAVED = {("reconstruction", "mode"): "exact-directed",
              ("simulation", "n_samples"): "8192",
@@ -694,13 +694,14 @@ class TestStagedArtifacts:
         assert info["omega0"] == pytest.approx(snapped)
         assert info["snap_distance"] == pytest.approx(1.5 - snapped)
 
-    def test_estimate_records_snap_distance(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["exact-directed", "oracle-exact-directed"])
+    def test_estimate_records_snap_distance(self, tmp_path, mode):
         # reference spectral settings: 0.5 snaps to bin 3 of 4096 samples at dt = 0.01,
-        # 0.46019, a snap distance of 0.0398
+        # 0.46019, a snap distance of 0.0398; the oracle takes 0.5 exactly
         p = write_config(
             tmp_path,
             {
-                ("reconstruction", "mode"): "exact-directed",
+                ("reconstruction", "mode"): mode,
                 ("simulation", "n_samples"): "20480",
                 ("spectral", "segment_length"): "4096",
             },
@@ -709,9 +710,10 @@ class TestStagedArtifacts:
         for cmd in ("generate", "simulate", "estimate"):
             assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
         info = json.loads((out / "spectra" / "estimate.json").read_text())
-        snapped = 3 * 2 * np.pi / (4096 * 0.01)
+        snapped = 0.5 if mode.startswith("oracle-") else 3 * 2 * np.pi / (4096 * 0.01)
         assert info["omega0"] == pytest.approx(snapped)
         assert info["snap_distance"] == pytest.approx(0.5 - snapped)
+        assert (info["snap_distance"] == 0.0) == mode.startswith("oracle-")
 
     def test_truncated_timeseries_exit_code(self, tmp_path):
         p = write_config(tmp_path, {("reconstruction", "mode"): "exact-directed"})
@@ -870,6 +872,17 @@ class TestCliErrors:
         assert main(["generate", "--config", str(p), "--out", str(tmp_path / "g")]) == 2
         assert capsys.readouterr().err.startswith(f"error: [{section}] {key} = 'x': ")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, key, _, kind, _ in pl._KEYS if kind is pl._finite
+    ] + [("spectral", "omega0")])
+    def test_non_finite_float_exit_code(self, tmp_path, capsys, section, key, text):
+        # a stage handed nan fails late or not at all (tau = nan reports no edges)
+        p, out = reference_config(tmp_path, {(section, key): text}), tmp_path / "f"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: [{section}] {key} = '{text}': ")
+
     @pytest.mark.parametrize("section, override", [
         ("noise", None), ("network", None), (None, "-3"),
     ])
@@ -921,6 +934,13 @@ class TestCliErrors:
         assert main([*argv, "--config", str(p), "--out", str(out)]) == 2
         assert not out.exists()
         assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", ["0:1024", "1:1024", "-2:1024", "4:1024,4:1"])
+    def test_sweep_pairs_below_two_exit_code(self, tmp_path, capsys, sweep):
+        p, out = write_config(tmp_path), tmp_path / "w"
+        assert main(["bench", f"--sweep={sweep}", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "N and L must be at least 2" in capsys.readouterr().err
 
     def test_evaluate_needs_a_readable_report(self, tmp_path):
         p, out = write_config(tmp_path), tmp_path / "e"
