@@ -4,10 +4,13 @@ Subcommands mirror the pipeline stages (``generate``, ``simulate``,
 ``estimate``, ``reconstruct``, ``evaluate``), plus ``run`` for the whole
 pipeline and ``bench`` for stage timing sweeps.  Every stage reads its inputs
 from, and writes its outputs to, the run directory, so stages can be re-driven
-individually against saved artifacts.  Each does only its own stage, as
-``run`` composes them (in oracle modes ``simulate`` writes nothing and
-``estimate`` the analytic spectra), and every command after ``generate``
-exits 2, writing nothing, without its ``network.txt`` and ``node.txt``.
+individually against saved artifacts.  Each does only its own stage, and
+``run`` runs them in order, except that it streams each simulation into the
+estimator instead of writing ``timeseries/`` (in oracle modes ``simulate``
+writes nothing and ``estimate`` the analytic spectra).  Every command after
+``generate`` exits 2, writing nothing, without its ``network.txt`` and
+``node.txt``.  Only ``bench`` takes ``--cost-model``: the config alone decides
+what every other command writes.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure,
 4 stability rejection.
@@ -38,30 +41,27 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="run directory (overrides [output])")
     common.add_argument("--workers", type=int, default=1,
                         help="worker threads for the grounded runs; the staged simulate "
-                             "and estimate and --cost-model paper hold up to this many "
-                             "whole records at once")
+                             "and estimate hold up to this many whole records at once")
     common.add_argument("--seed-override", type=int, default=None,
                         help="replace the network and noise seeds")
-    # only the commands that estimate spectra read the cost model
-    costed = argparse.ArgumentParser(add_help=False, parents=[common])
-    costed.add_argument("--cost-model", choices=("fft", "paper"), default="fft",
-                        help="spectral estimation route (paper = lag-domain correlations)")
 
     parser = argparse.ArgumentParser(
         prog="netspectra",
         description="Reconstruct network topology from output cross-power spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, parent, doc in (
-        ("generate", common, "materialise the ground-truth network and node dynamics"),
-        ("simulate", common, "run the full and grounded noise-driven simulations"),
-        ("estimate", costed, "estimate CPSD matrices from saved time series"),
-        ("reconstruct", common, "recover the topology from saved CPSD matrices"),
-        ("evaluate", common, "score a saved recovery against the ground truth"),
-        ("run", costed, "full pipeline"),
+    for name, doc in (
+        ("generate", "materialise the ground-truth network and node dynamics"),
+        ("simulate", "run the full and grounded noise-driven simulations"),
+        ("estimate", "estimate CPSD matrices from saved time series"),
+        ("reconstruct", "recover the topology from saved CPSD matrices"),
+        ("evaluate", "score a saved recovery against the ground truth"),
+        ("run", "full pipeline"),
     ):
-        sub.add_parser(name, parents=[parent], help=doc)
-    bench_p = sub.add_parser("bench", parents=[costed], help="stage timing sweep")
+        sub.add_parser(name, parents=[common], help=doc)
+    bench_p = sub.add_parser("bench", parents=[common], help="stage timing sweep")
+    bench_p.add_argument("--cost-model", choices=("fft", "paper"), default="fft",
+                         help="spectral estimation route (paper = lag-domain correlations)")
     bench_p.add_argument("--sweep", required=True,
                          help="comma-separated N:L pairs, e.g. 8:16384,16:16384")
     bench_p.add_argument("--repeats", type=int, default=3)
@@ -96,29 +96,20 @@ def _cmd_estimate(args) -> None:
         pl.stage_oracle_spectra(cfg, out, truth, node)
     else:
         runs = pl.load_saved_runs(cfg, out, truth.n_nodes)
-        pl.stage_estimate(cfg, out, runs, node, truth.n_nodes, workers=args.workers,
-                          cost_model=args.cost_model)
+        pl.stage_estimate(cfg, out, runs, node, truth.n_nodes, workers=args.workers)
 
 
 def _cmd_reconstruct(args) -> None:
-    cfg, out = _load(args)
-    truth, node = pl.load_saved_truth(out)
-    s_full, grounded = pl.load_saved_spectra(cfg, out, truth.n_nodes)
-    pl.stage_reconstruct(cfg, out, s_full, grounded, node, eigenpair=truth.eigenpair)
+    pl.stage_reconstruct(*_load(args))
 
 
 def _cmd_evaluate(args) -> None:
-    cfg, out = _load(args)
-    truth, _ = pl.load_saved_truth(out)
-    result, info = pl.load_saved_result(out)
-    metrics = pl.stage_evaluate(cfg, out, truth, result, info)
-    print(json.dumps(metrics, indent=2))
+    print(json.dumps(pl.stage_evaluate(*_load(args)), indent=2))
 
 
 def _cmd_run(args) -> None:
     cfg, out = _load(args)
-    metrics = pl.run_pipeline(cfg, out, workers=args.workers, cost_model=args.cost_model)
-    print(json.dumps(metrics, indent=2))
+    print(json.dumps(pl.run_pipeline(cfg, out, workers=args.workers), indent=2))
 
 
 def _cmd_bench(args) -> None:

@@ -214,10 +214,6 @@ class InputPsdModel:
             raise NumericalError(f"input PSD model returned {v} at omega={omega}")
         return v
 
-    @property
-    def band(self) -> tuple[float, float]:
-        return (-self.omega_max, self.omega_max)
-
     @classmethod
     def flat(cls, level: float, omega_max: float = 1e6) -> "InputPsdModel":
         """Frequency-independent density (idealised white noise)."""

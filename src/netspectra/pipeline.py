@@ -4,17 +4,17 @@ Experiments are described by a declarative INI-style file with ``key = value``
 sections (unknown sections or keys are errors, so typos cannot silently fall
 back to defaults).  Every stage reads and writes documented artifact files
 under the output directory, so stages can be rerun or golden-tested in
-isolation; ``config.resolved.ini`` reproduces a run bit for bit, given the
-``--cost-model`` that ``manifest.json`` records.
+isolation; ``config.resolved.ini`` alone reproduces a run bit for bit.
 
 An experiment's runs are listed once, by :func:`_run_keys`, and go through
-:func:`_each_run`, which holds at most ``workers`` records.  The one estimate
-stage, :func:`stage_estimate`, takes a run source: :func:`run_pipeline` streams
-:func:`simulated_runs` into single-bin CPSD accumulators and writes no
-``timeseries/`` (it holds the full record with ``omega0 = auto``, and each
-record for the ``paper`` lag-domain estimator); the staged ``estimate`` reads
-:func:`load_saved_runs` and gives the same spectra byte for byte.  Oracle
-modes take :func:`stage_oracle_spectra` in place of both stages.
+:func:`_each_run`, which holds at most ``workers`` records.  :func:`run_pipeline`
+is the staged commands with one shortcut: it streams :func:`simulated_runs` into
+the single-bin CPSD accumulators of :func:`stage_estimate` and writes no
+``timeseries/`` (it holds the full record only with ``omega0 = auto``), where
+the staged ``estimate`` reads :func:`load_saved_runs` and gives the same
+spectra byte for byte.  Oracle modes take :func:`stage_oracle_spectra` in place
+of both stages.  Reconstruction and evaluation read their inputs from the run
+directory, in ``run`` too.
 
 Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
 unknown-key check and the rendering of ``config.resolved.ini``; each config
@@ -95,8 +95,8 @@ from .simulate import (
 from .spectral import (
     CpsdAccumulator,
     SpectralConfig,
-    estimate_cpsd_lag_domain,
     estimate_cpsd_matrix,
+    require_two_segments,
     select_omega0,
     snap_frequency,
 )
@@ -400,11 +400,13 @@ def stage_simulate(
     ``estimate`` by the task that simulated it, so at most ``workers`` records
     are held; ``run`` streams instead (:func:`stage_estimate`).  Oracle modes
     take analytic spectra (:func:`stage_oracle_spectra`), so they simulate and
-    write nothing; a mode without S_w (:func:`_require_input_psd`) raises first.
+    write nothing; a mode without S_w (:func:`_require_input_psd`) or a record
+    the estimate stage cannot take (:func:`_require_estimable`) raises first.
     """
     _require_input_psd(cfg, g.eigenpair)
     if cfg.recon.oracle:
         return
+    _require_estimable(cfg)
     ts_dir = out / "timeseries"
     ts_dir.mkdir(parents=True, exist_ok=True)
     runs = simulated_runs(cfg, g, node)
@@ -412,51 +414,51 @@ def stage_simulate(
               _run_keys(cfg, g.n_nodes), workers)
 
 
-def _write_spectra(out: Path, keys: list, spectra: list, omega0: float, cost_model: str,
-                   **extra) -> tuple:
-    """Save one CPSD matrix per run key and ``estimate.json``; return them as the stages do.
+def _write_spectra(cfg: ExperimentConfig, out: Path, keys: list, spectra: list,
+                   **extra) -> dict:
+    """Save one CPSD matrix per run key and ``estimate.json``; return the latter's dict.
 
     ``estimate.json`` is the one place the snap distance ``| |omega| - |omega0| |``
     is computed: every matrix of one estimate shares the bin of ``s_full``.
+    Under ``omega0 = auto`` nothing was requested to snap from, so the
+    request reads ``"auto"`` and the distance ``null``.
     """
-    s_full = spectra[0]
-    info = {"omega0_requested": omega0, "omega0": s_full.omega,
-            "snap_distance": abs(abs(s_full.omega) - abs(omega0)),
-            "segment_count": s_full.segment_count,
-            "stderr": s_full.stderr, "cost_model": cost_model, **extra}
+    s_full, requested = spectra[0], cfg.omega0_value()
+    info = {"omega0_requested": "auto" if requested is None else requested,
+            "omega0": s_full.omega,
+            "snap_distance": None if requested is None
+            else abs(abs(s_full.omega) - abs(requested)),
+            "segment_count": s_full.segment_count, "stderr": s_full.stderr,
+            "cost_model": "oracle" if s_full.source == "analytic" else "fft", **extra}
     sp_dir = out / "spectra"
     sp_dir.mkdir(parents=True, exist_ok=True)
     for key, s in zip(keys, spectra):
         save_cpsd(sp_dir / f"cpsd_{_run_name(key)}.txt", s)
     (sp_dir / "estimate.json").write_text(json.dumps(info, indent=2) + "\n")
-    return s_full, list(zip(keys[1:], spectra[1:])), info
+    return info
 
 
 def stage_estimate(
     cfg: ExperimentConfig, out: Path, runs, node: NodeDynamics, n_nodes: int,
-    workers: int = 1, cost_model: str = "fft",
-) -> tuple[CpsdMatrix, list, dict]:
+    workers: int = 1,
+) -> dict:
     """Estimate the CPSD matrix of each run of :func:`_run_keys` at one snapped frequency.
 
     ``runs(key, whole)`` (:func:`simulated_runs`, :func:`load_saved_runs`)
     gives run ``key`` as a :class:`TimeSeriesMatrix` or, unless ``whole``,
-    possibly as (channels x samples) blocks.  With a fixed omega0 and the
-    ``fft`` estimator, blocks stream into a :class:`CpsdAccumulator` sized
-    from the key; ``omega0 = auto`` holds the full record to choose the bin
-    on its PSD grid, and the ``paper`` estimator holds each record.
+    possibly as (channels x samples) blocks.  With a fixed omega0, blocks
+    stream into a :class:`CpsdAccumulator` sized from the key; ``omega0 =
+    auto`` holds the full record to choose the bin on its PSD grid.  Writes
+    ``spectra/`` and returns the ``estimate.json`` dict.
     """
-    if cost_model not in ("fft", "paper"):
-        raise ConfigError(f"unknown cost model {cost_model!r}")
     omega0 = cfg.omega0_value()
 
     def estimate(key) -> CpsdMatrix:
         nonlocal omega0
-        run = runs(key, cost_model == "paper" or omega0 is None)
+        run = runs(key, omega0 is None)
         if omega0 is None:  # auto: chosen on the full run, which _each_run estimates first
             omega_max = cfg.noise.input_psd_model(cfg.sim.dt).omega_max
             omega0 = select_omega0(run, omega_max, cfg.spectral, node=node)
-        if cost_model == "paper":
-            return estimate_cpsd_lag_domain(run, snap_frequency(omega0, run.dt, cfg.spectral)[0])
         if isinstance(run, TimeSeriesMatrix):
             return estimate_cpsd_matrix(run, omega0, cfg.spectral)
         acc = CpsdAccumulator(n_nodes - (key != "full"), cfg.sim.dt, omega0, cfg.spectral)
@@ -465,14 +467,17 @@ def stage_estimate(
         return acc.result()
 
     keys = _run_keys(cfg, n_nodes)
-    spectra = _each_run(estimate, keys, workers)
-    return _write_spectra(out, keys, spectra, omega0, cost_model)
+    return _write_spectra(cfg, out, keys, _each_run(estimate, keys, workers))
 
 
 def stage_oracle_spectra(
     cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix, node: NodeDynamics
-) -> tuple[CpsdMatrix, list, dict]:
-    """Analytic CPSD matrices in place of simulation + estimation."""
+) -> dict:
+    """Analytic CPSD matrices in place of simulation + estimation.
+
+    Writes ``spectra/`` and returns the ``estimate.json`` dict, as
+    :func:`stage_estimate` does.
+    """
     sys = NetworkSystem(node, g)
     model = cfg.noise.input_psd_model(cfg.sim.dt)
     omega0 = cfg.omega0_value()
@@ -481,7 +486,7 @@ def stage_oracle_spectra(
     keys = _run_keys(cfg, sys.n_nodes)
     spectra = [analytic_cpsd(sys if key == "full" else sys.grounded(key), model, omega0)
                for key in keys]
-    return _write_spectra(out, keys, spectra, omega0, "oracle", true_input_psd=model(omega0))
+    return _write_spectra(cfg, out, keys, spectra, true_input_psd=model(omega0))
 
 
 def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
@@ -491,6 +496,18 @@ def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
             f"{cfg.recon.mode} reconstruction needs S_w: provide a network eigenpair "
             "(laplacian/regular families do) or use an oracle mode"
         )
+
+
+def _require_estimable(cfg: ExperimentConfig) -> None:
+    """Raise what :func:`stage_estimate` would, before anything is simulated for it.
+
+    The record must hold two segments, and a fixed omega0 must snap to a bin
+    (:func:`snap_frequency`); the exit codes are the estimate stage's.
+    """
+    require_two_segments(cfg.sim.n_samples, cfg.spectral)
+    omega0 = cfg.omega0_value()
+    if omega0 is not None:
+        snap_frequency(omega0, cfg.sim.dt, cfg.spectral)
 
 
 def _recover_input_psd(cfg: ExperimentConfig, s_full: CpsdMatrix, h: complex,
@@ -504,19 +521,14 @@ def _recover_input_psd(cfg: ExperimentConfig, s_full: CpsdMatrix, h: complex,
     return None, "unavailable"
 
 
-def stage_reconstruct(
-    cfg: ExperimentConfig,
-    out: Path,
-    s_full: CpsdMatrix,
-    grounded: list,
-    node: NodeDynamics,
-    eigenpair=None,
-) -> ReconstructionResult:
-    """Run the configured reconstruction on previously estimated spectra."""
-    _require_input_psd(cfg, eigenpair)
+def stage_reconstruct(cfg: ExperimentConfig, out: Path) -> None:
+    """Run the configured reconstruction on the saved truth and spectra under ``out``."""
+    truth, node = load_saved_truth(out)
+    _require_input_psd(cfg, truth.eigenpair)
+    s_full, grounded = load_saved_spectra(cfg, out, truth.n_nodes)
     mode = cfg.recon.mode.replace("oracle-", "")
     h = nodal_transfer(node, s_full.omega)
-    s_w, s_w_source = _recover_input_psd(cfg, s_full, h, eigenpair)
+    s_w, s_w_source = _recover_input_psd(cfg, s_full, h, truth.eigenpair)
     # the gap policy reads the route's own raw statistics, so each route runs once
     tau = cfg.recon.tau if cfg.recon.threshold == "fixed" else (
         lambda raw: threshold_heuristic(raw, fallback_tau=cfg.recon.tau))
@@ -533,13 +545,11 @@ def stage_reconstruct(
     else:  # nonreciprocal; ReconSpec admits no other mode
         result = nonreciprocal(s_full, h, s_w, tau=tau)
 
-    out.mkdir(parents=True, exist_ok=True)
     if result.boolean_structure is not None:
         save_matrix(out / "recovered_boolean.txt", result.boolean_structure)
     if result.weights is not None:
         save_matrix(out / "recovered_weights.txt", result.weights)
     _write_report(out / "result.txt", cfg, result, s_w_source)
-    return result
 
 
 def _write_report(path: Path, cfg: ExperimentConfig, result: ReconstructionResult,
@@ -575,32 +585,49 @@ def _write_report(path: Path, cfg: ExperimentConfig, result: ReconstructionResul
     path.write_text("\n".join(lines) + "\n")
 
 
-def stage_evaluate(
-    cfg: ExperimentConfig, out: Path, truth: ConnectivityMatrix,
-    result: ReconstructionResult, info: dict,
-) -> dict:
-    """Score the recovery against the ground truth and write metrics.json."""
-    recovered = result.weights if result.weights is not None else result.boolean_structure
-    if recovered is None:
+def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
+    """Score the saved recovery against the saved truth; write and return metrics.json.
+
+    The matrices come from ``recovered_*.txt``; ω0, the S_w estimate and the
+    threshold from the head of ``result.txt``, which holds them at round-trip
+    precision; the oracle's true S_w from ``spectra/estimate.json``.
+    """
+    truth, _ = load_saved_truth(out)
+    report = out / "result.txt"
+    if not report.exists():
+        raise ConfigError(f"no recovery artifacts under {out}; run reconstruct first")
+    try:
+        head = dict(line.split(" ", 1) for line in report.read_text().splitlines()[1:5])
+        omega0 = float(head["omega0"])
+        s_w, tau = (None if v in ("n/a", "None") else float(v)
+                    for v in (head["input_psd"].split()[0], head["threshold"]))
+    except (KeyError, ValueError, IndexError) as exc:
+        raise ValidationError(f"malformed reconstruction report {report}: {exc}") from exc
+    weights_path, boolean_path = out / "recovered_weights.txt", out / "recovered_boolean.txt"
+    if weights_path.exists():
+        recovered = load_matrix(weights_path)
+    elif boolean_path.exists():
+        recovered = BooleanStructure(load_matrix(boolean_path).weights)
+    else:
         raise NetspectraError("reconstruction produced no output to evaluate")
     metrics = compare(truth, recovered, edge_tol=cfg.recon.tau).as_dict()
-    metrics["omega0"] = result.omega0
-    metrics["threshold_used"] = result.threshold_used
-    metrics["input_psd_estimate"] = result.input_psd_estimate
+    metrics["omega0"] = omega0
+    metrics["threshold_used"] = tau
+    metrics["input_psd_estimate"] = s_w
+    info_path = out / "spectra" / "estimate.json"
+    info = json.loads(info_path.read_text()) if info_path.exists() else {}
     if "true_input_psd" in info:
         metrics["true_input_psd"] = info["true_input_psd"]
     (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
     return metrics
 
 
-def _write_manifest(cfg: ExperimentConfig, out: Path, info: dict,
-                    workers: int, cost_model: str) -> None:
+def _write_manifest(cfg: ExperimentConfig, out: Path, info: dict, workers: int) -> None:
     manifest = {
         "netspectra_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "workers": workers,
-        "cost_model": cost_model,
         "estimate": info,
         "seeds": {"network": cfg.network.seed, "noise": cfg.noise.seed},
         "config": config_to_dict(cfg),
@@ -609,31 +636,26 @@ def _write_manifest(cfg: ExperimentConfig, out: Path, info: dict,
     (out / "config.resolved.ini").write_text(config_to_ini(cfg))
 
 
-def run_pipeline(
-    cfg: ExperimentConfig,
-    out_dir=None,
-    workers: int = 1,
-    cost_model: str = "fft",
-) -> dict:
-    """Full generate -> (simulate -> estimate | oracle) -> reconstruct -> evaluate run.
+def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
+    """The staged generate -> (simulate -> estimate | oracle) -> reconstruct -> evaluate.
 
-    Returns the metrics dictionary; all artifacts land under the output
-    directory.  Reruns with the same resolved configuration and ``cost_model``
-    are byte-identical.
+    Simulation streams into estimation, so no ``timeseries/`` is written; every
+    later stage reads the run directory as its staged command does.  Returns
+    the metrics dictionary and adds ``manifest.json`` and ``config.resolved.ini``;
+    a rerun of the resolved configuration is byte-identical.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     truth, node = stage_generate(cfg, out)
     _require_input_psd(cfg, truth.eigenpair)
     if cfg.recon.oracle:
-        s_full, grounded, info = stage_oracle_spectra(cfg, out, truth, node)
+        info = stage_oracle_spectra(cfg, out, truth, node)
     else:
-        s_full, grounded, info = stage_estimate(
-            cfg, out, simulated_runs(cfg, truth, node), node, truth.n_nodes,
-            workers=workers, cost_model=cost_model)
-    result = stage_reconstruct(cfg, out, s_full, grounded, node,
-                               eigenpair=truth.eigenpair)
-    metrics = stage_evaluate(cfg, out, truth, result, info)
-    _write_manifest(cfg, out, info, workers, cost_model)
+        _require_estimable(cfg)
+        info = stage_estimate(cfg, out, simulated_runs(cfg, truth, node), node,
+                              truth.n_nodes, workers=workers)
+    stage_reconstruct(cfg, out)
+    metrics = stage_evaluate(cfg, out)
+    _write_manifest(cfg, out, info, workers)
     return metrics
 
 
@@ -671,42 +693,13 @@ def load_saved_spectra(
 ) -> tuple[CpsdMatrix, list]:
     """The saved ``spectra/cpsd_*.txt`` of each run of :func:`_run_keys`: ``(s_full, grounded)``.
 
-    ``grounded`` pairs each grounded key with its matrix, as the estimate
-    stages return them; ``estimate.json`` is not read, since reconstruction
-    needs only the matrices.  A missing file raises :class:`ConfigError`;
-    files of other runs are ignored.
+    ``grounded`` pairs each grounded key with its matrix, as the routes take
+    them; ``estimate.json`` is not read, since reconstruction needs only the
+    matrices.  A missing file raises :class:`ConfigError`; files of other
+    runs are ignored.
     """
     keys = _run_keys(cfg, n_nodes)
     paths = _saved(out / "spectra", [f"cpsd_{_run_name(key)}.txt" for key in keys], "estimate")
     spectra = [load_cpsd(p) for p in paths]
     return spectra[0], list(zip(keys[1:], spectra[1:]))
 
-
-def load_saved_result(out: Path) -> tuple[ReconstructionResult, dict]:
-    """The saved recovery and the estimate's info, as :func:`stage_evaluate` takes them.
-
-    The matrices come from ``recovered_*.txt``; ω0, the S_w estimate and the
-    threshold from the head of ``result.txt``, which holds them at round-trip
-    precision; the info from ``spectra/estimate.json``.
-    """
-    report = out / "result.txt"
-    if not report.exists():
-        raise ConfigError(f"no recovery artifacts under {out}; run reconstruct first")
-    try:
-        head = dict(line.split(" ", 1) for line in report.read_text().splitlines()[1:5])
-        omega0 = float(head["omega0"])
-        s_w, tau = (None if v in ("n/a", "None") else float(v)
-                    for v in (head["input_psd"].split()[0], head["threshold"]))
-    except (KeyError, ValueError, IndexError) as exc:
-        raise ValidationError(f"malformed reconstruction report {report}: {exc}") from exc
-    weights_path, boolean_path = out / "recovered_weights.txt", out / "recovered_boolean.txt"
-    result = ReconstructionResult(
-        omega0=omega0,
-        boolean_structure=(BooleanStructure(load_matrix(boolean_path).weights)
-                           if boolean_path.exists() else None),
-        weights=load_matrix(weights_path) if weights_path.exists() else None,
-        input_psd_estimate=s_w,
-        threshold_used=tau,
-    )
-    info_path = out / "spectra" / "estimate.json"
-    return result, json.loads(info_path.read_text()) if info_path.exists() else {}

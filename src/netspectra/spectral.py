@@ -100,12 +100,17 @@ def _segments(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     return view[:: cfg.step]
 
 
-def _check_record(n_samples: int, cfg: SpectralConfig) -> int:
+def require_two_segments(n_samples: int, cfg: SpectralConfig) -> None:
+    """Raise :class:`ValidationError` for a record shorter than two segments."""
     if n_samples < 2 * cfg.segment_length:
         raise ValidationError(
             f"record of {n_samples} samples is shorter than twice the "
             f"segment length {cfg.segment_length}"
         )
+
+
+def _check_record(n_samples: int, cfg: SpectralConfig) -> int:
+    require_two_segments(n_samples, cfg)
     k = cfg.n_segments(n_samples)
     if k < 8:
         warnings.warn(f"only {k} segments averaged; estimates will be noisy")

@@ -292,15 +292,22 @@ class TestOraclePipeline:
         assert manifest["config"]["spectral"]["omega0"] == "0.5"
 
     def test_resolved_config_reproduces_run(self, tmp_path):
-        cfg = load_config(write_config(tmp_path))
-        out1 = tmp_path / "a"
-        run_pipeline(cfg, out1)
-        cfg2 = load_config(out1 / "config.resolved.ini")
-        out2 = tmp_path / "c"
-        run_pipeline(cfg2, out2)
-        assert (out1 / "recovered_weights.txt").read_bytes() == (
-            out2 / "recovered_weights.txt"
-        ).read_bytes()
+        # no input outside the config changes an artifact: every file of a rerun
+        # of config.resolved.ini, manifest included, equals the first run's
+        empirical = {("reconstruction", "mode"): "exact-directed",
+                     ("simulation", "n_samples"): "16384",
+                     ("spectral", "segment_length"): "512",
+                     ("spectral", "omega0"): "1.5"}
+        for name, overrides in (("oracle", {}), ("empirical", empirical)):
+            first, rerun = tmp_path / name, tmp_path / f"{name}-rerun"
+            run_pipeline(load_config(write_config(tmp_path, overrides)), first)
+            run_pipeline(load_config(first / "config.resolved.ini"), rerun)
+            files = sorted(str(f.relative_to(first)) for f in first.rglob("*") if f.is_file())
+            assert "manifest.json" in files
+            assert files == sorted(str(f.relative_to(rerun))
+                                   for f in rerun.rglob("*") if f.is_file())
+            for f in files:
+                assert (first / f).read_bytes() == (rerun / f).read_bytes(), (name, f)
 
     def test_oracle_boolean_empty_graph(self, tmp_path):
         p = write_config(
@@ -604,13 +611,13 @@ class TestStagedArtifacts:
             },
         )
         cfg = load_config(p)
-        staged = tmp_path / "staged"
+        staged, streamed = tmp_path / "staged", tmp_path / "run"
         for cmd in ("generate", "simulate", "estimate"):
             assert main([cmd, "--config", str(p), "--out", str(staged)]) == 0
-        g, node = pl.stage_generate(cfg, tmp_path / "run")
+        g, node = pl.stage_generate(cfg, streamed)
+        pl.stage_estimate(cfg, streamed, pl.simulated_runs(cfg, g, node), node, g.n_nodes)
         s_full, grounded = pl.load_saved_spectra(cfg, staged, g.n_nodes)
-        r_full, r_grounded, _ = pl.stage_estimate(
-            cfg, tmp_path / "run", pl.simulated_runs(cfg, g, node), node, g.n_nodes)
+        r_full, r_grounded = pl.load_saved_spectra(cfg, streamed, g.n_nodes)
         assert [j for j, _ in grounded] == [j for j, _ in r_grounded] == [1, 2, 3, 4]
         for a, b in [(s_full, r_full)] + [(x, y) for (_, x), (_, y) in zip(grounded, r_grounded)]:
             assert np.array_equal(a.values, b.values)
@@ -660,57 +667,35 @@ class TestStagedArtifacts:
         p = write_config(tmp_path)
         assert main(["estimate", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
 
-    def test_paper_cost_model_through_pipeline(self, tmp_path):
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "boolean",
-                ("simulation", "n_samples"): "8192",
-                ("spectral", "segment_length"): "512",
-                ("spectral", "omega0"): "1.5",
-            },
-        )
-        out = tmp_path / "paper"
-        assert main(["run", "--config", str(p), "--out", str(out), "--cost-model", "paper"]) == 0
-        info = json.loads((out / "spectra" / "estimate.json").read_text())
-        assert info["cost_model"] == "paper"
-        assert info["segment_count"] == 1
-
-    def test_paper_cost_model_records_snap_distance(self, tmp_path):
-        # 1.5 snaps to bin 1 of 512 samples at dt = 0.01, 1.2272
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "boolean",
-                ("simulation", "n_samples"): "8192",
-                ("spectral", "segment_length"): "512",
-                ("spectral", "omega0"): "1.5",
-            },
-        )
-        out = tmp_path / "paper"
-        assert main(["run", "--config", str(p), "--out", str(out), "--cost-model", "paper"]) == 0
-        info = json.loads((out / "spectra" / "estimate.json").read_text())
-        snapped = 2 * np.pi / (512 * 0.01)
-        assert info["omega0"] == pytest.approx(snapped)
-        assert info["snap_distance"] == pytest.approx(1.5 - snapped)
-
-    @pytest.mark.parametrize("mode", ["exact-directed", "oracle-exact-directed"])
-    def test_estimate_records_snap_distance(self, tmp_path, mode):
+    @pytest.mark.parametrize("mode, omega0", [("exact-directed", "0.5"),
+                                              ("oracle-exact-directed", "0.5"),
+                                              ("exact-directed", "auto")],
+                             ids=["exact-directed", "oracle-exact-directed", "auto"])
+    def test_estimate_records_snap_distance(self, tmp_path, mode, omega0):
         # reference spectral settings: 0.5 snaps to bin 3 of 4096 samples at dt = 0.01,
-        # 0.46019, a snap distance of 0.0398; the oracle takes 0.5 exactly
+        # 0.46019, a snap distance of 0.0398; the oracle takes 0.5 exactly; under
+        # auto no frequency was requested, so there is no distance to report
         p = write_config(
             tmp_path,
             {
                 ("reconstruction", "mode"): mode,
                 ("simulation", "n_samples"): "20480",
                 ("spectral", "segment_length"): "4096",
+                ("spectral", "omega0"): omega0,
             },
         )
         out = tmp_path / "snap"
         for cmd in ("generate", "simulate", "estimate"):
             assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
         info = json.loads((out / "spectra" / "estimate.json").read_text())
+        if omega0 == "auto":
+            assert info["omega0_requested"] == "auto"
+            assert info["snap_distance"] is None
+            k = info["omega0"] / (2 * np.pi / (4096 * 0.01))
+            assert k == pytest.approx(round(k)) and round(k) >= 1
+            return
         snapped = 0.5 if mode.startswith("oracle-") else 3 * 2 * np.pi / (4096 * 0.01)
+        assert info["omega0_requested"] == 0.5
         assert info["omega0"] == pytest.approx(snapped)
         assert info["snap_distance"] == pytest.approx(0.5 - snapped)
         assert (info["snap_distance"] == 0.0) == mode.startswith("oracle-")
@@ -723,6 +708,18 @@ class TestStagedArtifacts:
         full = out / "timeseries" / "full.nsts"
         full.write_bytes(full.read_bytes()[:-8])
         assert main(["estimate", "--config", str(p), "--out", str(out)]) == 2
+
+    def test_run_reads_the_run_directory_after_estimating(self, tmp_path, monkeypatch):
+        # reconstruct and evaluate load their inputs as the staged commands do
+        calls = {"load_saved_truth": 0, "load_saved_spectra": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(pl, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(pl, name, counted)
+        p = write_config(tmp_path, self.SAVED)
+        run_pipeline(load_config(p), tmp_path / "run")
+        assert calls == {"load_saved_truth": 2, "load_saved_spectra": 1}
 
     def test_seed_override(self, tmp_path):
         p = write_config(
@@ -915,7 +912,31 @@ class TestCliErrors:
         assert not (out / "timeseries").exists()
         assert "needs S_w" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["generate", "simulate", "reconstruct", "evaluate"])
+    @pytest.mark.parametrize("overrides, code, message", [
+        ({("spectral", "segment_length"): str(2**20)}, 2, "shorter than twice"),
+        ({("spectral", "omega0"): "0.01"}, 3, "snaps to the DC bin"),
+        ({("spectral", "omega0"): "400"}, 2, "Nyquist"),
+    ], ids=["record-length", "dc-bin", "nyquist"])
+    def test_an_unestimable_record_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch, overrides, code, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a record the estimate stage cannot take")
+
+        for name in ("simulate", "simulate_grounded", "simulate_blocks"):
+            monkeypatch.setattr(pl, name, refuse)
+        p, out = reference_config(tmp_path, overrides), tmp_path / "s"
+        args = ["--config", str(p), "--out", str(out)]
+        assert main(["run", *args]) == code
+        assert not (out / "spectra").exists()
+        assert main(["simulate", *args]) == code
+        assert not (out / "timeseries").exists()
+        assert message in capsys.readouterr().err
+
+    # only bench reads the cost model: no other command's output may depend
+    # on a flag that config.resolved.ini does not hold
+    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "reconstruct",
+                                         "evaluate", "run"])
     def test_cost_model_is_read_only_where_spectra_are_estimated(self, tmp_path, command):
         p = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
