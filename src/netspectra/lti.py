@@ -233,6 +233,8 @@ class CpsdMatrix:
 
     ``source`` is ``"analytic"`` (exact, from the model) or ``"estimated"``
     (from data); estimated instances carry the averaged segment count ``K``.
+    ``values`` within ``1e-10`` of Hermitian are stored exactly Hermitian,
+    ``(V + V^*) / 2`` with a real diagonal, so callers pass them unsymmetrized.
     The fields are exactly what :func:`save_cpsd` writes.  How far the
     requested frequency was snapped is a fact of the estimate, not of the
     matrix: ``spectra/estimate.json`` records it.

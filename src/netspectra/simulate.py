@@ -3,10 +3,10 @@
 The continuous-time network is driven by independent per-node noise: a
 discrete white (optionally low-pass shaped) Gaussian sequence held constant
 over each sampling interval.  The held input makes the discretization exact
-(a matrix exponential, then a cascade of first-order recursions in the Schur
-basis, each a banded triangular solve, exact for defective couplings too) and
-gives the injected noise a known, strictly positive power spectral density over
-a wide band:
+(a matrix exponential, then a cascade of recursions in the real Schur basis,
+one per real pole and one per complex pole pair, each a real banded triangular
+solve, exact for defective couplings too) and gives the injected noise a
+known, strictly positive power spectral density over a wide band:
 
     ``S_w(w) = sigma^2 * dt * sinc^2(w dt / 2)``            (unshaped)
 
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
-from scipy.linalg import expm, rsf2csf, schur
-from scipy.linalg.blas import dtbsv, ztbsv
+from scipy.linalg import expm, schur
+from scipy.linalg.blas import dtbsv
 
 from .errors import NumericalError, StabilityError, ValidationError
 from .graphs import _as_readonly
@@ -217,23 +217,31 @@ def discretize(sys: NetworkSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return e[:nx, :nx], e[:nx, nx:]
 
 
-def _row_solver(t: np.ndarray):
-    """In-place solver of row ``i``'s recursion ``z[k+1] = T[i, i] z[k] + v[k]``.
+def _block_solver(t: np.ndarray, lo: int, hi: int):
+    """In-place solver of block ``T[lo:hi, lo:hi]``'s recursion ``z[k+1] = T_b z[k] + v[k]``.
 
-    ``solve(i, x)`` takes ``x = [z[0], v[0], ..., v[n-1]]``, ``n <=
-    PROPAGATE_BLOCK``, and leaves ``x = [z[0], ..., z[n]]``: one unit
-    lower-bidiagonal solve (subdiagonal ``-T[i, i]``) by BLAS ``?tbsv``.  The
-    bands are Fortran-ordered and built once, so no call copies one.
+    A real Schur block is one row (a real pole) or two (a complex pair).
+    ``solve(zb)`` takes the block's rows ``zb = [z[0], v[0], ..., v[n-1]]``,
+    ``n <= PROPAGATE_BLOCK``, and leaves ``zb = [z[0], ..., z[n]]``: one unit
+    lower-banded solve by BLAS ``dtbsv`` over the rows interleaved in time,
+    ``x[b k + r] = z_r[k]``, whose band holds ``-T[lo + r, lo + c]`` at offset
+    ``b + r - c`` in columns ``c::b``.  One row is solved in place; a pair is
+    interleaved into a copy and back.  The band is Fortran-ordered and built
+    once, so no call copies it.
     """
-    tbsv = ztbsv if np.iscomplexobj(t) else dtbsv
-    bands = []
-    for pole in np.diag(t):
-        band = np.ones((2, PROPAGATE_BLOCK + 1), dtype=t.dtype, order="F")
-        band[1] = -pole
-        bands.append(band)
+    b = hi - lo
+    band = np.zeros((2 * b, b * (PROPAGATE_BLOCK + 1)), order="F")
+    band[0] = 1.0
+    for r in range(b):
+        for c in range(b):
+            band[b + r - c, c::b] = -t[lo + r, lo + c]
 
-    def solve(i: int, x: np.ndarray) -> None:
-        tbsv(1, bands[i][:, :x.size], x, lower=1, diag=1, overwrite_x=1)
+    def solve(zb: np.ndarray) -> None:
+        if b == 1:
+            dtbsv(1, band[:, :zb.shape[1]], zb[0], lower=1, diag=1, overwrite_x=1)
+        else:
+            x = dtbsv(2 * b - 1, band[:, :zb.size], zb.T.ravel(), lower=1, diag=1, overwrite_x=1)
+            zb[:] = x.reshape(-1, b).T
 
     return solve
 
@@ -242,23 +250,25 @@ def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
              w_blocks: Iterable[np.ndarray], burn: int = 0) -> Iterator[np.ndarray]:
     """Outputs ``y[k] = C x[k]``, ``k >= burn``, of ``x[k+1] = Phi x[k] + Gamma w[k]``, ``x[0] = 0``.
 
-    Exact for every ``Phi``, defective or not: in the Schur basis ``Phi = Q T Q*``
-    (complex only when real ``T`` has 2x2 blocks) row ``i`` of ``z = Q* x`` is a
-    first-order recursion driven by its input plus ``T[i, i+1:] z[i+1:]``, solved
-    bottom row first as one banded triangular solve per block (:func:`_row_solver`).
-    Column 0 of each block's buffer carries the state in from the block before.
-    ``w_blocks`` are (samples x inputs) blocks of at most ``PROPAGATE_BLOCK``
-    samples in time order; each yields its (channels x samples) outputs, the
-    burn-in left out, and a non-finite output raises ``NumericalError``.
+    Exact for every ``Phi``, defective or not, in real arithmetic only: in the
+    real Schur basis ``Phi = Q T Q^T`` (``Q`` orthogonal, ``T`` quasi-upper
+    triangular with a 2x2 diagonal block per complex pole pair) block ``lo:hi``
+    of ``z = Q^T x`` is a recursion driven by its input plus ``T[lo:hi, hi:]
+    z[hi:]``, solved bottom block first as one banded triangular solve per
+    propagation block (:func:`_block_solver`).  Column 0 of each propagation
+    block's buffer carries the state in from the block before.  ``w_blocks``
+    are (samples x inputs) blocks of at most ``PROPAGATE_BLOCK`` samples in
+    time order; each yields its (channels x samples) outputs, the burn-in left
+    out, and a non-finite output raises ``NumericalError``.
     """
     t, q = schur(phi, output="real")
-    if np.any(np.diag(t, -1)):
-        t, q = rsf2csf(t, q)
-    g = q.conj().T @ gamma
+    g = q.T @ gamma
     cq = cmat @ q
     nx = t.shape[0]
-    solve = _row_solver(t)
-    z = np.zeros((nx, PROPAGATE_BLOCK + 1), dtype=t.dtype)
+    starts = [i for i in range(nx) if i == 0 or t[i, i - 1] == 0]
+    blocks = [(b_lo, b_hi, _block_solver(t, b_lo, b_hi))
+              for b_lo, b_hi in zip(starts, starts[1:] + [nx])]
+    z = np.zeros((nx, PROPAGATE_BLOCK + 1))
     lo = 0
     for w in w_blocks:
         n = w.shape[0]
@@ -266,12 +276,12 @@ def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
             raise ValueError(f"a block holds {n} samples, more than PROPAGATE_BLOCK")
         zb = z[:, :n + 1]
         np.matmul(g, w.T, out=zb[:, 1:])
-        for i in range(nx - 1, -1, -1):
-            zb[i, 1:] += t[i, i + 1:] @ zb[i + 1:, :n]
-            solve(i, zb[i])
+        for b_lo, b_hi, solve in reversed(blocks):
+            zb[b_lo:b_hi, 1:] += t[b_lo:b_hi, b_hi:] @ zb[b_hi:, :n]
+            solve(zb[b_lo:b_hi])
         hi = lo + n
         if hi > burn:
-            y = (cq @ zb[:, :n]).real[:, max(0, burn - lo):]
+            y = (cq @ zb[:, :n])[:, max(0, burn - lo):]
             if not np.isfinite(y).all():
                 raise NumericalError("simulation produced non-finite samples (overflow)")
             yield y
@@ -385,16 +395,3 @@ def load_timeseries(path) -> TimeSeriesMatrix:
             raise ValidationError(f"{path} is truncated: it shrank while being read")
     data.flags.writeable = False
     return TimeSeriesMatrix(data=data, dt=dt, channel_labels=labels)
-
-
-def timeseries_to_csv(path, ts: TimeSeriesMatrix) -> None:
-    """Inspection-friendly CSV export: time column plus one column per channel."""
-    header = "time," + ",".join(f"y{lab}" for lab in ts.channel_labels)
-    t = np.arange(ts.n_samples) * ts.dt
-    np.savetxt(
-        path,
-        np.column_stack([t, ts.data.T]),
-        delimiter=",",
-        header=header,
-        comments="",
-    )

@@ -204,10 +204,8 @@ class CpsdAccumulator:
         x = np.concatenate(self._transforms + ([self._transform(rest)] if rest else []))
         win = self.cfg.window_values()
         scale = self.dt / (n_seg * (win * win).sum())
-        s = scale * (x.T @ x.conj())
-        s = 0.5 * (s + s.conj().T)
-        s[np.diag_indices_from(s)] = np.maximum(np.diag(s).real, 0.0)
-        return CpsdMatrix(values=s, omega=self.omega, source="estimated", segment_count=n_seg)
+        return CpsdMatrix(values=scale * (x.T @ x.conj()), omega=self.omega, source="estimated",
+                          segment_count=n_seg)
 
 
 def estimate_cpsd_matrix(

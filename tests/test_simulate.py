@@ -24,11 +24,10 @@ from netspectra import (
 from netspectra.families import random_hurwitz_system, reference_laplacian_5
 from netspectra.simulate import (
     PROPAGATE_BLOCK,
+    _block_solver,
     _cascade,
     _propagate,
-    _row_solver,
     simulate_blocks,
-    timeseries_to_csv,
 )
 
 from conftest import make_system
@@ -114,24 +113,36 @@ class TestPropagate:
             assert y.shape == ref[burn:].shape
             assert np.abs(y - ref[burn:]).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
-    @pytest.mark.parametrize("a", [0.05, 0.6, 0.999999, -0.9, 0.7 + 0.6j])
-    def test_row_solve_is_a_first_order_filter(self, rng, a):
-        # two blocks, the second started from the state the first left
-        solve = _row_solver(np.array([[a]]))
-        s = 0.3 - 0.2j if isinstance(a, complex) else 0.3
-        v = rng.standard_normal(PROPAGATE_BLOCK + 100)
-        if isinstance(a, complex):
-            v = v + 1j * rng.standard_normal(v.size)
+    @pytest.mark.parametrize("block", [
+        0.05, 0.6, 0.999999, -0.9,
+        pytest.param([[0.7, 0.6], [-0.6, 0.7]], id="pair-0.92"),
+        pytest.param([[0.99, 0.3], [-0.02, 0.99]], id="pair-0.993"),  # non-normal, lightly damped
+    ])
+    def test_block_solve_is_its_recursion(self, rng, block):
+        # two propagation blocks, the second started from the state the first left
+        t = np.atleast_2d(block)
+        solve = _block_solver(t, 0, t.shape[0])
+        s = np.array([0.3, -0.2])[:t.shape[0]]
+        v = rng.standard_normal((t.shape[0], PROPAGATE_BLOCK + 100))
         state, out = s, []
-        for part in (v[:PROPAGATE_BLOCK], v[PROPAGATE_BLOCK:]):
-            x = np.concatenate([[state], part])
-            solve(0, x)
-            out.append(x[:-1])
-            state = x[-1]
-        ref, ref_state = signal.lfilter([0.0, 1.0], [1.0, -a], v, zi=[s])
+        for part in (v[:, :PROPAGATE_BLOCK], v[:, PROPAGATE_BLOCK:]):
+            zb = np.concatenate([state[:, None], part], axis=1)
+            solve(zb)
+            out.append(zb[:, :-1])
+            state = zb[:, -1]
+        out = np.concatenate(out, axis=1)
+        if t.shape[0] == 1:
+            ref, ref_state = signal.lfilter([0.0, 1.0], [1.0, -block], v[0], zi=s)
+            ref, tol = ref[None], 1e-14
+        else:
+            ref, z = np.empty_like(v), s
+            for k in range(v.shape[1]):
+                ref[:, k] = z
+                z = t @ z + v[:, k]
+            ref_state, tol = z, 1e-13
         scale = np.abs(ref).max()
-        assert np.abs(np.concatenate(out) - ref).max() <= 1e-14 * scale
-        assert abs(state - ref_state[0]) <= 1e-14 * scale
+        assert np.abs(out - ref).max() <= tol * scale
+        assert np.abs(state - ref_state).max() <= tol * scale
 
     def test_oversized_block_rejected(self):
         # a band holds PROPAGATE_BLOCK + 1 entries; a longer solve would stop short
@@ -354,13 +365,6 @@ class TestTimeSeriesIO:
         p.write_bytes(b"NOTMAGIC" + b"\0" * 64)
         with pytest.raises(ValidationError):
             load_timeseries(p)
-
-    def test_csv_export(self, tmp_path):
-        ts = TimeSeriesMatrix(np.arange(6.0).reshape(2, 3), 0.5, (1, 2))
-        timeseries_to_csv(tmp_path / "x.csv", ts)
-        lines = (tmp_path / "x.csv").read_text().strip().splitlines()
-        assert lines[0] == "time,y1,y2"
-        assert len(lines) == 4
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
