@@ -67,7 +67,6 @@ from .spectral import (
 from .reconstruct import (
     ReconstructionDiagnostics,
     ReconstructionResult,
-    RowRecovery,
     UndirectedRecovery,
     boolean_directed,
     exact_directed,
@@ -75,7 +74,6 @@ from .reconstruct import (
     input_psd_from_eigenpair,
     input_psd_laplacian,
     nonreciprocal,
-    recover_row,
     threshold_heuristic,
 )
 from .pipeline import ExperimentConfig, load_config, run_pipeline

@@ -1,18 +1,25 @@
 """Wall-clock benchmarking of the pipeline's computational stages.
 
-Measures the three cost centres separately for a sweep of problem sizes:
+Each sweep point ``(N, L)`` is built as ``run`` builds a run: the node from
+``[node]``, the network from ``[network]`` with ``n_nodes = N``, and the runs
+the mode needs, each of ``L`` samples; so ``bench`` exits 2, 3 or 4 where
+``run`` would.  Three cost centres are timed separately:
 
-* ``correlation`` -- producing the N x N (and N grounded) CPSD matrices from
-  time series.  With ``cost_model="paper"`` this goes through explicit
-  full-lag cross-correlations (quadratic in the record length, linear-in-L
+* ``correlation`` -- producing the CPSD matrix of every run from its time
+  series.  With ``cost_model="paper"`` this goes through explicit full-lag
+  cross-correlations (quadratic in the record length, linear-in-L
   single-frequency transform); with ``cost_model="fft"`` it uses the default
   segment-averaged estimator.
-* ``inversion`` -- inverting the N+1 Hermitian CPSD matrices.
-* ``reconstruction`` -- assembling all coupling rows from the inverses.
+* ``inversion`` -- inverting every CPSD matrix once.
+* ``reconstruction`` -- the configured route as ``run`` calls it
+  (:func:`~netspectra.pipeline.reconstruct`), its own inversions and S_w
+  recovery included.
 
-Oracle modes skip simulation and estimation and time only the inversion and
-reconstruction stages on analytic matrices.  Timings are the minimum over a
-configurable number of repeats; scaling factors are measured, never asserted.
+Every spectrum is taken at ``BENCH_OMEGA0`` (snapped to a bin by the ``fft``
+estimator).  Oracle modes skip simulation and estimation and take the
+analytic spectra of the config's noise model.  Timings are the minimum over
+a configurable number of repeats; scaling factors are measured, never
+asserted.
 """
 
 from __future__ import annotations
@@ -22,14 +29,17 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import families
-from .errors import ConfigError, StabilityError
-from .graphs import ConnectivityMatrix
-from .lti import NetworkSystem, NodeDynamics, analytic_cpsd, is_hurwitz
-from .pipeline import ExperimentConfig, simulated_runs
-from .reconstruct import recover_row
+from .errors import ConfigError
+from .lti import NetworkSystem, NodeDynamics, analytic_cpsd
+from .pipeline import (
+    ExperimentConfig,
+    _build_network,
+    _build_node,
+    _require_input_psd,
+    _run_keys,
+    reconstruct,
+    simulated_runs,
+)
 from .spectral import (
     estimate_cpsd_lag_domain,
     estimate_cpsd_matrix,
@@ -63,32 +73,23 @@ def parse_sweep(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _stable_sparse(n: int, rng: np.random.Generator, node: NodeDynamics) -> ConnectivityMatrix:
-    """Sparse directed coupling rescaled until the closed loop is Hurwitz."""
-    w = families.directed_sparse(n, max(0.05, min(0.3, 8.0 / n)), (0.3, 1.0), rng).weights
-    rho = np.abs(np.linalg.eigvals(w)).max()
-    if rho > 0:
-        w = w * (0.5 / rho)
-    for _ in range(20):
-        g = ConnectivityMatrix(w)
-        if is_hurwitz(NetworkSystem(node, g)).stable:
-            return g
-        w = 0.5 * w
-    raise StabilityError(f"could not stabilise a {n}-node benchmark network")
-
-
 def _make_stages(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
                  node: NodeDynamics) -> list[tuple[str, object]]:
-    rng = np.random.default_rng(cfg.network.seed + n)
-    g = _stable_sparse(n, rng, node)
-    keys = ["full", *range(1, n + 1)]  # key j: node j grounded, as in the pipeline
+    cfg = replace(cfg, network=replace(cfg.network, n_nodes=n),
+                  sim=replace(cfg.sim, n_samples=l))
+    g = _build_network(cfg, node)
+    if g.n_nodes != n:
+        raise ConfigError(f"the network file has {g.n_nodes} nodes, not the sweep's {n}")
+    _require_input_psd(cfg, g.eigenpair)
+    keys = _run_keys(cfg, n)
     stages: list[tuple[str, object]] = []
     if cfg.recon.oracle:
         sys = NetworkSystem(node, g)
-        mats = {key: analytic_cpsd(sys if key == "full" else sys.grounded(key), 1.0, BENCH_OMEGA0)
-                for key in keys}
+        model = cfg.noise.input_psd_model(cfg.sim.dt)
+        mats = {key: analytic_cpsd(sys if key == "full" else sys.grounded(key), model,
+                                   BENCH_OMEGA0) for key in keys}
     else:
-        runs = simulated_runs(replace(cfg, sim=replace(cfg.sim, n_samples=l)), g, node)
+        runs = simulated_runs(cfg, g, node)
         records = {key: runs(key, True) for key in keys}
         if cost_model == "paper":
             estimate = lambda ts: estimate_cpsd_lag_domain(ts, BENCH_OMEGA0)
@@ -101,23 +102,15 @@ def _make_stages(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
 
         stages.append(("correlation", correlate))
         mats = correlate()
-    inverses: dict = {}
+    grounded = [(key, mats[key]) for key in keys[1:]]
 
     def invert():
-        for key, mat in mats.items():
-            inverses[key] = estimate_inverse_cpsd(mat)
-
-    invert()
-
-    def reconstruct():
-        w = np.zeros((n, n))
-        s_inv = inverses["full"].values
-        for j in keys[1:]:
-            w[j - 1] = recover_row(s_inv, inverses[j].values, j, 1.0).weights
-        return w
+        for mat in mats.values():
+            estimate_inverse_cpsd(mat)
 
     stages.append(("inversion", invert))
-    stages.append(("reconstruction", reconstruct))
+    stages.append(("reconstruction",
+                   lambda: reconstruct(cfg, mats["full"], grounded, node, g.eigenpair)))
     return stages
 
 
@@ -138,9 +131,7 @@ def benchmark(
         raise ConfigError(f"unknown cost model {cost_model!r}")
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
-    if cfg.node.preset != "scalar-pole":
-        raise ConfigError("benchmark supports the scalar-pole node preset")
-    node = NodeDynamics.scalar_pole(cfg.node.pole)
+    node = _build_node(cfg)
     prepared = [
         (n, l, _make_stages(cfg, n, l, cost_model, node)) for n, l in sweep
     ]

@@ -329,7 +329,6 @@ def analytic_cpsd(
             f"CPSD inner matrix singular at omega={omega}; the system is "
             "ill-conditioned at this frequency"
         ) from exc
-    values = 0.5 * (values + values.conj().T)
     return CpsdMatrix(values=values, omega=float(omega), source="analytic")
 
 

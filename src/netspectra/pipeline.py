@@ -129,8 +129,12 @@ class NetworkSpec:
             "reference",
         ):
             raise ValidationError(f"unknown network family {self.family!r}")
+        if self.graph not in ("ring", "pairs", "random"):
+            raise ValidationError(f"unknown laplacian graph {self.graph!r}")
         if self.n_nodes < 2:
             raise ValidationError("n_nodes must be at least 2")
+        if self.source == "random" and self.family == "reference" and self.n_nodes not in (5, 6):
+            raise ValidationError("reference networks exist for n_nodes in (5, 6)")
         if self.seed < 0:
             raise ValidationError("network seed must be nonnegative")
 
@@ -311,12 +315,9 @@ def _build_network(cfg: ExperimentConfig, node: NodeDynamics) -> ConnectivityMat
         return load_matrix(spec.file)
     rng = np.random.default_rng(spec.seed)
     wr = (spec.weight_min, spec.weight_max)
-    if spec.family == "reference":
-        if spec.n_nodes == 6:
-            return families.reference_laplacian_6()
-        if spec.n_nodes == 5:
-            return families.reference_laplacian_5()
-        raise ConfigError("reference networks exist for n_nodes in (5, 6)")
+    if spec.family == "reference":  # NetworkSpec admits n_nodes 5 or 6 only
+        return (families.reference_laplacian_6() if spec.n_nodes == 6
+                else families.reference_laplacian_5())
     if spec.family == "directed-sparse":
         factory = lambda r: families.directed_sparse(spec.n_nodes, spec.edge_prob, wr, r)
     elif spec.family == "laplacian":
@@ -510,41 +511,47 @@ def _require_estimable(cfg: ExperimentConfig) -> None:
         snap_frequency(omega0, cfg.sim.dt, cfg.spectral)
 
 
-def _recover_input_psd(cfg: ExperimentConfig, s_full: CpsdMatrix, h: complex,
-                       eigenpair) -> tuple[Optional[float], str]:
-    if eigenpair is not None:
-        lam, u = eigenpair
-        return input_psd_from_eigenpair(s_full, h, lam, u), "eigenpair"
-    if cfg.recon.oracle:
-        model = cfg.noise.input_psd_model(cfg.sim.dt)
-        return model(s_full.omega), "noise-model (oracle)"
-    return None, "unavailable"
+def reconstruct(cfg: ExperimentConfig, s_full: CpsdMatrix, grounded: list,
+                node: NodeDynamics, eigenpair) -> tuple[ReconstructionResult, str, Optional[dict]]:
+    """The configured route on one set of spectra: ``(result, S_w source, branch audit)``.
 
-
-def stage_reconstruct(cfg: ExperimentConfig, out: Path) -> None:
-    """Run the configured reconstruction on the saved truth and spectra under ``out``."""
-    truth, node = load_saved_truth(out)
-    _require_input_psd(cfg, truth.eigenpair)
-    s_full, grounded = load_saved_spectra(cfg, out, truth.n_nodes)
+    ``grounded`` is as :func:`load_saved_spectra` gives it.  Only the weighted
+    routes recover S_w; the branch audit is the undirected route's, else
+    ``None``.  ``stage_reconstruct`` and ``bench`` both call this, and it reads
+    the route names at each call, so a route patched on this module runs in both.
+    """
     mode = cfg.recon.mode.replace("oracle-", "")
-    h = nodal_transfer(node, s_full.omega)
-    s_w, s_w_source = _recover_input_psd(cfg, s_full, h, truth.eigenpair)
     # the gap policy reads the route's own raw statistics, so each route runs once
     tau = cfg.recon.tau if cfg.recon.threshold == "fixed" else (
         lambda raw: threshold_heuristic(raw, fallback_tau=cfg.recon.tau))
-
     if mode == "boolean":
-        result = boolean_directed(s_full, grounded, tau=tau)
-    elif mode == "exact-directed":
-        result = exact_directed(s_full, grounded, s_w, tau=tau)
-    elif mode == "undirected":
+        return boolean_directed(s_full, grounded, tau=tau), "unused", None
+    h = nodal_transfer(node, s_full.omega)
+    if eigenpair is not None:
+        s_w, s_w_source = input_psd_from_eigenpair(s_full, h, *eigenpair), "eigenpair"
+    elif cfg.recon.oracle:
+        s_w = cfg.noise.input_psd_model(cfg.sim.dt)(s_full.omega)
+        s_w_source = "noise-model (oracle)"
+    else:
+        s_w, s_w_source = None, "unavailable"
+    if mode == "exact-directed":
+        return exact_directed(s_full, grounded, s_w, tau=tau), s_w_source, None
+    if mode == "undirected":
         rec = exact_undirected(s_full, h, s_w, tau=tau)
-        result = rec.result
         branch = {k: v for k, v in rec._asdict().items() if k != "result"}
-        (out / "undirected_branch.json").write_text(json.dumps(branch, indent=2) + "\n")
-    else:  # nonreciprocal; ReconSpec admits no other mode
-        result = nonreciprocal(s_full, h, s_w, tau=tau)
+        return rec.result, s_w_source, branch
+    # nonreciprocal; ReconSpec admits no other mode
+    return nonreciprocal(s_full, h, s_w, tau=tau), s_w_source, None
 
+
+def stage_reconstruct(cfg: ExperimentConfig, out: Path) -> None:
+    """Run :func:`reconstruct` on the saved truth and spectra under ``out`` and write its output."""
+    truth, node = load_saved_truth(out)
+    _require_input_psd(cfg, truth.eigenpair)
+    s_full, grounded = load_saved_spectra(cfg, out, truth.n_nodes)
+    result, s_w_source, branch = reconstruct(cfg, s_full, grounded, node, truth.eigenpair)
+    if branch is not None:
+        (out / "undirected_branch.json").write_text(json.dumps(branch, indent=2) + "\n")
     if result.boolean_structure is not None:
         save_matrix(out / "recovered_boolean.txt", result.boolean_structure)
     if result.weights is not None:

@@ -47,11 +47,9 @@ from .spectral import CpsdInverse, estimate_inverse_cpsd
 __all__ = [
     "ReconstructionDiagnostics",
     "ReconstructionResult",
-    "RowRecovery",
     "UndirectedRecovery",
     "input_psd_from_eigenpair",
     "input_psd_laplacian",
-    "recover_row",
     "boolean_directed",
     "exact_directed",
     "exact_undirected",
@@ -156,14 +154,6 @@ def input_psd_laplacian(s: CpsdMatrix, h: complex) -> float:
     return input_psd_from_eigenpair(s, h, 0.0, np.ones(s.n_nodes))
 
 
-class RowRecovery(NamedTuple):
-    """One recovered row of the coupling matrix (edges received by node j)."""
-
-    weights: np.ndarray
-    raw_differences: np.ndarray
-    clamped: int
-
-
 def _grounded_row(s_inv: np.ndarray, sj_inv: np.ndarray, j: int) -> np.ndarray:
     """Full minus grounded-at-``j`` inverse-CPSD diagonal, ``nan`` at ``j``.
 
@@ -175,40 +165,6 @@ def _grounded_row(s_inv: np.ndarray, sj_inv: np.ndarray, j: int) -> np.ndarray:
     row = np.full(full.size, np.nan)
     row[keep] = full[keep] - sj_inv.diagonal().real
     return row
-
-
-def recover_row(
-    s_inv: np.ndarray,
-    sj_inv: np.ndarray,
-    j: int,
-    s_w: float,
-) -> RowRecovery:
-    """Row ``j`` of the coupling matrix from the grounded-at-``j`` experiment.
-
-    For every ``i != j`` the entry is ``sqrt(S_w * D_i)`` where ``D_i`` is the
-    difference between diagonal entry ``i`` of the full inverse CPSD and the
-    matching diagonal entry of the grounded inverse (indices above ``j`` shift
-    down by one in the grounded matrix).  Negative differences are impossible
-    analytically, so they are clamped to zero and counted; the diagonal entry
-    is unobservable and reported as zero (``nan`` in the raw vector).
-    """
-    n = s_inv.shape[0]
-    if s_inv.shape != (n, n) or sj_inv.shape != (n - 1, n - 1):
-        raise ValidationError(
-            f"expected ({n},{n}) and ({n-1},{n-1}) inverses, got "
-            f"{s_inv.shape} and {sj_inv.shape}"
-        )
-    if not 1 <= j <= n:
-        raise IndexError(f"node index {j} out of range [1, {n}]")
-    if s_w <= 0:
-        raise ValidationError("S_w must be positive")
-    raw = _grounded_row(s_inv, sj_inv, j)
-    d = np.nan_to_num(raw, nan=0.0)
-    return RowRecovery(
-        weights=np.sqrt(s_w * np.clip(d, 0.0, None)),
-        raw_differences=raw,
-        clamped=int(np.sum(d < 0.0)),
-    )
 
 
 def _grounding_statistic(
@@ -327,7 +283,9 @@ def exact_directed(
     """Edge weights from grounding plus the input density at ``w0``.
 
     Each weight is ``sqrt(S_w * D)`` for the raw difference ``D`` of
-    :func:`recover_row`.  Entries whose raw statistic does not exceed ``tau``
+    :func:`_grounded_row`: diagonal entry ``i`` of the full inverse CPSD minus
+    the matching entry of the grounded-at-``j`` inverse (indices above ``j``
+    sit one lower there).  Entries whose raw statistic does not exceed ``tau``
     (a number, or a policy called on the finite raw values) are reported as
     absent (weight zero); the raw statistics stay available in the
     diagnostics.  Negative raw differences (estimation noise; impossible

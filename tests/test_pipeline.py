@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 import json
 import re
@@ -131,6 +132,9 @@ class TestConfig:
         (pl.NetworkSpec, "source", "randm", "unknown network source"),
         (pl.NetworkSpec, "source", "file", "needs a file path"),
         (pl.NetworkSpec, "family", "laplacain", "unknown network family"),
+        (pl.NetworkSpec, "graph", "rnig", "unknown laplacian graph"),
+        (functools.partial(pl.NetworkSpec, family="reference"), "n_nodes", 8,
+         "reference networks exist for n_nodes in"),
         (pl.NetworkSpec, "n_nodes", 1, "n_nodes must be at least 2"),
         (pl.NetworkSpec, "seed", -1, "network seed must be nonnegative"),
         (pl.NodeSpec, "preset", "scalar", "unknown node preset"),
@@ -388,6 +392,7 @@ class TestReconstructOnce:
     @pytest.mark.parametrize("mode, family, route, inversions", [
         ("oracle-exact-directed", "laplacian", "exact_directed", 4 + 2),
         ("oracle-boolean", "directed-sparse", "boolean_directed", 4 + 1),
+        ("oracle-boolean", "laplacian", "boolean_directed", 4 + 1),
         ("oracle-nonreciprocal", "nonreciprocal-ring", "nonreciprocal", 1),
     ])
     def test_route_runs_once_and_inverts_each_matrix_once(
@@ -412,6 +417,13 @@ class TestReconstructOnce:
         metrics = run_pipeline(load_config(p), tmp_path / "o")
         assert calls == {"invert": inversions, "route": 1}
         assert metrics["f1"] == 1.0
+
+    def test_boolean_recovers_no_s_w(self, tmp_path):
+        # the Boolean route weighs nothing, even where an eigenpair would give S_w
+        p = write_config(tmp_path, {("reconstruction", "mode"): "oracle-boolean"})
+        run_pipeline(load_config(p), tmp_path / "o")
+        assert (tmp_path / "o" / "result.txt").read_text().splitlines()[3] == (
+            "input_psd n/a (unused)")
 
 
 class TestStagedArtifacts:
@@ -1004,6 +1016,41 @@ class TestBench:
         cfg = load_config(p)
         rows = benchmark(cfg, [(2, 4096)], cost_model="paper", repeats=1)
         assert any(r["stage"] == "correlation" for r in rows)
+
+    def test_bench_times_the_configured_route(self, tmp_path, monkeypatch):
+        calls = []
+        route = pl.boolean_directed
+        monkeypatch.setattr(pl, "boolean_directed",
+                            lambda *args, **kwargs: calls.append(1) or route(*args, **kwargs))
+        cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): "oracle-boolean"}))
+        rows = benchmark(cfg, [(4, 1024), (5, 1024)], repeats=3)
+        assert len(calls) == 2 * 3
+        assert {r["stage"] for r in rows} == {"inversion", "reconstruction"}
+
+    def test_bench_builds_the_configured_network(self, tmp_path, capsys):
+        p = write_config(tmp_path, {("network", "family"): "reference",
+                                    ("network", "n_nodes"): "6"})
+        args = ["bench", "--config", str(p), "--repeats", "1"]
+        assert main([*args, "--out", str(tmp_path / "six"), "--sweep", "6:1024"]) == 0
+        assert main([*args, "--out", str(tmp_path / "eight"), "--sweep", "8:1024"]) == 2
+        assert not (tmp_path / "eight").exists()
+        assert "reference networks exist" in capsys.readouterr().err
+        net = tmp_path / "net.txt"
+        save_matrix(net, laplacian_connectivity(np.ones((3, 3)) - np.eye(3)))
+        p = write_config(tmp_path, {("network", "source"): "file", ("network", "file"): str(net)})
+        args = ["bench", "--config", str(p), "--repeats", "1", "--out", str(tmp_path / "f")]
+        assert main([*args, "--sweep", "3:1024"]) == 0
+        assert main([*args, "--sweep", "4:1024"]) == 2
+        assert "network file has 3 nodes" in capsys.readouterr().err
+
+    def test_bench_refuses_a_mode_without_s_w(self, tmp_path, capsys):
+        p = write_config(tmp_path, {("network", "family"): "directed-sparse",
+                                    ("reconstruction", "mode"): "exact-directed"})
+        out = tmp_path / "b"
+        assert main(["bench", "--config", str(p), "--out", str(out), "--sweep", "4:4096",
+                     "--repeats", "1"]) == 2
+        assert not out.exists()
+        assert "needs S_w" in capsys.readouterr().err
 
     def test_cli_bench(self, tmp_path):
         p = write_config(tmp_path, {("reconstruction", "mode"): "oracle-boolean"})

@@ -3,6 +3,7 @@ import pytest
 
 from netspectra import (
     ConnectivityMatrix,
+    CpsdMatrix,
     FrequencyRejectedError,
     NetworkSystem,
     NodeDynamics,
@@ -19,7 +20,6 @@ from netspectra import (
     laplacian_connectivity,
     nodal_transfer,
     nonreciprocal,
-    recover_row,
     regular_connectivity,
     threshold_heuristic,
 )
@@ -96,50 +96,45 @@ class TestInputPsd:
 
 
 class TestRecoverRow:
+    # tau = -inf declares every off-diagonal entry present, so the weights are
+    # the unthresholded square roots of the grounding differences
+
     def test_decoupled_rows_are_zero(self):
         sys = make_system(np.zeros((4, 4)))
         s, grounded = oracle_spectra(sys, 1.0, 0.5)
-        s_inv = estimate_inverse_cpsd(s).values
-        for j, sj in grounded:
-            sj_inv = estimate_inverse_cpsd(sj).values
-            row = recover_row(s_inv, sj_inv, j, 1.0)
-            assert np.abs(row.weights).max() <= 1e-7
-            assert row.clamped <= 4  # roundoff-level negatives allowed
+        res = exact_directed(s, grounded, 1.0, tau=-np.inf)
+        assert np.abs(res.weights.weights).max() <= 1e-7
+        assert res.diagnostics.clamp_count <= 4 * 3  # roundoff-level negatives allowed
 
     def test_two_node_difference_statistic(self):
         # grounding node 2 of g21=0.5 leaves [S^-1]_11 - [S~^-1]_11 = g21^2/S_w
         w = np.zeros((2, 2))
         w[1, 0] = 0.5
-        sys = make_system(w)
-        s = analytic_cpsd(sys, 1.0, 0.0)
-        s2 = analytic_cpsd(sys.grounded(2), 1.0, 0.0)
-        s_inv = estimate_inverse_cpsd(s).values
-        s2_inv = estimate_inverse_cpsd(s2).values
-        row = recover_row(s_inv, s2_inv, 2, 1.0)
-        assert row.raw_differences[0] == pytest.approx(0.25, abs=1e-12)
-        assert row.weights[0] == pytest.approx(0.5, abs=1e-9)
+        s, grounded = oracle_spectra(make_system(w), 1.0, 0.0)
+        res = exact_directed(s, grounded, 1.0)
+        assert res.diagnostics.raw_differences[1, 0] == pytest.approx(0.25, abs=1e-12)
+        assert res.weights.weights[1, 0] == pytest.approx(0.5, abs=1e-9)
 
     def test_reference_network_recovered_rowwise(self, scalar_node):
         g = reference_laplacian_5()
         sys = NetworkSystem(scalar_node, g)
         s, grounded = oracle_spectra(sys, 1.0, 0.5)
-        s_inv = estimate_inverse_cpsd(s).values
-        rec = np.zeros((5, 5))
-        for j, sj in grounded:
-            sj_inv = estimate_inverse_cpsd(sj).values
-            rec[j - 1] = recover_row(s_inv, sj_inv, j, 1.0).weights
+        rec = exact_directed(s, grounded, 1.0, tau=-np.inf).weights.weights
         # raw rows: edges exact; non-edges may carry sqrt-amplified roundoff
         edges = g.weights > 0
         off = ~np.eye(5, dtype=bool)
-        assert np.abs(rec[edges] - g.weights[edges]).max() <= 1e-8
-        assert np.abs(rec[off & ~edges]).max() <= 1e-6
+        for j in range(5):
+            assert np.abs(rec[j, edges[j]] - g.weights[j, edges[j]]).max(initial=0.0) <= 1e-8
+            assert np.abs(rec[j, off[j] & ~edges[j]]).max(initial=0.0) <= 1e-6
         # thresholded assembly removes the roundoff fuzz entirely
         res = exact_directed(s, grounded, 1.0)
         assert np.abs(res.weights.weights[off] - np.abs(g.weights[off])).max() <= 1e-8
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            recover_row(np.eye(3, dtype=complex), np.eye(3, dtype=complex), 1, 1.0)
+        s, grounded = oracle_spectra(make_system(np.zeros((3, 3))), 1.0, 0.5)
+        grounded[0] = (1, s)  # a full-size matrix where the grounded one belongs
+        with pytest.raises(ValidationError, match="has size 3, expected 2"):
+            exact_directed(s, grounded, 1.0)
 
     @staticmethod
     def _loop_row(s_inv, sj_inv, j, s_w):
@@ -160,24 +155,30 @@ class TestRecoverRow:
 
     def test_rows_equal_the_loop_and_the_routes_statistic(self, rng, scalar_node):
         g = random_orientation(6, 0.5, (0.3, 1.0), rng, spectral_radius=0.8)
-        s, grounded = oracle_spectra(NetworkSystem(scalar_node, g), 1.0, 0.6)
-        res = exact_directed(s, grounded, 0.5)
-        s_inv = estimate_inverse_cpsd(s).values
-        oracle = [(s_inv, estimate_inverse_cpsd(sj).values, j) for j, sj in grounded]
-        # random diagonals give negative differences, which clamp
-        noisy = [(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
-                  rng.normal(size=(4, 4)) + 0j, j) for j in (1, 3, 5)]
-        cases = oracle + noisy
-        rows = [recover_row(a, b, j, 0.5) for a, b, j in cases]
-        for row, (a, b, j) in zip(rows, cases):
-            weights, raw, clamped = self._loop_row(a, b, j, 0.5)
-            assert np.array_equal(row.weights, weights)
-            assert np.array_equal(row.raw_differences, raw, equal_nan=True)
-            assert row.clamped == clamped
-        assert sum(row.clamped for row in rows[len(oracle):]) > 0
-        for row, (_, _, j) in zip(rows, oracle):
-            assert np.array_equal(res.diagnostics.raw_differences[j - 1],
-                                  row.raw_differences, equal_nan=True)
+        oracle = oracle_spectra(NetworkSystem(scalar_node, g), 1.0, 0.6)
+
+        def estimated(n):
+            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            return CpsdMatrix(x @ x.conj().T + n * np.eye(n), 0.6, "estimated", 8)
+
+        # unrelated random matrices in place of the grounded ones give
+        # negative differences, which clamp
+        noisy = (estimated(5), [(j, estimated(4)) for j in range(1, 6)])
+        clamped = []
+        for s, grounded in (oracle, noisy):
+            res = exact_directed(s, grounded, 0.5, tau=-np.inf)
+            s_inv = estimate_inverse_cpsd(s).values
+            total = 0
+            for j, sj in grounded:
+                weights, raw, count = self._loop_row(
+                    s_inv, estimate_inverse_cpsd(sj).values, j, 0.5)
+                assert np.array_equal(res.weights.weights[j - 1], weights)
+                assert np.array_equal(res.diagnostics.raw_differences[j - 1], raw,
+                                      equal_nan=True)
+                total += count
+            assert res.diagnostics.clamp_count == total
+            clamped.append(total)
+        assert clamped[1] > 0
 
 
 class TestBooleanDirected:
