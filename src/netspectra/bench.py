@@ -3,23 +3,22 @@
 Each sweep point ``(N, L)`` is built as ``run`` builds a run: the node from
 ``[node]``, the network from ``[network]`` with ``n_nodes = N``, and the runs
 the mode needs, each of ``L`` samples; so ``bench`` exits 2, 3 or 4 where
-``run`` would.  Three cost centres are timed separately:
+``run`` would.  Three cost centres are timed separately, on one thread:
 
-* ``correlation`` -- producing the CPSD matrix of every run from its time
-  series.  With ``cost_model="paper"`` this goes through explicit full-lag
-  cross-correlations (quadratic in the record length, linear-in-L
-  single-frequency transform); with ``cost_model="fft"`` it uses the default
-  segment-averaged estimator.
+* ``correlation`` -- simulating every run and producing its CPSD matrix.
+  ``cost_model="fft"`` times ``run``'s own streaming
+  :func:`~netspectra.pipeline.estimate_spectra`; ``cost_model="paper"``
+  passes each whole record in turn through explicit full-lag
+  cross-correlations (quadratic in the record length).
 * ``inversion`` -- inverting every CPSD matrix once.
 * ``reconstruction`` -- the configured route as ``run`` calls it
   (:func:`~netspectra.pipeline.reconstruct`), its own inversions and S_w
   recovery included.
 
-Every spectrum is taken at ``BENCH_OMEGA0`` (snapped to a bin by the ``fft``
-estimator).  Oracle modes skip simulation and estimation and take the
-analytic spectra of the config's noise model.  Timings are the minimum over
-a configurable number of repeats; scaling factors are measured, never
-asserted.
+Spectra are taken at the config's omega0: ``fft`` snaps it as ``run`` does,
+``paper`` and the oracle modes' :func:`~netspectra.pipeline.oracle_spectra`
+(untimed) take it unsnapped.  Timings are the minimum over a configurable
+number of repeats; scaling factors are measured, never asserted.
 """
 
 from __future__ import annotations
@@ -27,29 +26,23 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import replace
-from pathlib import Path
 
 from .errors import ConfigError
-from .lti import NetworkSystem, NodeDynamics, analytic_cpsd
+from .lti import NodeDynamics
 from .pipeline import (
     ExperimentConfig,
+    _analytic_omega0,
     _build_network,
     _build_node,
-    _require_input_psd,
     _run_keys,
+    estimate_spectra,
+    oracle_spectra,
     reconstruct,
     simulated_runs,
 )
-from .spectral import (
-    estimate_cpsd_lag_domain,
-    estimate_cpsd_matrix,
-    estimate_inverse_cpsd,
-    snap_frequency,
-)
+from .spectral import estimate_cpsd_lag_domain, estimate_inverse_cpsd
 
 __all__ = ["benchmark", "write_bench_csv", "parse_sweep"]
-
-BENCH_OMEGA0 = 0.5
 
 
 def parse_sweep(text: str) -> list[tuple[int, int]]:
@@ -80,37 +73,29 @@ def _make_stages(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
     g = _build_network(cfg, node)
     if g.n_nodes != n:
         raise ConfigError(f"the network file has {g.n_nodes} nodes, not the sweep's {n}")
-    _require_input_psd(cfg, g.eigenpair)
     keys = _run_keys(cfg, n)
     stages: list[tuple[str, object]] = []
     if cfg.recon.oracle:
-        sys = NetworkSystem(node, g)
-        model = cfg.noise.input_psd_model(cfg.sim.dt)
-        mats = {key: analytic_cpsd(sys if key == "full" else sys.grounded(key), model,
-                                   BENCH_OMEGA0) for key in keys}
+        spectra = oracle_spectra(cfg, g, node)
     else:
         runs = simulated_runs(cfg, g, node)
-        records = {key: runs(key, True) for key in keys}
         if cost_model == "paper":
-            estimate = lambda ts: estimate_cpsd_lag_domain(ts, BENCH_OMEGA0)
+            omega0 = _analytic_omega0(cfg)
+            correlate = lambda: [estimate_cpsd_lag_domain(runs(key, True), omega0)
+                                 for key in keys]
         else:
-            snapped, _ = snap_frequency(BENCH_OMEGA0, cfg.sim.dt, cfg.spectral)
-            estimate = lambda ts: estimate_cpsd_matrix(ts, snapped, cfg.spectral)
-
-        def correlate():
-            return {key: estimate(ts) for key, ts in records.items()}
-
+            correlate = lambda: estimate_spectra(cfg, runs, node, n)
         stages.append(("correlation", correlate))
-        mats = correlate()
-    grounded = [(key, mats[key]) for key in keys[1:]]
+        spectra = correlate()
+    grounded = list(zip(keys[1:], spectra[1:]))
 
     def invert():
-        for mat in mats.values():
+        for mat in spectra:
             estimate_inverse_cpsd(mat)
 
     stages.append(("inversion", invert))
     stages.append(("reconstruction",
-                   lambda: reconstruct(cfg, mats["full"], grounded, node, g.eigenpair)))
+                   lambda: reconstruct(cfg, spectra[0], grounded, node, g.eigenpair)))
     return stages
 
 
@@ -164,11 +149,9 @@ def benchmark(
 
 
 def write_bench_csv(path, rows: list[dict]) -> None:
-    path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["n_nodes", "n_samples", "cost_model", "stage", "seconds", "repeats"]
         )
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

@@ -9,12 +9,13 @@ isolation; ``config.resolved.ini`` alone reproduces a run bit for bit.
 An experiment's runs are listed once, by :func:`_run_keys`, and go through
 :func:`_each_run`, which holds at most ``workers`` records.  :func:`run_pipeline`
 is the staged commands with one shortcut: it streams :func:`simulated_runs` into
-the single-bin CPSD accumulators of :func:`stage_estimate` and writes no
+the single-bin CPSD accumulators of :func:`estimate_spectra` and writes no
 ``timeseries/`` (it holds the full record only with ``omega0 = auto``), where
 the staged ``estimate`` reads :func:`load_saved_runs` and gives the same
-spectra byte for byte.  Oracle modes take :func:`stage_oracle_spectra` in place
-of both stages.  Reconstruction and evaluation read their inputs from the run
-directory, in ``run`` too.
+spectra byte for byte.  Oracle modes take :func:`oracle_spectra` in place of
+both stages.  These two and :func:`reconstruct` touch no file: each stage
+writes what one of them returns, and ``bench`` times them.  Reconstruction and
+evaluation read their inputs from the run directory, in ``run`` too.
 
 Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
 unknown-key check and the rendering of ``config.resolved.ini``; each config
@@ -240,8 +241,11 @@ _KEYS = (
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment configuration file."""
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path):
-        raise ConfigError(f"config file {path} not found or empty")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file {path} not found or unreadable")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     known = {(section, key) for section, key, *_ in _KEYS}
     for section in parser.sections():
         if section not in {s for s, _ in known}:
@@ -378,7 +382,9 @@ def simulated_runs(cfg: ExperimentConfig, g: ConnectivityMatrix, node: NodeDynam
 
     It returns the whole record when ``whole``, else the block generator of
     :func:`simulate_blocks`, which yields the same numbers and holds no record.
+    A mode without S_w (:func:`_require_input_psd`) raises when it is built.
     """
+    _require_input_psd(cfg, g.eigenpair)
     sys = NetworkSystem(node, g)
 
     def source(key, whole: bool):
@@ -399,18 +405,17 @@ def stage_simulate(
 
     Each record is written to ``timeseries/*.nsts`` for the staged
     ``estimate`` by the task that simulated it, so at most ``workers`` records
-    are held; ``run`` streams instead (:func:`stage_estimate`).  Oracle modes
-    take analytic spectra (:func:`stage_oracle_spectra`), so they simulate and
-    write nothing; a mode without S_w (:func:`_require_input_psd`) or a record
+    are held; ``run`` streams instead (:func:`estimate_spectra`).  Oracle modes
+    take analytic spectra (:func:`oracle_spectra`), so they simulate and
+    write nothing; a mode without S_w (:func:`simulated_runs`) or a record
     the estimate stage cannot take (:func:`_require_estimable`) raises first.
     """
-    _require_input_psd(cfg, g.eigenpair)
     if cfg.recon.oracle:
         return
+    runs = simulated_runs(cfg, g, node)
     _require_estimable(cfg)
     ts_dir = out / "timeseries"
     ts_dir.mkdir(parents=True, exist_ok=True)
-    runs = simulated_runs(cfg, g, node)
     _each_run(lambda key: save_timeseries(ts_dir / f"{_run_name(key)}.nsts", runs(key, True)),
               _run_keys(cfg, g.n_nodes), workers)
 
@@ -439,19 +444,19 @@ def _write_spectra(cfg: ExperimentConfig, out: Path, keys: list, spectra: list,
     return info
 
 
-def stage_estimate(
-    cfg: ExperimentConfig, out: Path, runs, node: NodeDynamics, n_nodes: int,
-    workers: int = 1,
-) -> dict:
-    """Estimate the CPSD matrix of each run of :func:`_run_keys` at one snapped frequency.
+def estimate_spectra(cfg: ExperimentConfig, runs, node: NodeDynamics, n_nodes: int,
+                     workers: int = 1) -> list:
+    """The CPSD matrix of each run of :func:`_run_keys` at one snapped frequency.
 
     ``runs(key, whole)`` (:func:`simulated_runs`, :func:`load_saved_runs`)
     gives run ``key`` as a :class:`TimeSeriesMatrix` or, unless ``whole``,
     possibly as (channels x samples) blocks.  With a fixed omega0, blocks
     stream into a :class:`CpsdAccumulator` sized from the key; ``omega0 =
-    auto`` holds the full record to choose the bin on its PSD grid.  Writes
-    ``spectra/`` and returns the ``estimate.json`` dict.
+    auto`` holds the full record to choose the bin on its PSD grid.  A record
+    the estimator cannot take (:func:`_require_estimable`) raises before any
+    run is pulled.
     """
+    _require_estimable(cfg)
     omega0 = cfg.omega0_value()
 
     def estimate(key) -> CpsdMatrix:
@@ -467,27 +472,40 @@ def stage_estimate(
             acc.feed(block)
         return acc.result()
 
-    keys = _run_keys(cfg, n_nodes)
-    return _write_spectra(cfg, out, keys, _each_run(estimate, keys, workers))
+    return _each_run(estimate, _run_keys(cfg, n_nodes), workers)
 
 
-def stage_oracle_spectra(
-    cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix, node: NodeDynamics
-) -> dict:
-    """Analytic CPSD matrices in place of simulation + estimation.
+def stage_estimate(cfg: ExperimentConfig, out: Path, runs, node: NodeDynamics, n_nodes: int,
+                   workers: int = 1) -> dict:
+    """Write :func:`estimate_spectra` to ``spectra/``; return the ``estimate.json`` dict."""
+    return _write_spectra(cfg, out, _run_keys(cfg, n_nodes),
+                          estimate_spectra(cfg, runs, node, n_nodes, workers=workers))
 
-    Writes ``spectra/`` and returns the ``estimate.json`` dict, as
-    :func:`stage_estimate` does.
-    """
-    sys = NetworkSystem(node, g)
-    model = cfg.noise.input_psd_model(cfg.sim.dt)
+
+def _analytic_omega0(cfg: ExperimentConfig) -> float:
+    """The analytic frequency: omega0 unsnapped, or 0.5 within the noise band under ``auto``."""
     omega0 = cfg.omega0_value()
     if omega0 is None:
-        omega0 = min(0.5, model.omega_max / 2.0)
-    keys = _run_keys(cfg, sys.n_nodes)
-    spectra = [analytic_cpsd(sys if key == "full" else sys.grounded(key), model, omega0)
-               for key in keys]
-    return _write_spectra(cfg, out, keys, spectra, true_input_psd=model(omega0))
+        return min(0.5, cfg.noise.input_psd_model(cfg.sim.dt).omega_max / 2.0)
+    return omega0
+
+
+def oracle_spectra(cfg: ExperimentConfig, g: ConnectivityMatrix, node: NodeDynamics) -> list:
+    """The analytic CPSD matrix of each run of :func:`_run_keys` at :func:`_analytic_omega0`."""
+    sys = NetworkSystem(node, g)
+    model = cfg.noise.input_psd_model(cfg.sim.dt)
+    omega0 = _analytic_omega0(cfg)
+    return [analytic_cpsd(sys if key == "full" else sys.grounded(key), model, omega0)
+            for key in _run_keys(cfg, g.n_nodes)]
+
+
+def stage_oracle_spectra(cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix,
+                         node: NodeDynamics) -> dict:
+    """Write :func:`oracle_spectra` and the true S_w to ``spectra/``; return the estimate dict."""
+    spectra = oracle_spectra(cfg, g, node)
+    model = cfg.noise.input_psd_model(cfg.sim.dt)
+    return _write_spectra(cfg, out, _run_keys(cfg, g.n_nodes), spectra,
+                          true_input_psd=model(spectra[0].omega))
 
 
 def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
@@ -500,11 +518,8 @@ def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
 
 
 def _require_estimable(cfg: ExperimentConfig) -> None:
-    """Raise what :func:`stage_estimate` would, before anything is simulated for it.
-
-    The record must hold two segments, and a fixed omega0 must snap to a bin
-    (:func:`snap_frequency`); the exit codes are the estimate stage's.
-    """
+    """Raise, with its exit code, what :func:`estimate_spectra` would on the configured record:
+    fewer than two segments, or a fixed omega0 that snaps to no bin (:func:`snap_frequency`)."""
     require_two_segments(cfg.sim.n_samples, cfg.spectral)
     omega0 = cfg.omega0_value()
     if omega0 is not None:
@@ -653,11 +668,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     truth, node = stage_generate(cfg, out)
-    _require_input_psd(cfg, truth.eigenpair)
     if cfg.recon.oracle:
         info = stage_oracle_spectra(cfg, out, truth, node)
     else:
-        _require_estimable(cfg)
         info = stage_estimate(cfg, out, simulated_runs(cfg, truth, node), node,
                               truth.n_nodes, workers=workers)
     stage_reconstruct(cfg, out)

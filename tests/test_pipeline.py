@@ -846,6 +846,20 @@ class TestCliErrors:
         p.write_text("[netwrk]\nn_nodes = 4\n")
         assert main(["run", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        b"[network]\nseed = 1\n[network]\n",
+        b"[network]\nseed = 1\nseed = 2\n",
+        b"seed = 1\n[network]\n",
+        b"[network]\nseed\n",
+        b"[network]\nfamily = \xff\n",
+    ], ids=["duplicate-section", "duplicate-key", "key-before-section", "no-equals", "non-utf8"])
+    def test_malformed_ini_exit_code(self, tmp_path, capsys, text):
+        p, out = tmp_path / "bad.ini", tmp_path / "m"
+        p.write_bytes(text)
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_stability_exit_code(self, tmp_path):
         # a strongly reciprocal pair destabilises the unit-pole closed loop
         net = tmp_path / "net.txt"
@@ -1026,6 +1040,43 @@ class TestBench:
         rows = benchmark(cfg, [(4, 1024), (5, 1024)], repeats=3)
         assert len(calls) == 2 * 3
         assert {r["stage"] for r in rows} == {"inversion", "reconstruction"}
+
+    def test_bench_takes_the_configured_omega0(self, tmp_path, monkeypatch):
+        # 1.5 snaps to the first bin of a 512-sample segment; the DC bin is
+        # nearest 0.5, so a fixed bench frequency of 0.5 would be refused
+        omegas = []
+        route = pl.boolean_directed
+        monkeypatch.setattr(pl, "boolean_directed",
+                            lambda s, *args, **kwargs: omegas.append(s.omega)
+                            or route(s, *args, **kwargs))
+        p = write_config(tmp_path, {("reconstruction", "mode"): "boolean",
+                                    ("simulation", "n_samples"): "4096",
+                                    ("spectral", "segment_length"): "512",
+                                    ("spectral", "omega0"): "1.5"})
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "r")]) == 0
+        ran = json.loads((tmp_path / "r" / "spectra" / "estimate.json").read_text())["omega0"]
+        assert ran == pytest.approx(1.2272, abs=1e-4)
+        cfg = load_config(p)
+        for mode, omega0, expected in [("boolean", "1.5", ran), ("oracle-boolean", "1.5", 1.5),
+                                       ("oracle-boolean", "auto", 0.5)]:
+            omegas.clear()
+            benchmark(dataclasses.replace(cfg, omega0=omega0,
+                                          recon=dataclasses.replace(cfg.recon, mode=mode)),
+                      [(4, 4096)], repeats=1)
+            assert omegas == [expected], mode
+        assert main(["bench", "--config", str(p), "--out", str(tmp_path / "b"),
+                     "--sweep", "4:4096", "--repeats", "1"]) == 0
+
+    def test_bench_holds_no_whole_record(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): "boolean"}))
+        n, l = 4, 2**20
+        tracemalloc.start()
+        try:
+            benchmark(cfg, [(n, l)], repeats=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * l * 8 / 4
 
     def test_bench_builds_the_configured_network(self, tmp_path, capsys):
         p = write_config(tmp_path, {("network", "family"): "reference",
