@@ -5,11 +5,12 @@ Each sweep point ``(N, L)`` is built as ``run`` builds a run: the node from
 the mode needs, each of ``L`` samples; so ``bench`` exits 2, 3 or 4 where
 ``run`` would.  Three cost centres are timed separately, on one thread:
 
-* ``correlation`` -- simulating every run and producing its CPSD matrix.
+* ``correlation`` -- producing every run's CPSD matrix.
   ``cost_model="fft"`` times ``run``'s own streaming
-  :func:`~netspectra.pipeline.estimate_spectra`; ``cost_model="paper"``
-  passes each whole record in turn through explicit full-lag
-  cross-correlations (quadratic in the record length).
+  :func:`~netspectra.pipeline.estimate_spectra`, simulation included.
+  ``cost_model="paper"`` times explicit full-lag cross-correlations
+  (quadratic in the record length) of whole records, which are simulated
+  once, untimed, before the repeats; the quadratic cost keeps them small.
 * ``inversion`` -- inverting every CPSD matrix once.
 * ``reconstruction`` -- the configured route as ``run`` calls it
   (:func:`~netspectra.pipeline.reconstruct`), its own inversions and S_w
@@ -17,8 +18,12 @@ the mode needs, each of ``L`` samples; so ``bench`` exits 2, 3 or 4 where
 
 Spectra are taken at the config's omega0: ``fft`` snaps it as ``run`` does,
 ``paper`` and the oracle modes' :func:`~netspectra.pipeline.oracle_spectra`
-(untimed) take it unsnapped.  Timings are the minimum over a configurable
-number of repeats; scaling factors are measured, never asserted.
+(untimed) take it unsnapped.  ``paper`` refuses a fixed omega0 that ``run``
+cannot snap (exit 3 at the DC bin, exit 2 at or above Nyquist), but not a
+record shorter than two segments, since it averages no segments.  The other
+stages take the spectra of the first timed correlation.  Timings are the
+minimum over a configurable number of repeats; scaling factors are measured,
+never asserted.
 """
 
 from __future__ import annotations
@@ -34,12 +39,16 @@ from .pipeline import (
     _analytic_omega0,
     _build_network,
     _build_node,
+    _record,
+    _require_estimable,
+    _require_snappable,
     _run_keys,
     estimate_spectra,
     oracle_spectra,
     reconstruct,
     simulated_runs,
 )
+from .simulate import collect
 from .spectral import estimate_cpsd_lag_domain, estimate_inverse_cpsd
 
 __all__ = ["benchmark", "write_bench_csv", "parse_sweep"]
@@ -75,19 +84,24 @@ def _make_stages(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
         raise ConfigError(f"the network file has {g.n_nodes} nodes, not the sweep's {n}")
     keys = _run_keys(cfg, n)
     stages: list[tuple[str, object]] = []
+    spectra: list = []  # the oracle's, or filled by each timed correlation
     if cfg.recon.oracle:
-        spectra = oracle_spectra(cfg, g, node)
+        spectra[:] = oracle_spectra(cfg, g, node)
     else:
         runs = simulated_runs(cfg, g, node)
         if cost_model == "paper":
+            _require_snappable(cfg)
             omega0 = _analytic_omega0(cfg)
-            correlate = lambda: [estimate_cpsd_lag_domain(runs(key, True), omega0)
-                                 for key in keys]
+            records = [collect(runs(key), *_record(cfg, n, key)) for key in keys]
+            estimate = lambda: [estimate_cpsd_lag_domain(ts, omega0) for ts in records]
         else:
-            correlate = lambda: estimate_spectra(cfg, runs, node, n)
+            _require_estimable(cfg)
+            estimate = lambda: estimate_spectra(cfg, runs, node, n)
+
+        def correlate():
+            spectra[:] = estimate()
+
         stages.append(("correlation", correlate))
-        spectra = correlate()
-    grounded = list(zip(keys[1:], spectra[1:]))
 
     def invert():
         for mat in spectra:
@@ -95,7 +109,8 @@ def _make_stages(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
 
     stages.append(("inversion", invert))
     stages.append(("reconstruction",
-                   lambda: reconstruct(cfg, spectra[0], grounded, node, g.eigenpair)))
+                   lambda: reconstruct(cfg, spectra[0], list(zip(keys[1:], spectra[1:])),
+                                       node, g.eigenpair)))
     return stages
 
 

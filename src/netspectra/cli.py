@@ -40,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="experiment config file")
     common.add_argument("--out", default=None, help="run directory (overrides [output])")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for the grounded runs; the staged simulate "
-                             "and estimate hold up to this many whole records at once")
+                        help="worker threads for the runs; each streams its record "
+                             "block by block, so no command holds a whole record")
     common.add_argument("--seed-override", type=int, default=None,
                         help="replace the network and noise seeds")
 

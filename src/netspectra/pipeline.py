@@ -7,15 +7,21 @@ under the output directory, so stages can be rerun or golden-tested in
 isolation; ``config.resolved.ini`` alone reproduces a run bit for bit.
 
 An experiment's runs are listed once, by :func:`_run_keys`, and go through
-:func:`_each_run`, which holds at most ``workers`` records.  :func:`run_pipeline`
-is the staged commands with one shortcut: it streams :func:`simulated_runs` into
-the single-bin CPSD accumulators of :func:`estimate_spectra` and writes no
-``timeseries/`` (it holds the full record only with ``omega0 = auto``), where
-the staged ``estimate`` reads :func:`load_saved_runs` and gives the same
-spectra byte for byte.  Oracle modes take :func:`oracle_spectra` in place of
-both stages.  These two and :func:`reconstruct` touch no file: each stage
-writes what one of them returns, and ``bench`` times them.  Reconstruction and
-evaluation read their inputs from the run directory, in ``run`` too.
+:func:`_each_run`, ``workers`` at a time.  A run source gives each run as a
+stream: ``runs(key)`` is a fresh iterator of its (channels x samples) blocks
+each time it is called.  :func:`simulated_runs` simulates them and
+:func:`load_saved_runs` reads them from ``timeseries/``; the staged
+``simulate`` writes the first into the second block by block.  No stage holds
+a whole record: :func:`estimate_spectra` feeds each stream into a single-bin
+CPSD accumulator, after one more pass over the full run under ``omega0 =
+auto`` to choose the bin.  :func:`run_pipeline` is the staged commands with
+one shortcut: it streams :func:`simulated_runs` into :func:`estimate_spectra`
+and writes no ``timeseries/``, and gives the staged spectra byte for byte,
+since both sources are deterministic.  Oracle modes take
+:func:`oracle_spectra` in place of both stages.  These two and
+:func:`reconstruct` touch no file: each stage writes what one of them
+returns, and ``bench`` times them.  Reconstruction and evaluation read their
+inputs from the run directory, in ``run`` too.
 
 Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
 unknown-key check and the rendering of ``config.resolved.ini``; each config
@@ -83,17 +89,17 @@ from .reconstruct import (
     nonreciprocal,
     threshold_heuristic,
 )
-from .simulate import (
+from .simulate import (  # noqa: F401  perfbench/tracing.py wraps simulate and simulate_grounded
     NoiseConfig,
     SimConfig,
-    TimeSeriesMatrix,
+    channel_labels,
     load_timeseries,
     save_timeseries,
     simulate,
     simulate_blocks,
     simulate_grounded,
 )
-from .spectral import (
+from .spectral import (  # noqa: F401  perfbench/tracing.py wraps estimate_cpsd_matrix
     CpsdAccumulator,
     SpectralConfig,
     estimate_cpsd_matrix,
@@ -365,36 +371,31 @@ def _run_name(key) -> str:
     return "full" if key == "full" else f"grounded_{key}"
 
 
-def _each_run(fn, keys: list, workers: int) -> list:
-    """``[fn(key) for key in keys]``: the first key in this thread, the rest on the pool.
+def _ground(key) -> Optional[int]:
+    """The node run ``key`` grounds, or None for the full run."""
+    return None if key == "full" else key
 
-    The full run goes first, alone, so that it can fix what the others share
-    (the ``omega0 = auto`` bin).  ``fn`` is done with its run's record when it
-    returns (it saves or estimates it), so at most ``workers`` records are held.
-    """
-    first = fn(keys[0])
+
+def _record(cfg: ExperimentConfig, n_nodes: int, key) -> tuple:
+    """Run ``key``'s record header, as its ``.nsts`` file holds it: ``(labels, n_samples, dt)``."""
+    return channel_labels(n_nodes, _ground(key)), cfg.sim.n_samples, cfg.sim.dt
+
+
+def _each_run(fn, keys: list, workers: int) -> list:
+    """``[fn(key) for key in keys]``, ``workers`` keys at a time."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [first, *pool.map(fn, keys[1:])]
+        return list(pool.map(fn, keys))
 
 
 def simulated_runs(cfg: ExperimentConfig, g: ConnectivityMatrix, node: NodeDynamics):
-    """The run source that simulates: ``source(key, whole)`` for a key of :func:`_run_keys`.
+    """The run source that simulates: ``source(key)`` is run ``key``'s :func:`simulate_blocks`.
 
-    It returns the whole record when ``whole``, else the block generator of
-    :func:`simulate_blocks`, which yields the same numbers and holds no record.
-    A mode without S_w (:func:`_require_input_psd`) raises when it is built.
+    Each call simulates the run afresh, and the same numbers every time.  A
+    mode without S_w (:func:`_require_input_psd`) raises when it is built.
     """
     _require_input_psd(cfg, g.eigenpair)
     sys = NetworkSystem(node, g)
-
-    def source(key, whole: bool):
-        if not whole:
-            return simulate_blocks(sys, cfg.noise, cfg.sim, ground=None if key == "full" else key)
-        if key == "full":
-            return simulate(sys, cfg.noise, cfg.sim)
-        return simulate_grounded(sys, key, cfg.noise, cfg.sim)
-
-    return source
+    return lambda key: simulate_blocks(sys, cfg.noise, cfg.sim, ground=_ground(key))
 
 
 def stage_simulate(
@@ -403,12 +404,12 @@ def stage_simulate(
 ) -> None:
     """Run the full (and, when the mode grounds, the N grounded) simulations.
 
-    Each record is written to ``timeseries/*.nsts`` for the staged
-    ``estimate`` by the task that simulated it, so at most ``workers`` records
-    are held; ``run`` streams instead (:func:`estimate_spectra`).  Oracle modes
-    take analytic spectra (:func:`oracle_spectra`), so they simulate and
-    write nothing; a mode without S_w (:func:`simulated_runs`) or a record
-    the estimate stage cannot take (:func:`_require_estimable`) raises first.
+    Each run streams into ``timeseries/*.nsts`` for the staged ``estimate``
+    block by block, as it is simulated; ``run`` streams into the estimator
+    instead (:func:`estimate_spectra`).  Oracle modes take analytic spectra
+    (:func:`oracle_spectra`), so they simulate and write nothing; a mode
+    without S_w (:func:`simulated_runs`) or a record the estimate stage cannot
+    take (:func:`_require_estimable`) raises first.
     """
     if cfg.recon.oracle:
         return
@@ -416,7 +417,8 @@ def stage_simulate(
     _require_estimable(cfg)
     ts_dir = out / "timeseries"
     ts_dir.mkdir(parents=True, exist_ok=True)
-    _each_run(lambda key: save_timeseries(ts_dir / f"{_run_name(key)}.nsts", runs(key, True)),
+    _each_run(lambda key: save_timeseries(ts_dir / f"{_run_name(key)}.nsts",
+                                          *_record(cfg, g.n_nodes, key), runs(key)),
               _run_keys(cfg, g.n_nodes), workers)
 
 
@@ -448,27 +450,22 @@ def estimate_spectra(cfg: ExperimentConfig, runs, node: NodeDynamics, n_nodes: i
                      workers: int = 1) -> list:
     """The CPSD matrix of each run of :func:`_run_keys` at one snapped frequency.
 
-    ``runs(key, whole)`` (:func:`simulated_runs`, :func:`load_saved_runs`)
-    gives run ``key`` as a :class:`TimeSeriesMatrix` or, unless ``whole``,
-    possibly as (channels x samples) blocks.  With a fixed omega0, blocks
-    stream into a :class:`CpsdAccumulator` sized from the key; ``omega0 =
-    auto`` holds the full record to choose the bin on its PSD grid.  A record
-    the estimator cannot take (:func:`_require_estimable`) raises before any
-    run is pulled.
+    Each run's blocks, ``runs(key)`` (:func:`simulated_runs`,
+    :func:`load_saved_runs`), stream into a :class:`CpsdAccumulator`.  Under
+    ``omega0 = auto`` the full run is passed once more, first, to choose the
+    bin on its PSD grid (:func:`select_omega0`).  A record the estimator cannot
+    take (:func:`_require_estimable`) raises before any run is pulled.
     """
     _require_estimable(cfg)
     omega0 = cfg.omega0_value()
+    if omega0 is None:
+        omega_max = cfg.noise.input_psd_model(cfg.sim.dt).omega_max
+        omega0 = select_omega0(runs("full"), n_nodes, cfg.sim.dt, omega_max, cfg.spectral,
+                               node=node)
 
     def estimate(key) -> CpsdMatrix:
-        nonlocal omega0
-        run = runs(key, omega0 is None)
-        if omega0 is None:  # auto: chosen on the full run, which _each_run estimates first
-            omega_max = cfg.noise.input_psd_model(cfg.sim.dt).omega_max
-            omega0 = select_omega0(run, omega_max, cfg.spectral, node=node)
-        if isinstance(run, TimeSeriesMatrix):
-            return estimate_cpsd_matrix(run, omega0, cfg.spectral)
         acc = CpsdAccumulator(n_nodes - (key != "full"), cfg.sim.dt, omega0, cfg.spectral)
-        for block in run:
+        for block in runs(key):
             acc.feed(block)
         return acc.result()
 
@@ -519,8 +516,14 @@ def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
 
 def _require_estimable(cfg: ExperimentConfig) -> None:
     """Raise, with its exit code, what :func:`estimate_spectra` would on the configured record:
-    fewer than two segments, or a fixed omega0 that snaps to no bin (:func:`snap_frequency`)."""
+    fewer than two segments, or a fixed omega0 that snaps to no bin."""
     require_two_segments(cfg.sim.n_samples, cfg.spectral)
+    _require_snappable(cfg)
+
+
+def _require_snappable(cfg: ExperimentConfig) -> None:
+    """Raise what :func:`snap_frequency` does on a fixed omega0: :class:`NumericalError`
+    (exit 3) at the DC bin, :class:`ValidationError` (exit 2) at or above Nyquist."""
     omega0 = cfg.omega0_value()
     if omega0 is not None:
         snap_frequency(omega0, cfg.sim.dt, cfg.spectral)
@@ -698,14 +701,17 @@ def load_saved_truth(out: Path) -> tuple[ConnectivityMatrix, NodeDynamics]:
 def load_saved_runs(cfg: ExperimentConfig, out: Path, n_nodes: int):
     """The run source that reads the saved ``timeseries/*.nsts`` records.
 
-    ``source(key, whole)`` reads run ``key``'s file, whole, only when asked
-    for it.  Every run of :func:`_run_keys` must be saved: a missing file
-    raises :class:`ConfigError` at the call; files of other runs are ignored.
+    ``source(key)`` opens run ``key``'s file afresh and streams its blocks
+    (:func:`load_timeseries`); a file whose header is not the run's (channel
+    labels, length and dt of the resolved config) raises
+    :class:`ValidationError`.  Every run of :func:`_run_keys` must be saved: a
+    missing file raises :class:`ConfigError` at the call; files of other runs
+    are ignored.
     """
     keys = _run_keys(cfg, n_nodes)
     names = [f"{_run_name(key)}.nsts" for key in keys]
     paths = dict(zip(keys, _saved(out / "timeseries", names, "simulate")))
-    return lambda key, whole: load_timeseries(paths[key])
+    return lambda key: load_timeseries(paths[key], *_record(cfg, n_nodes, key))
 
 
 def load_saved_spectra(

@@ -15,11 +15,14 @@ the excitation interval so every downstream frequency choice stays inside it,
 and analytic cross-checks use the exact injected density rather than an
 idealisation.
 
-:func:`simulate_blocks` is the one simulator: it draws the noise and runs the
-cascade ``PROPAGATE_BLOCK`` samples at a time with the propagator state carried
-between blocks, so a consumer such as the single-bin CPSD accumulator never
-needs the whole record.  :func:`simulate` and :func:`simulate_grounded`
-collect its blocks into one read-only :class:`TimeSeriesMatrix`.
+A record is a stream of (channels x samples) blocks of at most
+``PROPAGATE_BLOCK`` samples, described by its header ``(channel labels,
+n_samples, dt)``.  :func:`simulate_blocks` is the one simulator, with the
+propagator state carried between blocks; :func:`save_timeseries` writes a
+stream to an ``.nsts`` file and :func:`load_timeseries` reads one back, block
+by block, so neither holds the whole record.  :func:`collect` gathers a stream
+into one read-only :class:`TimeSeriesMatrix`, which is all that
+:func:`simulate` and :func:`simulate_grounded` add to the simulator.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ __all__ = [
     "simulate",
     "simulate_grounded",
     "simulate_blocks",
+    "channel_labels",
+    "collect",
     "save_timeseries",
     "load_timeseries",
 ]
@@ -300,6 +305,17 @@ def _collect(blocks: Iterable[np.ndarray], n_channels: int, n_samples: int) -> n
     return out
 
 
+def collect(blocks: Iterable[np.ndarray], labels, n_samples: int, dt: float) -> TimeSeriesMatrix:
+    """The stream ``blocks`` of the record with header ``(labels, n_samples, dt)``, held whole."""
+    return TimeSeriesMatrix(data=_collect(blocks, len(labels), n_samples), dt=dt,
+                            channel_labels=labels)
+
+
+def channel_labels(n_nodes: int, ground: Optional[int] = None) -> tuple[int, ...]:
+    """The 1-based node of each channel of a run: every node, or all but the grounded one."""
+    return tuple(i for i in range(1, n_nodes + 1) if i != ground)
+
+
 def _propagate(phi: np.ndarray, gamma: np.ndarray, w: np.ndarray, cmat: np.ndarray,
                burn: int = 0) -> np.ndarray:
     """:func:`_cascade` over the rows of ``w``, collected as (samples x channels)."""
@@ -350,8 +366,8 @@ def simulate(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig) -> TimeSeri
     Deterministic: identical ``(sys, noise, cfg)`` give bit-identical output.
     The whole record is held; :func:`simulate_blocks` yields it block by block.
     """
-    data = _collect(simulate_blocks(sys, noise, cfg), sys.n_nodes, cfg.n_samples)
-    return TimeSeriesMatrix(data=data, dt=cfg.dt, channel_labels=tuple(range(1, sys.n_nodes + 1)))
+    return collect(simulate_blocks(sys, noise, cfg), channel_labels(sys.n_nodes),
+                   cfg.n_samples, cfg.dt)
 
 
 def simulate_grounded(sys: NetworkSystem, j: int, noise: NoiseConfig,
@@ -364,34 +380,86 @@ def simulate_grounded(sys: NetworkSystem, j: int, noise: NoiseConfig,
     runs of any seeds share a stream and running the N grounded experiments in
     any order (or in parallel) cannot change the result.
     """
-    blocks = simulate_blocks(sys, noise, cfg, ground=j)
-    labels = tuple(i for i in range(1, sys.n_nodes + 1) if i != j)
-    data = _collect(blocks, len(labels), cfg.n_samples)
-    return TimeSeriesMatrix(data=data, dt=cfg.dt, channel_labels=labels)
+    return collect(simulate_blocks(sys, noise, cfg, ground=j), channel_labels(sys.n_nodes, j),
+                   cfg.n_samples, cfg.dt)
 
 
 # ---------------------------------------------------------------------------
 # binary container: magic, N (u32), L (u64), dt (f64), labels (N x u32),
-# then row-major float64 samples; all little-endian.
+# then the samples as float64, channel after channel; all little-endian.
 
-def save_timeseries(path, ts: TimeSeriesMatrix) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_HEAD.pack(_MAGIC, ts.n_channels, ts.n_samples, ts.dt))
-        fh.write(struct.pack(f"<{ts.n_channels}I", *ts.channel_labels))
-        fh.write(np.ascontiguousarray(ts.data, dtype="<f8"))  # the buffer, uncopied
+def _offset(n_channels: int, n_samples: int, ch: int, lo: int) -> int:
+    """Where sample ``lo`` of channel ``ch`` sits in an ``.nsts`` file."""
+    return _HEAD.size + 4 * n_channels + 8 * (ch * n_samples + lo)
 
 
-def load_timeseries(path) -> TimeSeriesMatrix:
+def save_timeseries(path, labels, n_samples: int, dt: float,
+                    blocks: Iterable[np.ndarray]) -> None:
+    """Write the record ``blocks``, with header ``(labels, n_samples, dt)``, as an ``.nsts`` file.
+
+    Each (channels x samples) block goes to its place in the file as it
+    arrives, one positioned write per channel, so no whole record is held.
+    The blocks must hold ``n_samples`` samples of ``len(labels)`` channels in
+    all (else :class:`ValidationError`); a stream that does not, or that
+    raises, leaves no file behind.
+    """
+    n, done = len(labels), 0
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(_HEAD.pack(_MAGIC, n, n_samples, dt) + struct.pack(f"<{n}I", *labels))
+            for block in blocks:
+                if block.shape[0] != n or done + block.shape[1] > n_samples:
+                    raise ValidationError(
+                        f"a {block.shape} block does not fit a record of {n} channels "
+                        f"x {n_samples} samples after {done} samples")
+                for ch, row in enumerate(block):
+                    fh.seek(_offset(n, n_samples, ch, done))
+                    fh.write(np.ascontiguousarray(row, dtype="<f8"))
+                done += block.shape[1]
+            if done != n_samples:
+                raise ValidationError(f"the record ended after {done} of {n_samples} samples")
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
+def load_timeseries(path, labels, n_samples: int, dt: float) -> Iterator[np.ndarray]:
+    """The record of an ``.nsts`` file as a stream of (channels x samples) blocks.
+
+    The header is checked at the call, before any sample is read: the file
+    must be a netspectra time series whose size matches its header, and the
+    header must be ``(labels, n_samples, dt)``, the run the caller expects.
+    The blocks hold ``PROPAGATE_BLOCK`` samples (the last may hold fewer) and
+    are read as they are pulled, one positioned read per channel.  A failed
+    check, a file that shrinks while being read and a non-finite sample each
+    raise :class:`ValidationError`.
+    """
+    labels = tuple(labels)
     with open(path, "rb") as fh:
         head = fh.read(_HEAD.size)
         if head[:len(_MAGIC)] != _MAGIC:
             raise ValidationError(f"{path} is not a netspectra time-series file")
-        _, n, l, dt = _HEAD.unpack(head.ljust(_HEAD.size, b"\0"))  # short: size check fails
-        if os.fstat(fh.fileno()).st_size != _HEAD.size + 4 * n + 8 * n * l:
+        _, n, l, file_dt = _HEAD.unpack(head.ljust(_HEAD.size, b"\0"))  # short: size check fails
+        if os.fstat(fh.fileno()).st_size != _offset(n, l, n, 0):  # the end of the last channel
             raise ValidationError(f"{path} is truncated: its size does not match its header")
-        labels = struct.unpack(f"<{n}I", fh.read(4 * n))
-        data = np.empty((n, l), dtype="<f8")
-        if fh.readinto(data) != data.nbytes:
-            raise ValidationError(f"{path} is truncated: it shrank while being read")
-    data.flags.writeable = False
-    return TimeSeriesMatrix(data=data, dt=dt, channel_labels=labels)
+        file_labels = struct.unpack(f"<{n}I", fh.read(4 * n))
+    if (file_labels, l, file_dt) != (labels, n_samples, dt):
+        raise ValidationError(
+            f"{path} holds channels {file_labels} x {l} samples at dt={file_dt!r}, "
+            f"not the run's channels {labels} x {n_samples} samples at dt={dt!r}")
+    return _read_blocks(path, len(labels), n_samples)
+
+
+def _read_blocks(path, n_channels: int, n_samples: int) -> Iterator[np.ndarray]:
+    """The samples of a checked ``.nsts`` file, ``PROPAGATE_BLOCK`` columns at a time."""
+    with open(path, "rb") as fh:
+        for lo in range(0, n_samples, PROPAGATE_BLOCK):
+            block = np.empty((n_channels, min(PROPAGATE_BLOCK, n_samples - lo)), dtype="<f8")
+            for ch, row in enumerate(block):
+                fh.seek(_offset(n_channels, n_samples, ch, lo))
+                if fh.readinto(row) != row.nbytes:
+                    raise ValidationError(f"{path} is truncated: it shrank while being read")
+            if not np.isfinite(block).all():
+                raise ValidationError(f"{path} contains non-finite samples")
+            yield block

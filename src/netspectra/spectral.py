@@ -5,9 +5,11 @@ only, so the estimator computes exactly that: each channel's windowed segment
 transforms are evaluated at a single FFT bin (shared across all channel pairs)
 and averaged Welch-style into an exactly Hermitian matrix.  The one estimator
 is :class:`CpsdAccumulator`, which takes the record block by block as it is
-simulated, reduces each segment to N complex numbers as it goes by and gives
-the same bytes for any chunking; :func:`estimate_cpsd_matrix` feeds it a held
-record.  Requested frequencies are snapped to the segment grid
+simulated or read, reduces each segment to N complex numbers as it goes by and
+gives the same bytes for any chunking; :func:`estimate_cpsd_matrix` feeds it a
+held record.  The automatic choice of frequency (:func:`select_omega0`) sums
+the PSD grid over the same segment batches, so it too takes a stream of blocks
+and holds no record.  Requested frequencies are snapped to the segment grid
 ``2 pi k / (segment_length * dt)`` so that estimates and analytic references
 are always compared at the same frequency.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -139,33 +141,28 @@ def snap_frequency(omega0: float, ts_dt: float, cfg: SpectralConfig) -> tuple[fl
     return k * spacing, k
 
 
-#: Segments per transform batch of :class:`CpsdAccumulator`; a batch of 4096-sample
-#: segments is 512 KiB per channel, small enough to stay in cache.
+#: Segments per transform batch of :class:`CpsdAccumulator` and the PSD grid; a
+#: batch of 4096-sample segments is 512 KiB per channel, small enough to stay in cache.
 ACCUMULATOR_BATCH = 16
 
 
-class CpsdAccumulator:
-    """Welch-averaged CPSD matrix at one bin, fed a record block by block.
+class _SegmentBuffer:
+    """A record fed block by block and cut into its Welch segments, a batch at a time.
 
     :meth:`feed` takes (channels x samples) blocks in time order, of any
-    sizes.  Segments are transformed in batches of ``ACCUMULATOR_BATCH`` cut
-    at fixed segment indices, each by one real GEMM against the windowed
-    ``[Re phase, Im phase, ones]`` basis (the last column gives the segment
-    mean for detrending), so the arithmetic, and the result, are the same bit
-    for bit however the record is chunked.  Memory is one batch span of
-    samples plus the K x N segment transforms, never the whole record.
+    sizes.  Whenever ``ACCUMULATOR_BATCH`` segments are buffered they go to
+    the subclass's ``_batch(segs)`` (``segs[ch]`` is channel ``ch``'s (n_seg,
+    segment_length) view) and only the samples of later segments are kept, so the batches are
+    cut at fixed segment indices however the record is chunked, and memory is
+    one batch span of samples whatever its length.  :meth:`_rest` gives the
+    segment count and the last, partial batch, which no ``_batch`` has seen.
     """
 
-    def __init__(self, n_channels: int, dt: float, omega0: float, cfg: SpectralConfig):
-        self.omega, k = snap_frequency(omega0, dt, cfg)
-        self.dt, self.cfg = dt, cfg
-        s = cfg.segment_length
-        phase = cfg.window_values() * np.exp(-2j * np.pi * k * np.arange(s) / s)
-        self._basis = np.stack([phase.real, phase.imag, np.ones(s)], axis=1)
-        self._mean_gain = phase.sum() / s
-        self._buf = np.empty((n_channels, (ACCUMULATOR_BATCH - 1) * cfg.step + s))
+    def __init__(self, n_channels: int, cfg: SpectralConfig):
+        self.cfg = cfg
+        self._buf = np.empty((n_channels, (ACCUMULATOR_BATCH - 1) * cfg.step + cfg.segment_length))
         self._fill = 0
-        self._transforms: list[np.ndarray] = []
+        self._batches = 0
         self.n_samples = 0
 
     def feed(self, block: np.ndarray) -> None:
@@ -181,17 +178,51 @@ class CpsdAccumulator:
             self._fill += take
             lo += take
             if self._fill == cap:
-                self._transforms.append(self._transform(ACCUMULATOR_BATCH))
+                self._batch(self._buffered(ACCUMULATOR_BATCH))
+                self._batches += 1
                 used = ACCUMULATOR_BATCH * self.cfg.step
                 self._buf[:, :cap - used] = self._buf[:, used:]
                 self._fill = cap - used
         self.n_samples += block.shape[1]
 
-    def _transform(self, n_seg: int) -> np.ndarray:
-        """Windowed, detrended transforms of the first ``n_seg`` buffered segments: (n_seg, N)."""
-        x = np.empty((n_seg, self._buf.shape[0]), dtype=complex)
-        for ch, row in enumerate(self._buf):
-            t = np.ascontiguousarray(_segments(row[:self._fill], self.cfg)[:n_seg]) @ self._basis
+    def _buffered(self, n_seg: int) -> list:
+        return [_segments(row[:self._fill], self.cfg)[:n_seg] for row in self._buf]
+
+    def _rest(self) -> tuple[int, list]:
+        """``(K, segs)``: the record's segment count and its segments not yet batched."""
+        n_seg = _check_record(self.n_samples, self.cfg)
+        return n_seg, self._buffered(n_seg - ACCUMULATOR_BATCH * self._batches)
+
+
+class CpsdAccumulator(_SegmentBuffer):
+    """Welch-averaged CPSD matrix at one bin, fed a record block by block.
+
+    Each batch of segments is transformed by one real GEMM per channel
+    against the windowed ``[Re phase, Im phase, ones]`` basis (the last column
+    gives the segment mean for detrending), so the arithmetic, and the
+    result, are the same bit for bit however the record is chunked.  Memory
+    is one batch span of samples plus the K x N segment transforms, never the
+    whole record.
+    """
+
+    def __init__(self, n_channels: int, dt: float, omega0: float, cfg: SpectralConfig):
+        self.omega, k = snap_frequency(omega0, dt, cfg)
+        super().__init__(n_channels, cfg)
+        self.dt = dt
+        s = cfg.segment_length
+        phase = cfg.window_values() * np.exp(-2j * np.pi * k * np.arange(s) / s)
+        self._basis = np.stack([phase.real, phase.imag, np.ones(s)], axis=1)
+        self._mean_gain = phase.sum() / s
+        self._transforms: list[np.ndarray] = []
+
+    def _batch(self, segs: list) -> None:
+        self._transforms.append(self._transform(segs))
+
+    def _transform(self, segs: list) -> np.ndarray:
+        """Windowed, detrended transforms of a batch of segments: (n_seg, N)."""
+        x = np.empty((len(segs[0]), len(segs)), dtype=complex)
+        for ch, seg in enumerate(segs):
+            t = np.ascontiguousarray(seg) @ self._basis
             x[:, ch] = t[:, 0] + 1j * t[:, 1]
             if self.cfg.detrend == "mean":
                 x[:, ch] -= t[:, 2] * self._mean_gain
@@ -199,13 +230,29 @@ class CpsdAccumulator:
 
     def result(self) -> CpsdMatrix:
         """The estimate from everything fed so far (see :func:`estimate_cpsd_matrix`)."""
-        n_seg = _check_record(self.n_samples, self.cfg)
-        rest = n_seg - ACCUMULATOR_BATCH * len(self._transforms)
-        x = np.concatenate(self._transforms + ([self._transform(rest)] if rest else []))
+        n_seg, rest = self._rest()
+        x = np.concatenate(self._transforms + ([self._transform(rest)] if len(rest[0]) else []))
         win = self.cfg.window_values()
         scale = self.dt / (n_seg * (win * win).sum())
         return CpsdMatrix(values=scale * (x.T @ x.conj()), omega=self.omega, source="estimated",
                           segment_count=n_seg)
+
+
+class _PsdGrid(_SegmentBuffer):
+    """Per-channel sums of the segment periodograms over the whole bin grid."""
+
+    def __init__(self, n_channels: int, cfg: SpectralConfig):
+        super().__init__(n_channels, cfg)
+        self.sums = np.zeros((n_channels, cfg.segment_length // 2 + 1))
+
+    def _batch(self, segs: list) -> None:
+        win = self.cfg.window_values()
+        for total, batch in zip(self.sums, segs):
+            if self.cfg.detrend == "mean":
+                batch = batch - batch.mean(axis=1, keepdims=True)
+            spec = np.fft.rfft(batch * win, axis=1)
+            for power in spec.real**2 + spec.imag**2:
+                total += power  # row by row, the order of a sum over axis 0
 
 
 def estimate_cpsd_matrix(
@@ -285,34 +332,23 @@ def estimate_cpsd_lag_domain(ts: TimeSeriesMatrix, omega0: float) -> CpsdMatrix:
     return CpsdMatrix(values=s, omega=float(abs(omega0)), source="estimated", segment_count=1)
 
 
-#: Segments per transform batch of :func:`estimate_psd_grid`, which bounds its
-#: temporaries (2 MiB each for 4096-sample segments) whatever the record length.
-PSD_GRID_BATCH = 64
-
-
 def estimate_psd_grid(
-    ts: TimeSeriesMatrix, cfg: SpectralConfig
+    blocks: Iterable[np.ndarray], n_channels: int, dt: float, cfg: SpectralConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel Welch PSD over the whole segment grid (diagnostic).
+    """Per-channel Welch PSD over the whole segment grid of a record streamed as ``blocks``.
 
     Returns ``(omegas, psd)`` with ``psd[ch, f]`` two-sided density values on
     the nonnegative half-grid ``omegas = 2 pi k / (segment_length * dt)``.
+    The segments are cut and batched as :class:`CpsdAccumulator` cuts them.
     """
-    n_seg = _check_record(ts.n_samples, cfg)
+    grid = _PsdGrid(n_channels, cfg)
+    for block in blocks:
+        grid.feed(block)
+    n_seg, rest = grid._rest()
+    grid._batch(rest)
     win = cfg.window_values()
-    scale = ts.dt / (n_seg * (win * win).sum())
-    psd = np.zeros((ts.n_channels, cfg.segment_length // 2 + 1))
-    for ch in range(ts.n_channels):
-        segs = _segments(ts.data[ch], cfg)
-        for lo in range(0, n_seg, PSD_GRID_BATCH):
-            batch = segs[lo:lo + PSD_GRID_BATCH]
-            if cfg.detrend == "mean":
-                batch = batch - batch.mean(axis=1, keepdims=True)
-            spec = np.fft.rfft(batch * win, axis=1)
-            for power in spec.real**2 + spec.imag**2:
-                psd[ch] += power  # row by row, the order of a sum over axis 0
-        psd[ch] *= scale
-    omegas = 2 * np.pi * np.fft.rfftfreq(cfg.segment_length, ts.dt)
+    psd = grid.sums * (dt / (n_seg * (win * win).sum()))
+    omegas = 2 * np.pi * np.fft.rfftfreq(cfg.segment_length, dt)
     return omegas, psd
 
 
@@ -364,23 +400,26 @@ def estimate_inverse_cpsd(s: CpsdMatrix) -> CpsdInverse:
 
 
 def select_omega0(
-    ts: TimeSeriesMatrix,
+    blocks: Iterable[np.ndarray],
+    n_channels: int,
+    dt: float,
     omega_max: float,
     cfg: SpectralConfig,
     node: Optional[NodeDynamics] = None,
 ) -> float:
-    """Pick a reconstruction frequency on the estimator's bin grid.
+    """Pick a reconstruction frequency on the estimator's bin grid of a streamed record.
 
     Any frequency inside the excitation band ``(0, omega_max)`` is
     theoretically valid; this policy maximises the worst-channel estimated
-    PSD (best signal floor) over the bins in it, skipping bins where the nodal
-    transfer function is within ``1e-6`` of a transmission zero.
-    Deterministic given the inputs; ties resolve to the lowest frequency.
+    PSD (best signal floor, :func:`estimate_psd_grid` of ``blocks``) over the
+    bins in it, skipping bins where the nodal transfer function is within
+    ``1e-6`` of a transmission zero.  Deterministic given the inputs; ties
+    resolve to the lowest frequency.
     """
     if omega_max <= 0:
         raise ValidationError("noise band upper edge must be positive")
-    omegas, psd = estimate_psd_grid(ts, cfg)
-    admissible = (omegas > 0) & (omegas < omega_max) & (omegas < np.pi / ts.dt)
+    omegas, psd = estimate_psd_grid(blocks, n_channels, dt, cfg)
+    admissible = (omegas > 0) & (omegas < omega_max) & (omegas < np.pi / dt)
     if node is not None:
         hvals = np.array([abs(nodal_transfer(node, w)) for w in omegas])
         admissible &= hvals >= H_ADMISSIBLE_TOL

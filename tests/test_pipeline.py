@@ -525,22 +525,25 @@ class TestStagedArtifacts:
             assert (out_run / name).read_bytes() == (out_staged / name).read_bytes(), name
 
     def test_run_holds_no_whole_record(self, tmp_path):
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "exact-directed",
-                ("simulation", "n_samples"): str(2**20),
-            },
-        )
-        cfg = load_config(p)
-        tracemalloc.start()
-        try:
-            run_pipeline(cfg, tmp_path / "mem")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        record_bytes = cfg.network.n_nodes * cfg.sim.n_samples * 8
-        assert peak < record_bytes / 4
+        # a fixed omega0, and auto, which passes over the full run once more
+        for omega0 in ("0.5", "auto"):
+            p = write_config(
+                tmp_path,
+                {
+                    ("reconstruction", "mode"): "exact-directed",
+                    ("simulation", "n_samples"): str(2**20),
+                    ("spectral", "omega0"): omega0,
+                },
+            )
+            cfg = load_config(p)
+            tracemalloc.start()
+            try:
+                run_pipeline(cfg, tmp_path / f"mem-{omega0}")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            record_bytes = cfg.network.n_nodes * cfg.sim.n_samples * 8
+            assert peak < record_bytes / 4, (omega0, peak / record_bytes)
 
     def test_staged_commands_hold_one_record(self, tmp_path):
         p = write_config(
@@ -562,7 +565,7 @@ class TestStagedArtifacts:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 1.5 * record_bytes, (cmd, peak / record_bytes)
+            assert peak < record_bytes / 4, (cmd, peak / record_bytes)
 
     def test_staged_workers_give_identical_artifacts(self, tmp_path):
         p = write_config(
@@ -657,9 +660,9 @@ class TestStagedArtifacts:
         _, out = self._simulated(tmp_path)  # leaves the grounded runs behind
         loads = []
 
-        def counted(path, _fn=pl.load_timeseries):
+        def counted(path, *header, _fn=pl.load_timeseries):
             loads.append(Path(path).name)
-            return _fn(path)
+            return _fn(path, *header)
 
         monkeypatch.setattr(pl, "load_timeseries", counted)
         p = write_config(tmp_path, {**self.SAVED, ("reconstruction", "mode"): "nonreciprocal"})
@@ -668,6 +671,15 @@ class TestStagedArtifacts:
         assert sorted(f.name for f in (out / "spectra").iterdir()) == [
             "cpsd_full.txt", "estimate.json"]
         assert main(["reconstruct", "--config", str(p), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("key, value", [("dt", "0.005"), ("n_samples", "4096")])
+    def test_estimate_refuses_a_run_of_another_config(self, tmp_path, capsys, key, value):
+        # the header of each saved run must be the run the config describes
+        _, out = self._simulated(tmp_path)
+        p = write_config(tmp_path, {**self.SAVED, ("simulation", key): value})
+        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 2
+        assert "not the run's" in capsys.readouterr().err
+        assert not (out / "spectra").exists()
 
     def test_estimate_needs_every_grounded_run(self, tmp_path, capsys):
         p, out = self._simulated(tmp_path)
@@ -1025,6 +1037,8 @@ class TestBench:
                 ("reconstruction", "mode"): "boolean",
                 ("simulation", "n_samples"): "4096",
                 ("spectral", "segment_length"): "512",
+                # 0.5 would snap to the DC bin of a 512-sample segment, which paper refuses
+                ("spectral", "omega0"): "1.5",
             },
         )
         cfg = load_config(p)
@@ -1066,6 +1080,30 @@ class TestBench:
             assert omegas == [expected], mode
         assert main(["bench", "--config", str(p), "--out", str(tmp_path / "b"),
                      "--sweep", "4:4096", "--repeats", "1"]) == 0
+
+    def test_bench_simulates_each_run_once_per_repeat(self, tmp_path, monkeypatch):
+        # the spectra the other stages take come from the timed correlation
+        calls = []
+        blocks = pl.simulate_blocks
+        monkeypatch.setattr(pl, "simulate_blocks",
+                            lambda *args, **kwargs: calls.append(1) or blocks(*args, **kwargs))
+        cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): "boolean",
+                                                  ("spectral", "segment_length"): "512",
+                                                  ("spectral", "omega0"): "1.5"}))
+        n = 4
+        benchmark(cfg, [(n, 4096)], repeats=1)
+        assert len(calls) == n + 1
+
+    def test_bench_paper_refuses_what_run_cannot_snap(self, tmp_path, capsys):
+        # 0.01 snaps to the DC bin of a 4096-sample segment at dt = 0.01
+        p = write_config(tmp_path, {("reconstruction", "mode"): "boolean",
+                                    ("spectral", "segment_length"): "4096",
+                                    ("spectral", "omega0"): "0.01"})
+        out = tmp_path / "b"
+        assert main(["bench", "--config", str(p), "--out", str(out), "--cost-model", "paper",
+                     "--sweep", "2:4096", "--repeats", "1"]) == 3
+        assert not out.exists()
+        assert "snaps to the DC bin" in capsys.readouterr().err
 
     def test_bench_holds_no_whole_record(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): "boolean"}))

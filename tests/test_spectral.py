@@ -23,7 +23,6 @@ from netspectra import (
 )
 from netspectra.spectral import (
     ACCUMULATOR_BATCH,
-    PSD_GRID_BATCH,
     CpsdAccumulator,
     _full_correlate,
 )
@@ -272,7 +271,7 @@ class TestGrids:
     def test_psd_grid_matches_scipy_welch(self, rng):
         ts = white_ts(rng, n_channels=2, n_samples=2**13)
         cfg = SpectralConfig(segment_length=512)
-        omegas, psd = estimate_psd_grid(ts, cfg)
+        omegas, psd = estimate_psd_grid([ts.data], ts.n_channels, ts.dt, cfg)
         freqs, ref = signal.welch(
             ts.data[0], fs=1.0 / ts.dt, window="hann", nperseg=512, noverlap=256,
             detrend="constant", return_onesided=False, scaling="density",
@@ -290,10 +289,10 @@ class TestGrids:
     ])
     def test_psd_grid_batches_match_whole_array(self, rng, cfg):
         # more segments than one batch, with a partial last batch
-        n = (2 * PSD_GRID_BATCH + 7) * cfg.step + cfg.segment_length
+        n = (2 * ACCUMULATOR_BATCH + 7) * cfg.step + cfg.segment_length
         ts = white_ts(rng, n_channels=3, n_samples=n)
         n_seg = cfg.n_segments(n)
-        assert n_seg > 2 * PSD_GRID_BATCH and n_seg % PSD_GRID_BATCH
+        assert n_seg > 2 * ACCUMULATOR_BATCH and n_seg % ACCUMULATOR_BATCH
         win = cfg.window_values()
         ref = np.empty((3, cfg.segment_length // 2 + 1))
         for ch in range(3):
@@ -304,11 +303,12 @@ class TestGrids:
             spec = np.fft.rfft(segs * win, axis=1)
             ref[ch] = ts.dt / (n_seg * (win * win).sum()) * (
                 spec.real**2 + spec.imag**2).sum(axis=0)
-        omegas, psd = estimate_psd_grid(ts, cfg)
+        blocks = np.array_split(ts.data, 7, axis=1)  # cut across segments and batches
+        omegas, psd = estimate_psd_grid(blocks, ts.n_channels, ts.dt, cfg)
         assert np.array_equal(psd, ref)
         band = 0.5 * np.pi / ts.dt
         floor = np.where((omegas > 0) & (omegas < band), ref.min(axis=0), -np.inf)
-        assert select_omega0(ts, band, cfg) == omegas[int(np.argmax(floor))]
+        assert select_omega0([ts.data], 3, ts.dt, band, cfg) == omegas[int(np.argmax(floor))]
 
 
 class TestSelectOmega0:
@@ -318,8 +318,8 @@ class TestSelectOmega0:
         ts = simulate(sys, noise, SimConfig(dt=0.01, n_samples=2**15))
         cfg = SpectralConfig(segment_length=1024)
         band = noise.input_psd_model(0.01)
-        chosen = select_omega0(ts, band.omega_max, cfg, node=sys.node)
-        omegas, psd = estimate_psd_grid(ts, cfg)
+        chosen = select_omega0([ts.data], ts.n_channels, ts.dt, band.omega_max, cfg, node=sys.node)
+        omegas, psd = estimate_psd_grid([ts.data], ts.n_channels, ts.dt, cfg)
         mask = (omegas > 0) & (omegas < band.omega_max) & (omegas < np.pi / 0.01)
         floor = psd.min(axis=0)
         brute = omegas[mask][np.argmax(floor[mask])]
@@ -331,14 +331,14 @@ class TestSelectOmega0:
     def test_deterministic(self, rng):
         ts = white_ts(rng)
         cfg = SpectralConfig(segment_length=512)
-        a = select_omega0(ts, 10.0, cfg)
-        b = select_omega0(ts, 10.0, cfg)
+        a = select_omega0([ts.data], ts.n_channels, ts.dt, 10.0, cfg)
+        b = select_omega0([ts.data], ts.n_channels, ts.dt, 10.0, cfg)
         assert a == b
 
     def test_empty_band_rejected(self, rng):
         ts = white_ts(rng)
         with pytest.raises(NumericalError):
-            select_omega0(ts, 0.1, SpectralConfig(segment_length=512))
+            select_omega0([ts.data], ts.n_channels, ts.dt, 0.1, SpectralConfig(segment_length=512))
 
 
 class TestReferenceAgreement:
