@@ -9,8 +9,9 @@ the mode needs, each of ``L`` samples; so ``bench`` exits 2, 3 or 4 where
   ``cost_model="fft"`` times ``run``'s own streaming
   :func:`~netspectra.pipeline.estimate_spectra`, simulation included.
   ``cost_model="paper"`` times explicit full-lag cross-correlations
-  (quadratic in the record length) of whole records, which are simulated
-  once, untimed, before the repeats; the quadratic cost keeps them small.
+  (quadratic in the record length) of whole records.  They are simulated,
+  untimed, just before each timed correlation and released after it, so
+  only one sweep point's N+1 records are held at a time.
 * ``inversion`` -- inverting every CPSD matrix once.
 * ``reconstruction`` -- the configured route as ``run`` calls it
   (:func:`~netspectra.pipeline.reconstruct`), its own inversions and S_w
@@ -39,8 +40,6 @@ from .pipeline import (
     _analytic_omega0,
     _build_network,
     _build_node,
-    _record,
-    _require_estimable,
     _require_snappable,
     _run_keys,
     estimate_spectra,
@@ -48,7 +47,6 @@ from .pipeline import (
     reconstruct,
     simulated_runs,
 )
-from .simulate import collect
 from .spectral import estimate_cpsd_lag_domain, estimate_inverse_cpsd
 
 __all__ = ["benchmark", "write_bench_csv", "parse_sweep"]
@@ -77,6 +75,11 @@ def parse_sweep(text: str) -> list[tuple[int, int]]:
 
 def _make_stages(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
                  node: NodeDynamics) -> list[tuple[str, object]]:
+    """One sweep point's ``(stage name, prepare)`` pairs, in order.
+
+    ``prepare()`` does a stage's untimed work and returns the callable to
+    time; whatever it holds is released when that callable is dropped.
+    """
     cfg = replace(cfg, network=replace(cfg.network, n_nodes=n),
                   sim=replace(cfg.sim, n_samples=l))
     g = _build_network(cfg, node)
@@ -92,25 +95,30 @@ def _make_stages(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
         if cost_model == "paper":
             _require_snappable(cfg)
             omega0 = _analytic_omega0(cfg)
-            records = [collect(runs(key), *_record(cfg, n, key)) for key in keys]
-            estimate = lambda: [estimate_cpsd_lag_domain(ts, omega0) for ts in records]
+
+            def correlation():
+                records = [runs(key).into() for key in keys]  # held whole, untimed
+
+                def correlate():
+                    spectra[:] = [estimate_cpsd_lag_domain(ts, omega0) for ts in records]
+
+                return correlate
         else:
-            _require_estimable(cfg)
-            estimate = lambda: estimate_spectra(cfg, runs, node, n)
+            def correlate():
+                spectra[:] = estimate_spectra(cfg, runs, node, n)
 
-        def correlate():
-            spectra[:] = estimate()
-
-        stages.append(("correlation", correlate))
+            correlation = lambda: correlate
+        stages.append(("correlation", correlation))
 
     def invert():
         for mat in spectra:
             estimate_inverse_cpsd(mat)
 
-    stages.append(("inversion", invert))
-    stages.append(("reconstruction",
-                   lambda: reconstruct(cfg, spectra[0], list(zip(keys[1:], spectra[1:])),
-                                       node, g.eigenpair)))
+    def recover():
+        reconstruct(cfg, spectra[0], list(zip(keys[1:], spectra[1:])), node, g.eigenpair)
+
+    stages.append(("inversion", lambda: invert))
+    stages.append(("reconstruction", lambda: recover))
     return stages
 
 
@@ -141,10 +149,12 @@ def benchmark(
         # systematically penalise one end of the sweep
         ordered = prepared if round_index % 2 == 0 else prepared[::-1]
         for n, l, stages in ordered:
-            for name, fn in stages:
+            for name, prepare in stages:
+                fn = prepare()
                 t0 = time.perf_counter()
                 fn()
                 dt = time.perf_counter() - t0
+                del fn
                 key = (n, l, name)
                 best[key] = min(best.get(key, float("inf")), dt)
     rows = []

@@ -8,20 +8,22 @@ isolation; ``config.resolved.ini`` alone reproduces a run bit for bit.
 
 An experiment's runs are listed once, by :func:`_run_keys`, and go through
 :func:`_each_run`, ``workers`` at a time.  A run source gives each run as a
-stream: ``runs(key)`` is a fresh iterator of its (channels x samples) blocks
-each time it is called.  :func:`simulated_runs` simulates them and
-:func:`load_saved_runs` reads them from ``timeseries/``; the staged
-``simulate`` writes the first into the second block by block.  No stage holds
-a whole record: :func:`estimate_spectra` feeds each stream into a single-bin
-CPSD accumulator, after one more pass over the full run under ``omega0 =
-auto`` to choose the bin.  :func:`run_pipeline` is the staged commands with
-one shortcut: it streams :func:`simulated_runs` into :func:`estimate_spectra`
-and writes no ``timeseries/``, and gives the staged spectra byte for byte,
-since both sources are deterministic.  Oracle modes take
-:func:`oracle_spectra` in place of both stages.  These two and
-:func:`reconstruct` touch no file: each stage writes what one of them
-returns, and ``bench`` times them.  Reconstruction and evaluation read their
-inputs from the run directory, in ``run`` too.
+stream: ``runs(key)`` is a :class:`StreamedRecord` whose ``into(sink)``
+produces the run afresh, block by block, into a sink.  :func:`simulated_runs`
+simulates it (:func:`simulate`, :func:`simulate_grounded`) and
+:func:`load_saved_runs` reads it from ``timeseries/``
+(:func:`load_timeseries`); the staged ``simulate`` streams the first into the
+second (:func:`save_timeseries`).  No stage holds a whole record:
+:func:`estimate_spectra` streams each run into a single-bin CPSD accumulator
+(:func:`estimate_cpsd_matrix`), after one more pass over the full run under
+``omega0 = auto`` to choose the bin (:func:`select_omega0`).
+:func:`run_pipeline` is the staged commands with one shortcut: it streams
+:func:`simulated_runs` into :func:`estimate_spectra` and writes no
+``timeseries/``, and gives the staged spectra byte for byte, since both
+sources are deterministic.  Oracle modes take :func:`oracle_spectra` in place
+of both stages.  These two and :func:`reconstruct` touch no file: each stage
+writes what one of them returns, and ``bench`` times them.  Reconstruction and
+evaluation read their inputs from the run directory, in ``run`` too.
 
 Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
 unknown-key check and the rendering of ``config.resolved.ini``; each config
@@ -89,18 +91,17 @@ from .reconstruct import (
     nonreciprocal,
     threshold_heuristic,
 )
-from .simulate import (  # noqa: F401  perfbench/tracing.py wraps simulate and simulate_grounded
+from .simulate import (
     NoiseConfig,
     SimConfig,
+    StreamedRecord,
     channel_labels,
     load_timeseries,
     save_timeseries,
     simulate,
-    simulate_blocks,
     simulate_grounded,
 )
-from .spectral import (  # noqa: F401  perfbench/tracing.py wraps estimate_cpsd_matrix
-    CpsdAccumulator,
+from .spectral import (
     SpectralConfig,
     estimate_cpsd_matrix,
     require_two_segments,
@@ -388,14 +389,23 @@ def _each_run(fn, keys: list, workers: int) -> list:
 
 
 def simulated_runs(cfg: ExperimentConfig, g: ConnectivityMatrix, node: NodeDynamics):
-    """The run source that simulates: ``source(key)`` is run ``key``'s :func:`simulate_blocks`.
+    """The run source that simulates: ``source(key)`` streams run ``key`` as it is simulated.
 
-    Each call simulates the run afresh, and the same numbers every time.  A
-    mode without S_w (:func:`_require_input_psd`) raises when it is built.
+    Each ``into(sink)`` simulates the run afresh, the same numbers every
+    time, through :func:`simulate` or :func:`simulate_grounded`.  A mode
+    without S_w (:func:`_require_input_psd`) raises when it is built.
     """
     _require_input_psd(cfg, g.eigenpair)
     sys = NetworkSystem(node, g)
-    return lambda key: simulate_blocks(sys, cfg.noise, cfg.sim, ground=_ground(key))
+
+    def source(key) -> StreamedRecord:
+        if key == "full":
+            into = lambda sink=None: simulate(sys, cfg.noise, cfg.sim, sink)
+        else:
+            into = lambda sink=None: simulate_grounded(sys, key, cfg.noise, cfg.sim, sink)
+        return StreamedRecord(*_record(cfg, g.n_nodes, key), into)
+
+    return source
 
 
 def stage_simulate(
@@ -417,8 +427,7 @@ def stage_simulate(
     _require_estimable(cfg)
     ts_dir = out / "timeseries"
     ts_dir.mkdir(parents=True, exist_ok=True)
-    _each_run(lambda key: save_timeseries(ts_dir / f"{_run_name(key)}.nsts",
-                                          *_record(cfg, g.n_nodes, key), runs(key)),
+    _each_run(lambda key: save_timeseries(ts_dir / f"{_run_name(key)}.nsts", runs(key)),
               _run_keys(cfg, g.n_nodes), workers)
 
 
@@ -450,26 +459,19 @@ def estimate_spectra(cfg: ExperimentConfig, runs, node: NodeDynamics, n_nodes: i
                      workers: int = 1) -> list:
     """The CPSD matrix of each run of :func:`_run_keys` at one snapped frequency.
 
-    Each run's blocks, ``runs(key)`` (:func:`simulated_runs`,
-    :func:`load_saved_runs`), stream into a :class:`CpsdAccumulator`.  Under
-    ``omega0 = auto`` the full run is passed once more, first, to choose the
-    bin on its PSD grid (:func:`select_omega0`).  A record the estimator cannot
-    take (:func:`_require_estimable`) raises before any run is pulled.
+    Each run, ``runs(key)`` (:func:`simulated_runs`, :func:`load_saved_runs`),
+    streams into :func:`estimate_cpsd_matrix`.  Under ``omega0 = auto`` the
+    full run is passed once more, first, to choose the bin on its PSD grid
+    (:func:`select_omega0`).  A record the estimator cannot take
+    (:func:`_require_estimable`) raises before any run is produced.
     """
     _require_estimable(cfg)
     omega0 = cfg.omega0_value()
     if omega0 is None:
         omega_max = cfg.noise.input_psd_model(cfg.sim.dt).omega_max
-        omega0 = select_omega0(runs("full"), n_nodes, cfg.sim.dt, omega_max, cfg.spectral,
-                               node=node)
-
-    def estimate(key) -> CpsdMatrix:
-        acc = CpsdAccumulator(n_nodes - (key != "full"), cfg.sim.dt, omega0, cfg.spectral)
-        for block in runs(key):
-            acc.feed(block)
-        return acc.result()
-
-    return _each_run(estimate, _run_keys(cfg, n_nodes), workers)
+        omega0 = select_omega0(runs("full"), omega_max, cfg.spectral, node=node)
+    return _each_run(lambda key: estimate_cpsd_matrix(runs(key), omega0, cfg.spectral),
+                     _run_keys(cfg, n_nodes), workers)
 
 
 def stage_estimate(cfg: ExperimentConfig, out: Path, runs, node: NodeDynamics, n_nodes: int,
@@ -701,9 +703,9 @@ def load_saved_truth(out: Path) -> tuple[ConnectivityMatrix, NodeDynamics]:
 def load_saved_runs(cfg: ExperimentConfig, out: Path, n_nodes: int):
     """The run source that reads the saved ``timeseries/*.nsts`` records.
 
-    ``source(key)`` opens run ``key``'s file afresh and streams its blocks
-    (:func:`load_timeseries`); a file whose header is not the run's (channel
-    labels, length and dt of the resolved config) raises
+    ``source(key).into(sink)`` opens run ``key``'s file afresh and streams its
+    blocks into ``sink`` (:func:`load_timeseries`); a file whose header is not
+    the run's (channel labels, length and dt of the resolved config) raises
     :class:`ValidationError`.  Every run of :func:`_run_keys` must be saved: a
     missing file raises :class:`ConfigError` at the call; files of other runs
     are ignored.
@@ -711,7 +713,12 @@ def load_saved_runs(cfg: ExperimentConfig, out: Path, n_nodes: int):
     keys = _run_keys(cfg, n_nodes)
     names = [f"{_run_name(key)}.nsts" for key in keys]
     paths = dict(zip(keys, _saved(out / "timeseries", names, "simulate")))
-    return lambda key: load_timeseries(paths[key], *_record(cfg, n_nodes, key))
+
+    def source(key) -> StreamedRecord:
+        header = _record(cfg, n_nodes, key)
+        return StreamedRecord(*header, lambda sink=None: load_timeseries(paths[key], *header, sink))
+
+    return source
 
 
 def load_saved_spectra(

@@ -15,14 +15,18 @@ the excitation interval so every downstream frequency choice stays inside it,
 and analytic cross-checks use the exact injected density rather than an
 idealisation.
 
-A record is a stream of (channels x samples) blocks of at most
-``PROPAGATE_BLOCK`` samples, described by its header ``(channel labels,
-n_samples, dt)``.  :func:`simulate_blocks` is the one simulator, with the
-propagator state carried between blocks; :func:`save_timeseries` writes a
-stream to an ``.nsts`` file and :func:`load_timeseries` reads one back, block
-by block, so neither holds the whole record.  :func:`collect` gathers a stream
-into one read-only :class:`TimeSeriesMatrix`, which is all that
-:func:`simulate` and :func:`simulate_grounded` add to the simulator.
+A record is described by its header ``(channel labels, n_samples, dt)`` and
+is either held, as a read-only :class:`TimeSeriesMatrix`, or streamed, as a
+:class:`StreamedRecord`.  Both give ``into(sink)``, which feeds the record's
+(channels x samples) blocks in time order to ``sink.feed`` and returns the
+sink, so a consumer (an ``.nsts`` writer, a spectral accumulator) takes either
+the same way.  :func:`simulate_blocks` is the one simulator, yielding blocks
+of at most ``PROPAGATE_BLOCK`` samples with the propagator state carried
+between them.  :func:`simulate`, :func:`simulate_grounded` and
+:func:`load_timeseries` drive a stream, simulated or read from an ``.nsts``
+file, into a sink, so neither the simulation nor the file is held; with no
+sink they return the record held whole.
+:func:`save_timeseries` writes a record block by block as it arrives.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 from scipy.linalg import expm, schur
@@ -46,12 +50,12 @@ __all__ = [
     "NoiseConfig",
     "SimConfig",
     "TimeSeriesMatrix",
+    "StreamedRecord",
     "discretize",
     "simulate",
     "simulate_grounded",
     "simulate_blocks",
     "channel_labels",
-    "collect",
     "save_timeseries",
     "load_timeseries",
 ]
@@ -197,6 +201,37 @@ class TimeSeriesMatrix:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
+    def into(self, sink):
+        """Feed the record to ``sink`` as one block and return ``sink``."""
+        sink.feed(self.data)
+        return sink
+
+
+@dataclass(frozen=True)
+class StreamedRecord:
+    """A record that is not held: its header and the ``source`` that streams its blocks.
+
+    ``source(sink)`` produces the record afresh, the same numbers at every
+    call, feeds its (channels x samples) blocks in time order to
+    ``sink.feed`` and returns ``sink``; ``source(None)`` returns the record
+    held whole.  :func:`simulate`, :func:`simulate_grounded` and
+    :func:`load_timeseries`, with the rest of their arguments bound, are such
+    sources.
+    """
+
+    channel_labels: tuple[int, ...]
+    n_samples: int
+    dt: float
+    source: Callable
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.channel_labels)
+
+    def into(self, sink=None):
+        """Stream the record into ``sink`` and return ``sink``; with none, the record held whole."""
+        return self.source(sink)
+
 
 def discretize(sys: NetworkSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact ZOH discretization ``(Phi, Gamma)`` of the joint dynamics.
@@ -305,10 +340,18 @@ def _collect(blocks: Iterable[np.ndarray], n_channels: int, n_samples: int) -> n
     return out
 
 
-def collect(blocks: Iterable[np.ndarray], labels, n_samples: int, dt: float) -> TimeSeriesMatrix:
-    """The stream ``blocks`` of the record with header ``(labels, n_samples, dt)``, held whole."""
-    return TimeSeriesMatrix(data=_collect(blocks, len(labels), n_samples), dt=dt,
-                            channel_labels=labels)
+def _deliver(blocks: Iterable[np.ndarray], sink, labels, n_samples: int, dt: float):
+    """Feed the stream ``blocks`` to ``sink`` and return it.
+
+    With no sink, the record with header ``(labels, n_samples, dt)`` is
+    returned held whole.
+    """
+    if sink is None:
+        return TimeSeriesMatrix(data=_collect(blocks, len(labels), n_samples), dt=dt,
+                                channel_labels=labels)
+    for block in blocks:
+        sink.feed(block)
+    return sink
 
 
 def channel_labels(n_nodes: int, ground: Optional[int] = None) -> tuple[int, ...]:
@@ -360,19 +403,21 @@ def simulate_blocks(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig,
     return _cascade(phi, gamma, sys.output_matrix(), draws, burn)
 
 
-def simulate(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig) -> TimeSeriesMatrix:
+def simulate(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig, sink=None):
     """Sampled outputs of the full network driven by fresh noise streams.
 
-    Deterministic: identical ``(sys, noise, cfg)`` give bit-identical output.
-    The whole record is held; :func:`simulate_blocks` yields it block by block.
+    Each block of :func:`simulate_blocks` goes to ``sink.feed`` as it is
+    simulated, and ``sink`` is returned; with no sink, the record is returned
+    held whole as a :class:`TimeSeriesMatrix`.  Deterministic: identical
+    ``(sys, noise, cfg)`` give bit-identical output.
     """
-    return collect(simulate_blocks(sys, noise, cfg), channel_labels(sys.n_nodes),
-                   cfg.n_samples, cfg.dt)
+    return _deliver(simulate_blocks(sys, noise, cfg), sink, channel_labels(sys.n_nodes),
+                    cfg.n_samples, cfg.dt)
 
 
-def simulate_grounded(sys: NetworkSystem, j: int, noise: NoiseConfig,
-                      cfg: SimConfig) -> TimeSeriesMatrix:
-    """Sampled outputs with node ``j`` grounded (N-1 channels).
+def simulate_grounded(sys: NetworkSystem, j: int, noise: NoiseConfig, cfg: SimConfig,
+                      sink=None):
+    """Sampled outputs with node ``j`` grounded (N-1 channels), into ``sink`` as :func:`simulate`.
 
     The grounded run is simulated directly on the reduced coupling matrix and
     driven by its own independent streams, seeded ``SeedSequence((noise.seed,
@@ -380,8 +425,8 @@ def simulate_grounded(sys: NetworkSystem, j: int, noise: NoiseConfig,
     runs of any seeds share a stream and running the N grounded experiments in
     any order (or in parallel) cannot change the result.
     """
-    return collect(simulate_blocks(sys, noise, cfg, ground=j), channel_labels(sys.n_nodes, j),
-                   cfg.n_samples, cfg.dt)
+    return _deliver(simulate_blocks(sys, noise, cfg, ground=j), sink,
+                    channel_labels(sys.n_nodes, j), cfg.n_samples, cfg.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -393,47 +438,59 @@ def _offset(n_channels: int, n_samples: int, ch: int, lo: int) -> int:
     return _HEAD.size + 4 * n_channels + 8 * (ch * n_samples + lo)
 
 
-def save_timeseries(path, labels, n_samples: int, dt: float,
-                    blocks: Iterable[np.ndarray]) -> None:
-    """Write the record ``blocks``, with header ``(labels, n_samples, dt)``, as an ``.nsts`` file.
+class _NstsWriter:
+    """The sink of :func:`save_timeseries`: each block to its place in an open ``.nsts`` file."""
+
+    def __init__(self, fh, n_channels: int, n_samples: int):
+        self._fh, self._shape = fh, (n_channels, n_samples)
+        self.n_samples = 0
+
+    def feed(self, block: np.ndarray) -> None:
+        n, l = self._shape
+        if block.shape[0] != n or self.n_samples + block.shape[1] > l:
+            raise ValidationError(
+                f"a {block.shape} block does not fit a record of {n} channels "
+                f"x {l} samples after {self.n_samples} samples")
+        for ch, row in enumerate(block):
+            self._fh.seek(_offset(n, l, ch, self.n_samples))
+            self._fh.write(np.ascontiguousarray(row, dtype="<f8"))
+        self.n_samples += block.shape[1]
+
+
+def save_timeseries(path, record) -> None:
+    """Write ``record``, held or streamed, as an ``.nsts`` file.
 
     Each (channels x samples) block goes to its place in the file as it
-    arrives, one positioned write per channel, so no whole record is held.
-    The blocks must hold ``n_samples`` samples of ``len(labels)`` channels in
-    all (else :class:`ValidationError`); a stream that does not, or that
-    raises, leaves no file behind.
+    arrives, one positioned write per channel, so a streamed record is never
+    held.  The blocks must hold the header's samples of its channels in all
+    (else :class:`ValidationError`); a stream that does not, or that raises,
+    leaves no file behind.
     """
-    n, done = len(labels), 0
+    labels, l = record.channel_labels, record.n_samples
+    n = len(labels)
     fh = open(path, "wb")
     try:
         with fh:
-            fh.write(_HEAD.pack(_MAGIC, n, n_samples, dt) + struct.pack(f"<{n}I", *labels))
-            for block in blocks:
-                if block.shape[0] != n or done + block.shape[1] > n_samples:
-                    raise ValidationError(
-                        f"a {block.shape} block does not fit a record of {n} channels "
-                        f"x {n_samples} samples after {done} samples")
-                for ch, row in enumerate(block):
-                    fh.seek(_offset(n, n_samples, ch, done))
-                    fh.write(np.ascontiguousarray(row, dtype="<f8"))
-                done += block.shape[1]
-            if done != n_samples:
-                raise ValidationError(f"the record ended after {done} of {n_samples} samples")
+            fh.write(_HEAD.pack(_MAGIC, n, l, record.dt) + struct.pack(f"<{n}I", *labels))
+            done = record.into(_NstsWriter(fh, n, l)).n_samples
+            if done != l:
+                raise ValidationError(f"the record ended after {done} of {l} samples")
     except BaseException:
         os.unlink(path)
         raise
 
 
-def load_timeseries(path, labels, n_samples: int, dt: float) -> Iterator[np.ndarray]:
-    """The record of an ``.nsts`` file as a stream of (channels x samples) blocks.
+def load_timeseries(path, labels, n_samples: int, dt: float, sink=None):
+    """Read the record of an ``.nsts`` file into ``sink`` and return ``sink``.
 
-    The header is checked at the call, before any sample is read: the file
-    must be a netspectra time series whose size matches its header, and the
-    header must be ``(labels, n_samples, dt)``, the run the caller expects.
-    The blocks hold ``PROPAGATE_BLOCK`` samples (the last may hold fewer) and
-    are read as they are pulled, one positioned read per channel.  A failed
-    check, a file that shrinks while being read and a non-finite sample each
-    raise :class:`ValidationError`.
+    The header is checked before any sample is read: the file must be a
+    netspectra time series whose size matches its header, and the header
+    must be ``(labels, n_samples, dt)``, the run the caller expects.  The
+    samples then go to ``sink.feed`` ``PROPAGATE_BLOCK`` columns at a time
+    (the last block may hold fewer), one positioned read per channel; with no
+    sink, the record is returned held whole.  A failed check, a file that
+    shrinks while being read and a non-finite sample each raise
+    :class:`ValidationError`.
     """
     labels = tuple(labels)
     with open(path, "rb") as fh:
@@ -444,22 +501,21 @@ def load_timeseries(path, labels, n_samples: int, dt: float) -> Iterator[np.ndar
         if os.fstat(fh.fileno()).st_size != _offset(n, l, n, 0):  # the end of the last channel
             raise ValidationError(f"{path} is truncated: its size does not match its header")
         file_labels = struct.unpack(f"<{n}I", fh.read(4 * n))
-    if (file_labels, l, file_dt) != (labels, n_samples, dt):
-        raise ValidationError(
-            f"{path} holds channels {file_labels} x {l} samples at dt={file_dt!r}, "
-            f"not the run's channels {labels} x {n_samples} samples at dt={dt!r}")
-    return _read_blocks(path, len(labels), n_samples)
+        if (file_labels, l, file_dt) != (labels, n_samples, dt):
+            raise ValidationError(
+                f"{path} holds channels {file_labels} x {l} samples at dt={file_dt!r}, "
+                f"not the run's channels {labels} x {n_samples} samples at dt={dt!r}")
+        return _deliver(_read_blocks(fh, path, n, l), sink, labels, n_samples, dt)
 
 
-def _read_blocks(path, n_channels: int, n_samples: int) -> Iterator[np.ndarray]:
-    """The samples of a checked ``.nsts`` file, ``PROPAGATE_BLOCK`` columns at a time."""
-    with open(path, "rb") as fh:
-        for lo in range(0, n_samples, PROPAGATE_BLOCK):
-            block = np.empty((n_channels, min(PROPAGATE_BLOCK, n_samples - lo)), dtype="<f8")
-            for ch, row in enumerate(block):
-                fh.seek(_offset(n_channels, n_samples, ch, lo))
-                if fh.readinto(row) != row.nbytes:
-                    raise ValidationError(f"{path} is truncated: it shrank while being read")
-            if not np.isfinite(block).all():
-                raise ValidationError(f"{path} contains non-finite samples")
-            yield block
+def _read_blocks(fh, path, n_channels: int, n_samples: int) -> Iterator[np.ndarray]:
+    """The samples of the checked ``.nsts`` file ``fh``, ``PROPAGATE_BLOCK`` columns at a time."""
+    for lo in range(0, n_samples, PROPAGATE_BLOCK):
+        block = np.empty((n_channels, min(PROPAGATE_BLOCK, n_samples - lo)), dtype="<f8")
+        for ch, row in enumerate(block):
+            fh.seek(_offset(n_channels, n_samples, ch, lo))
+            if fh.readinto(row) != row.nbytes:
+                raise ValidationError(f"{path} is truncated: it shrank while being read")
+        if not np.isfinite(block).all():
+            raise ValidationError(f"{path} contains non-finite samples")
+        yield block

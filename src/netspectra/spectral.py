@@ -6,12 +6,12 @@ transforms are evaluated at a single FFT bin (shared across all channel pairs)
 and averaged Welch-style into an exactly Hermitian matrix.  The one estimator
 is :class:`CpsdAccumulator`, which takes the record block by block as it is
 simulated or read, reduces each segment to N complex numbers as it goes by and
-gives the same bytes for any chunking; :func:`estimate_cpsd_matrix` feeds it a
-held record.  The automatic choice of frequency (:func:`select_omega0`) sums
-the PSD grid over the same segment batches, so it too takes a stream of blocks
-and holds no record.  Requested frequencies are snapped to the segment grid
-``2 pi k / (segment_length * dt)`` so that estimates and analytic references
-are always compared at the same frequency.
+gives the same bytes for any chunking.  :func:`estimate_cpsd_matrix` streams a
+record, held or streamed (:mod:`netspectra.simulate`), into it.  The automatic
+choice of frequency (:func:`select_omega0`) sums the PSD grid over the same
+segment batches, so it too holds no record.  Requested frequencies are snapped
+to the segment grid ``2 pi k / (segment_length * dt)`` so that estimates and
+analytic references are always compared at the same frequency.
 
 A lag-domain path (:func:`estimate_cpsd_lag_domain`) computes the same
 quantity through explicit full-lag cross-correlations followed by a
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -241,8 +241,9 @@ class CpsdAccumulator(_SegmentBuffer):
 class _PsdGrid(_SegmentBuffer):
     """Per-channel sums of the segment periodograms over the whole bin grid."""
 
-    def __init__(self, n_channels: int, cfg: SpectralConfig):
+    def __init__(self, n_channels: int, dt: float, cfg: SpectralConfig):
         super().__init__(n_channels, cfg)
+        self.dt = dt
         self.sums = np.zeros((n_channels, cfg.segment_length // 2 + 1))
 
     def _batch(self, segs: list) -> None:
@@ -254,22 +255,27 @@ class _PsdGrid(_SegmentBuffer):
             for power in spec.real**2 + spec.imag**2:
                 total += power  # row by row, the order of a sum over axis 0
 
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(omegas, psd)`` from everything fed so far (see :func:`estimate_psd_grid`)."""
+        n_seg, rest = self._rest()
+        self._batch(rest)
+        win = self.cfg.window_values()
+        psd = self.sums * (self.dt / (n_seg * (win * win).sum()))
+        return 2 * np.pi * np.fft.rfftfreq(self.cfg.segment_length, self.dt), psd
 
-def estimate_cpsd_matrix(
-    ts: TimeSeriesMatrix, omega0: float, cfg: SpectralConfig
-) -> CpsdMatrix:
+
+def estimate_cpsd_matrix(record, omega0: float, cfg: SpectralConfig) -> CpsdMatrix:
     """Welch-averaged CPSD matrix at the bin nearest ``omega0``.
 
     The result is exactly Hermitian with a real nonnegative diagonal and
     carries the averaged segment count ``K``.  Density convention: two-sided,
     per angular frequency, i.e. directly comparable with
-    :func:`netspectra.lti.analytic_cpsd`.  The record goes through
-    :class:`CpsdAccumulator`, so a streamed record gives the same matrix bit
-    for bit.
+    :func:`netspectra.lti.analytic_cpsd`.  ``record``, a held
+    :class:`~netspectra.simulate.TimeSeriesMatrix` or a
+    :class:`~netspectra.simulate.StreamedRecord`, streams into a
+    :class:`CpsdAccumulator`, so both give the same matrix bit for bit.
     """
-    acc = CpsdAccumulator(ts.n_channels, ts.dt, omega0, cfg)
-    acc.feed(ts.data)
-    return acc.result()
+    return record.into(CpsdAccumulator(record.n_channels, record.dt, omega0, cfg)).result()
 
 
 #: Tile size for the lag-domain correlation; keeps every partial correlation
@@ -332,24 +338,14 @@ def estimate_cpsd_lag_domain(ts: TimeSeriesMatrix, omega0: float) -> CpsdMatrix:
     return CpsdMatrix(values=s, omega=float(abs(omega0)), source="estimated", segment_count=1)
 
 
-def estimate_psd_grid(
-    blocks: Iterable[np.ndarray], n_channels: int, dt: float, cfg: SpectralConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel Welch PSD over the whole segment grid of a record streamed as ``blocks``.
+def estimate_psd_grid(record, cfg: SpectralConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel Welch PSD over the whole segment grid of ``record``, held or streamed.
 
     Returns ``(omegas, psd)`` with ``psd[ch, f]`` two-sided density values on
     the nonnegative half-grid ``omegas = 2 pi k / (segment_length * dt)``.
     The segments are cut and batched as :class:`CpsdAccumulator` cuts them.
     """
-    grid = _PsdGrid(n_channels, cfg)
-    for block in blocks:
-        grid.feed(block)
-    n_seg, rest = grid._rest()
-    grid._batch(rest)
-    win = cfg.window_values()
-    psd = grid.sums * (dt / (n_seg * (win * win).sum()))
-    omegas = 2 * np.pi * np.fft.rfftfreq(cfg.segment_length, dt)
-    return omegas, psd
+    return record.into(_PsdGrid(record.n_channels, record.dt, cfg)).result()
 
 
 @dataclass(frozen=True)
@@ -400,26 +396,24 @@ def estimate_inverse_cpsd(s: CpsdMatrix) -> CpsdInverse:
 
 
 def select_omega0(
-    blocks: Iterable[np.ndarray],
-    n_channels: int,
-    dt: float,
+    record,
     omega_max: float,
     cfg: SpectralConfig,
     node: Optional[NodeDynamics] = None,
 ) -> float:
-    """Pick a reconstruction frequency on the estimator's bin grid of a streamed record.
+    """Pick a reconstruction frequency on the estimator's bin grid of ``record``.
 
     Any frequency inside the excitation band ``(0, omega_max)`` is
     theoretically valid; this policy maximises the worst-channel estimated
-    PSD (best signal floor, :func:`estimate_psd_grid` of ``blocks``) over the
+    PSD (best signal floor, :func:`estimate_psd_grid` of ``record``) over the
     bins in it, skipping bins where the nodal transfer function is within
     ``1e-6`` of a transmission zero.  Deterministic given the inputs; ties
     resolve to the lowest frequency.
     """
     if omega_max <= 0:
         raise ValidationError("noise band upper edge must be positive")
-    omegas, psd = estimate_psd_grid(blocks, n_channels, dt, cfg)
-    admissible = (omegas > 0) & (omegas < omega_max) & (omegas < np.pi / dt)
+    omegas, psd = estimate_psd_grid(record, cfg)
+    admissible = (omegas > 0) & (omegas < omega_max) & (omegas < np.pi / record.dt)
     if node is not None:
         hvals = np.array([abs(nodal_transfer(node, w)) for w in omegas])
         admissible &= hvals >= H_ADMISSIBLE_TOL

@@ -24,6 +24,9 @@ from netspectra.bench import benchmark, parse_sweep, write_bench_csv
 from netspectra.cli import main
 from netspectra import pipeline as pl
 
+# the module; the package's name ``simulate`` is its function
+sim = importlib.import_module("netspectra.simulate")
+
 
 BASE_CONFIG = """
 [network]
@@ -660,9 +663,9 @@ class TestStagedArtifacts:
         _, out = self._simulated(tmp_path)  # leaves the grounded runs behind
         loads = []
 
-        def counted(path, *header, _fn=pl.load_timeseries):
+        def counted(path, *args, _fn=pl.load_timeseries):
             loads.append(Path(path).name)
-            return _fn(path, *header)
+            return _fn(path, *args)
 
         monkeypatch.setattr(pl, "load_timeseries", counted)
         p = write_config(tmp_path, {**self.SAVED, ("reconstruction", "mode"): "nonreciprocal"})
@@ -961,7 +964,7 @@ class TestCliErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("simulated a record the estimate stage cannot take")
 
-        for name in ("simulate", "simulate_grounded", "simulate_blocks"):
+        for name in ("simulate", "simulate_grounded"):
             monkeypatch.setattr(pl, name, refuse)
         p, out = reference_config(tmp_path, overrides), tmp_path / "s"
         args = ["--config", str(p), "--out", str(out)]
@@ -1084,8 +1087,8 @@ class TestBench:
     def test_bench_simulates_each_run_once_per_repeat(self, tmp_path, monkeypatch):
         # the spectra the other stages take come from the timed correlation
         calls = []
-        blocks = pl.simulate_blocks
-        monkeypatch.setattr(pl, "simulate_blocks",
+        blocks = sim.simulate_blocks
+        monkeypatch.setattr(sim, "simulate_blocks",
                             lambda *args, **kwargs: calls.append(1) or blocks(*args, **kwargs))
         cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): "boolean",
                                                   ("spectral", "segment_length"): "512",
@@ -1115,6 +1118,23 @@ class TestBench:
         finally:
             tracemalloc.stop()
         assert peak < n * l * 8 / 4
+
+    def test_bench_paper_holds_one_sweep_point_at_a_time(self, tmp_path):
+        # each point's records are simulated for its correlation and released after it
+        cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): "boolean",
+                                                  ("spectral", "segment_length"): "512",
+                                                  ("spectral", "omega0"): "1.5"}))
+        n, l = 2, 2**14
+        point_bytes = 8 * l * (n + n * (n - 1))  # the full run and N grounded runs
+        peaks = []
+        for points in (1, 6):
+            tracemalloc.start()
+            try:
+                benchmark(cfg, [(n, l)] * points, cost_model="paper", repeats=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + point_bytes / 2, [p / point_bytes for p in peaks]
 
     def test_bench_builds_the_configured_network(self, tmp_path, capsys):
         p = write_config(tmp_path, {("network", "family"): "reference",

@@ -25,25 +25,35 @@ from netspectra import (
 from netspectra.families import random_hurwitz_system, reference_laplacian_5
 from netspectra.simulate import (
     PROPAGATE_BLOCK,
+    StreamedRecord,
     _block_solver,
     _cascade,
     _propagate,
     channel_labels,
-    collect,
     simulate_blocks,
 )
 
 from conftest import make_system
 
 
-def save(path, ts):
-    """Write a held record through the block-wise writer, as one block."""
-    save_timeseries(path, ts.channel_labels, ts.n_samples, ts.dt, [ts.data])
+class Kept:
+    """A sink that keeps every block it is fed."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def feed(self, block):
+        self.blocks.append(np.array(block))
 
 
-def load(path, labels, n_samples, dt):
-    """Read a record back through the block-wise reader and hold it."""
-    return collect(load_timeseries(path, labels, n_samples, dt), labels, n_samples, dt)
+def streamed(labels, n_samples, dt, blocks):
+    """A streamed record whose source feeds the blocks of ``blocks()`` to its sink."""
+    def source(sink):
+        for block in blocks():
+            sink.feed(block)
+        return sink
+
+    return StreamedRecord(tuple(labels), n_samples, dt, source)
 
 
 def chain_system(weights=(1.0, 1.0)):
@@ -353,22 +363,22 @@ class TestShapedNoise:
 class TestTimeSeriesIO:
     def test_roundtrip(self, tmp_path, rng):
         ts = TimeSeriesMatrix(rng.standard_normal((3, 100)), 0.02, (1, 3, 4))
-        save(tmp_path / "x.nsts", ts)
-        t2 = load(tmp_path / "x.nsts", (1, 3, 4), 100, 0.02)
+        save_timeseries(tmp_path / "x.nsts", ts)
+        t2 = load_timeseries(tmp_path / "x.nsts", (1, 3, 4), 100, 0.02)
         assert np.array_equal(ts.data, t2.data)
         assert t2.dt == 0.02
         assert t2.channel_labels == (1, 3, 4)
 
     def test_file_layout(self, tmp_path, rng):
         ts = TimeSeriesMatrix(rng.standard_normal((2, 50)), 0.25, (2, 5))
-        save(tmp_path / "x.nsts", ts)
+        save_timeseries(tmp_path / "x.nsts", ts)
         header = b"NSTS0001" + struct.pack("<IQd2I", 2, 50, 0.25, 2, 5)
         assert (tmp_path / "x.nsts").read_bytes() == header + ts.data.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("keep", [20, -8])
     def test_truncated_rejected(self, tmp_path, rng, keep):
         p = tmp_path / "x.nsts"
-        save(p, TimeSeriesMatrix(rng.standard_normal((2, 50)), 0.25, (1, 2)))
+        save_timeseries(p, TimeSeriesMatrix(rng.standard_normal((2, 50)), 0.25, (1, 2)))
         p.write_bytes(p.read_bytes()[:keep])
         with pytest.raises(ValidationError, match="truncated"):
             load_timeseries(p, (1, 2), 50, 0.25)
@@ -407,8 +417,8 @@ class TestTimeSeriesIO:
     def test_simulated_and_loaded_records_are_not_copied(self, tmp_path):
         ts = simulate(make_system(np.zeros((2, 2))), NoiseConfig(), SimConfig(n_samples=64))
         assert ts.data.base is None and not ts.data.flags.writeable
-        save(tmp_path / "x.nsts", ts)
-        loaded = load(tmp_path / "x.nsts", (1, 2), 64, ts.dt)
+        save_timeseries(tmp_path / "x.nsts", ts)
+        loaded = load_timeseries(tmp_path / "x.nsts", (1, 2), 64, ts.dt)
         assert loaded.data.base is None and not loaded.data.flags.writeable
 
     @pytest.mark.parametrize("ground", [None, 2])
@@ -417,12 +427,16 @@ class TestTimeSeriesIO:
         noise, cfg = NoiseConfig(seed=3), SimConfig(dt=0.01, n_samples=2 * PROPAGATE_BLOCK + 9)
         labels = channel_labels(5, ground)
         p = tmp_path / "x.nsts"
-        save_timeseries(p, labels, cfg.n_samples, cfg.dt, simulate_blocks(sys, noise, cfg, ground))
-        ts = simulate(sys, noise, cfg) if ground is None else simulate_grounded(sys, ground, noise, cfg)
+        if ground is None:
+            source = lambda sink=None: simulate(sys, noise, cfg, sink)
+        else:
+            source = lambda sink=None: simulate_grounded(sys, ground, noise, cfg, sink)
+        save_timeseries(p, StreamedRecord(labels, cfg.n_samples, cfg.dt, source))
+        ts = source()
         header = b"NSTS0001" + struct.pack(f"<IQd{len(labels)}I", len(labels), cfg.n_samples,
                                            cfg.dt, *labels)
         assert p.read_bytes() == header + ts.data.astype("<f8").tobytes()
-        blocks = list(load_timeseries(p, labels, cfg.n_samples, cfg.dt))
+        blocks = load_timeseries(p, labels, cfg.n_samples, cfg.dt, Kept()).blocks
         assert [b.shape[1] for b in blocks] == [PROPAGATE_BLOCK, PROPAGATE_BLOCK, 9]
         assert np.array_equal(np.concatenate(blocks, axis=1), ts.data)
 
@@ -431,7 +445,7 @@ class TestTimeSeriesIO:
     ], ids=["channels", "labels", "length", "dt"])
     def test_reader_refuses_another_run(self, tmp_path, rng, labels, n_samples, dt):
         p = tmp_path / "x.nsts"
-        save(p, TimeSeriesMatrix(rng.standard_normal((2, 50)), 0.25, (1, 2)))
+        save_timeseries(p, TimeSeriesMatrix(rng.standard_normal((2, 50)), 0.25, (1, 2)))
         with pytest.raises(ValidationError, match="not the run"):
             load_timeseries(p, labels, n_samples, dt)
 
@@ -439,16 +453,16 @@ class TestTimeSeriesIO:
         p = tmp_path / "x.nsts"
         data = np.zeros((2, PROPAGATE_BLOCK + 5))
         data[1, PROPAGATE_BLOCK + 2] = np.nan
-        save_timeseries(p, (1, 2), data.shape[1], 0.1, [data])
-        blocks = load_timeseries(p, (1, 2), data.shape[1], 0.1)
-        assert not np.isnan(next(blocks)).any()
+        save_timeseries(p, streamed((1, 2), data.shape[1], 0.1, lambda: [data]))
+        kept = Kept()
         with pytest.raises(ValidationError, match="non-finite"):
-            next(blocks)
+            load_timeseries(p, (1, 2), data.shape[1], 0.1, kept)
+        assert len(kept.blocks) == 1 and not np.isnan(kept.blocks[0]).any()
 
     def test_writer_leaves_no_file_of_a_broken_stream(self, tmp_path):
         p = tmp_path / "x.nsts"
         with pytest.raises(ValidationError, match="ended after 30 of 50"):
-            save_timeseries(p, (1, 2), 50, 0.1, [np.zeros((2, 30))])
+            save_timeseries(p, streamed((1, 2), 50, 0.1, lambda: [np.zeros((2, 30))]))
         assert not p.exists()
 
         def overflowing():
@@ -456,5 +470,5 @@ class TestTimeSeriesIO:
             raise NumericalError("simulation produced non-finite samples (overflow)")
 
         with pytest.raises(NumericalError):
-            save_timeseries(p, (1, 2), 50, 0.1, overflowing())
+            save_timeseries(p, streamed((1, 2), 50, 0.1, overflowing))
         assert not p.exists()

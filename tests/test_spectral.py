@@ -21,6 +21,7 @@ from netspectra import (
     simulate,
     snap_frequency,
 )
+from netspectra.simulate import StreamedRecord
 from netspectra.spectral import (
     ACCUMULATOR_BATCH,
     CpsdAccumulator,
@@ -32,6 +33,16 @@ from conftest import make_system
 
 def white_ts(rng, n_channels=2, n_samples=2**14, dt=0.01):
     return TimeSeriesMatrix(rng.standard_normal((n_channels, n_samples)), dt, tuple(range(1, n_channels + 1)))
+
+
+def streamed(ts, n_chunks):
+    """``ts`` as a streamed record that feeds it in ``n_chunks`` column chunks."""
+    def source(sink):
+        for block in np.array_split(ts.data, n_chunks, axis=1):
+            sink.feed(block)
+        return sink
+
+    return StreamedRecord(ts.channel_labels, ts.n_samples, ts.dt, source)
 
 
 class TestSpectralConfig:
@@ -271,7 +282,7 @@ class TestGrids:
     def test_psd_grid_matches_scipy_welch(self, rng):
         ts = white_ts(rng, n_channels=2, n_samples=2**13)
         cfg = SpectralConfig(segment_length=512)
-        omegas, psd = estimate_psd_grid([ts.data], ts.n_channels, ts.dt, cfg)
+        omegas, psd = estimate_psd_grid(ts, cfg)
         freqs, ref = signal.welch(
             ts.data[0], fs=1.0 / ts.dt, window="hann", nperseg=512, noverlap=256,
             detrend="constant", return_onesided=False, scaling="density",
@@ -303,12 +314,12 @@ class TestGrids:
             spec = np.fft.rfft(segs * win, axis=1)
             ref[ch] = ts.dt / (n_seg * (win * win).sum()) * (
                 spec.real**2 + spec.imag**2).sum(axis=0)
-        blocks = np.array_split(ts.data, 7, axis=1)  # cut across segments and batches
-        omegas, psd = estimate_psd_grid(blocks, ts.n_channels, ts.dt, cfg)
+        chunked = streamed(ts, 7)  # cut across segments and batches
+        omegas, psd = estimate_psd_grid(chunked, cfg)
         assert np.array_equal(psd, ref)
         band = 0.5 * np.pi / ts.dt
         floor = np.where((omegas > 0) & (omegas < band), ref.min(axis=0), -np.inf)
-        assert select_omega0([ts.data], 3, ts.dt, band, cfg) == omegas[int(np.argmax(floor))]
+        assert select_omega0(chunked, band, cfg) == omegas[int(np.argmax(floor))]
 
 
 class TestSelectOmega0:
@@ -318,8 +329,8 @@ class TestSelectOmega0:
         ts = simulate(sys, noise, SimConfig(dt=0.01, n_samples=2**15))
         cfg = SpectralConfig(segment_length=1024)
         band = noise.input_psd_model(0.01)
-        chosen = select_omega0([ts.data], ts.n_channels, ts.dt, band.omega_max, cfg, node=sys.node)
-        omegas, psd = estimate_psd_grid([ts.data], ts.n_channels, ts.dt, cfg)
+        chosen = select_omega0(ts, band.omega_max, cfg, node=sys.node)
+        omegas, psd = estimate_psd_grid(ts, cfg)
         mask = (omegas > 0) & (omegas < band.omega_max) & (omegas < np.pi / 0.01)
         floor = psd.min(axis=0)
         brute = omegas[mask][np.argmax(floor[mask])]
@@ -331,14 +342,14 @@ class TestSelectOmega0:
     def test_deterministic(self, rng):
         ts = white_ts(rng)
         cfg = SpectralConfig(segment_length=512)
-        a = select_omega0([ts.data], ts.n_channels, ts.dt, 10.0, cfg)
-        b = select_omega0([ts.data], ts.n_channels, ts.dt, 10.0, cfg)
+        a = select_omega0(ts, 10.0, cfg)
+        b = select_omega0(ts, 10.0, cfg)
         assert a == b
 
     def test_empty_band_rejected(self, rng):
         ts = white_ts(rng)
         with pytest.raises(NumericalError):
-            select_omega0([ts.data], ts.n_channels, ts.dt, 0.1, SpectralConfig(segment_length=512))
+            select_omega0(ts, 0.1, SpectralConfig(segment_length=512))
 
 
 class TestReferenceAgreement:
