@@ -49,6 +49,13 @@ __all__ = [
 H_ZERO_TOL = 1e-12
 
 
+def check_nodal_transfer(h: complex, omega: float) -> None:
+    """Raise :class:`FrequencyRejectedError` if ``h = h(j omega)`` is a transmission zero."""
+    if abs(h) < H_ZERO_TOL:
+        raise FrequencyRejectedError(f"nodal transfer function vanishes at omega={omega} "
+                                     f"(|h|={abs(h):.3e}); choose a different frequency")
+
+
 @dataclass(frozen=True)
 class NodeDynamics:
     """State-space triple ``(A, b, c)`` shared by every node.
@@ -174,11 +181,7 @@ def network_transfer_closed(sys: NetworkSystem, omega: float) -> np.ndarray:
     (``h(jw) == 0``); the caller should evaluate at a different frequency.
     """
     h = nodal_transfer(sys.node, omega)
-    if abs(h) < H_ZERO_TOL:
-        raise FrequencyRejectedError(
-            f"nodal transfer function vanishes at omega={omega} "
-            f"(|h|={abs(h):.3e}); choose a different frequency"
-        )
+    check_nodal_transfer(h, omega)
     g = sys.connectivity.weights
     inner = np.eye(sys.n_nodes, dtype=complex) / h - g
     try:
@@ -309,11 +312,7 @@ def analytic_cpsd(
             "where the noise model is strictly positive"
         )
     h = nodal_transfer(sys.node, omega)
-    if abs(h) < H_ZERO_TOL:
-        raise FrequencyRejectedError(
-            f"nodal transfer function vanishes at omega={omega}; "
-            "choose a different frequency"
-        )
+    check_nodal_transfer(h, omega)
     g = sys.connectivity.weights
     n = sys.n_nodes
     inner = (

@@ -204,9 +204,9 @@ def _finite(raw: str) -> float:
 
 
 def _omega0_text(raw: str) -> str:
-    """``auto`` or a frequency, checked as a finite float but kept as written."""
-    if raw != "auto":
-        _finite(raw)
+    """``auto`` or a frequency, checked as a finite nonnegative float but kept as written."""
+    if raw != "auto" and _finite(raw) < 0:
+        raise ValueError("must be auto or a nonnegative frequency")
     return raw
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import FrequencyRejectedError, NumericalError, ValidationError
 from .graphs import BooleanStructure, ConnectivityMatrix
-from .lti import CpsdMatrix, H_ZERO_TOL
+from .lti import CpsdMatrix, check_nodal_transfer
 from .spectral import CpsdInverse, estimate_inverse_cpsd
 
 __all__ = [
@@ -103,13 +103,6 @@ class ReconstructionResult:
     diagnostics: Optional[ReconstructionDiagnostics] = None
 
 
-def _check_transfer(h: complex) -> None:
-    if abs(h) < H_ZERO_TOL:
-        raise FrequencyRejectedError(
-            "nodal transfer function vanishes at the evaluation frequency"
-        )
-
-
 def input_psd_from_eigenpair(
     s: CpsdMatrix,
     h: complex,
@@ -123,7 +116,7 @@ def input_psd_from_eigenpair(
     ``S_w`` needs no knowledge of the rest of ``G``.  The formula is invariant
     to the scaling of ``u``.
     """
-    _check_transfer(h)
+    check_nodal_transfer(h, s.omega)
     u = np.asarray(eigenvector, dtype=float)
     if u.shape != (s.n_nodes,):
         raise ValidationError(
@@ -353,7 +346,7 @@ def exact_undirected(
     ``tau`` (a number, or a policy called on them); absent entries weigh zero
     and the diagonal is kept.
     """
-    _check_transfer(h)
+    check_nodal_transfer(h, s.omega)
     if s_w <= 0:
         raise ValidationError("S_w must be positive")
     inv = estimate_inverse_cpsd(s)
@@ -411,7 +404,7 @@ def nonreciprocal(
     present, zero elsewhere.  Frequencies where ``Im{1/h}`` (the
     strictly-proper node's phase) vanishes are rejected.
     """
-    _check_transfer(h)
+    check_nodal_transfer(h, s.omega)
     a = 1.0 / h
     if abs(a.imag) < IM_H_INV_TOL:
         raise FrequencyRejectedError(

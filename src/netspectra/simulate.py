@@ -13,7 +13,8 @@ known, strictly positive power spectral density over a wide band:
 which is flat to within 1% for ``|w| <= 0.35 / dt``.  That band is exposed as
 the excitation interval so every downstream frequency choice stays inside it,
 and analytic cross-checks use the exact injected density rather than an
-idealisation.
+idealisation.  Low-pass shaping, a first-order recursion per node, runs on the
+cascade's own banded solve (:func:`_block_solver`).
 
 A record is described by its header ``(channel labels, n_samples, dt)`` and
 is either held, as a read-only :class:`TimeSeriesMatrix`, or streamed, as a
@@ -101,44 +102,48 @@ class NoiseConfig:
         if dt <= 0:
             raise ValidationError("dt must be positive")
         sig2 = self.variance
-        if self.shaping == "none":
+        if self.shaping == "lowpass":
+            phi, gam = self._ar1(dt)
 
-            def evaluator(w: float) -> float:
-                return sig2 * dt * np.sinc(w * dt / (2 * math.pi)) ** 2
-
-        else:
-            p = float(self.shaping_pole)
-            phi = math.exp(p * dt)
-            gam = (phi - 1.0) / p
-
-            def evaluator(w: float) -> float:
-                held = sig2 * dt * np.sinc(w * dt / (2 * math.pi)) ** 2
-                ar = gam**2 / abs(np.exp(1j * w * dt) - phi) ** 2
-                return held * ar
+        def evaluator(w: float) -> float:
+            held = sig2 * dt * np.sinc(w * dt / (2 * math.pi)) ** 2
+            if self.shaping == "none":
+                return held
+            return held * (gam**2 / abs(np.exp(1j * w * dt) - phi) ** 2)
 
         return InputPsdModel(evaluator=evaluator, omega_max=FLAT_BAND_FRACTION / dt)
+
+    def _ar1(self, dt: float) -> tuple[float, float]:
+        """``(phi, gamma)`` of the lowpass shaping ``u[k] = phi u[k-1] + gamma w[k]`` at step dt."""
+        p = float(self.shaping_pole)
+        phi = math.exp(p * dt)
+        return phi, (phi - 1.0) / p
 
     def _draws(self, rng: np.random.Generator, n_samples: int, n_channels: int,
                dt: float) -> Iterator[np.ndarray]:
         """The noise in blocks of ``PROPAGATE_BLOCK`` samples (rows).
 
-        Row-major chunks of ``standard_normal`` and an ``lfilter`` carrying its
-        state give the same numbers, bit for bit, as one whole-record draw.
-        ``scipy.signal`` is imported here, at the first lowpass draw, so that
-        importing netspectra does not pay for it.
+        Row-major chunks of ``standard_normal`` give the same numbers, bit for
+        bit, as one whole-record draw.  Lowpass shaping solves each channel's
+        recursion with :func:`_block_solver` on the 1x1 block ``[[phi]]``, its
+        last value carried into the next block, which gives the same numbers
+        as one banded solve over the whole record.
         """
         scale = math.sqrt(self.variance)
         if self.shaping == "lowpass":
-            from scipy.signal import lfilter
-
-            p = float(self.shaping_pole)
-            phi = math.exp(p * dt)
-            gam = (phi - 1.0) / p
-            state = np.zeros((1, n_channels))
+            phi, gam = self._ar1(dt)
+            solve = _block_solver(np.array([[phi]]), 0, 1)
+            last = np.zeros(n_channels)
         for lo in range(0, n_samples, PROPAGATE_BLOCK):
             w = scale * rng.standard_normal((min(PROPAGATE_BLOCK, n_samples - lo), n_channels))
             if self.shaping == "lowpass":
-                w, state = lfilter([gam], [1.0, -phi], w, axis=0, zi=state)
+                # per channel a contiguous row [u[-1], gamma w[0], ...], as the in-place solve needs
+                u = np.empty((n_channels, w.shape[0] + 1))
+                u[:, 0] = last
+                np.multiply(w.T, gam, out=u[:, 1:])
+                for row in u:
+                    solve(row[None])
+                w, last = u[:, 1:].T, u[:, -1]
             yield w
 
 

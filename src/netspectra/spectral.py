@@ -80,7 +80,7 @@ class SpectralConfig:
         return max(1, int(round(self.segment_length * (1.0 - self.overlap_fraction))))
 
     def window_values(self) -> np.ndarray:
-        """The periodic window, bit for bit ``scipy.signal.get_window(window, M)``.
+        """The periodic window, bit for bit SciPy's ``get_window(window, M)``.
 
         The Hann window is scipy's own cosine sum over ``M + 1`` symmetric
         points with the last dropped; ``0.5 - 0.5 cos(2 pi n / M)`` differs
@@ -314,7 +314,7 @@ def estimate_cpsd_lag_domain(ts: TimeSeriesMatrix, omega0: float) -> CpsdMatrix:
 
     Computes the biased cross-correlation of every channel pair over all
     ``2L-1`` lags (quadratic in the record length) and transforms it at the
-    single frequency ``omega0``.  Equivalent to the un-averaged cross
+    single frequency ``|omega0|``.  Equivalent to the un-averaged cross
     periodogram; meant for benchmarking, not precision estimation.
     """
     n, l = ts.n_channels, ts.n_samples
@@ -325,7 +325,7 @@ def estimate_cpsd_lag_domain(ts: TimeSeriesMatrix, omega0: float) -> CpsdMatrix:
         )
     data = ts.data - ts.data.mean(axis=1, keepdims=True)
     lags = np.arange(-(l - 1), l)
-    phase = np.exp(-1j * omega0 * lags * ts.dt)
+    phase = np.exp(-1j * abs(omega0) * lags * ts.dt)
     s = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):

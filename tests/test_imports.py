@@ -1,8 +1,8 @@
 """netspectra keeps ``scipy.signal`` (about 0.9 s of import time) out of its import graph.
 
-Only lowpass noise shaping needs it, and imports it at the first shaped draw.
-Each check runs in a fresh interpreter, since this test process imports
-``scipy.signal`` itself.
+No path needs it: lowpass noise shaping solves its recursion with the Schur
+cascade's banded solve.  Each check runs in a fresh interpreter, since this
+test process imports ``scipy.signal`` itself.
 """
 
 import os
@@ -61,10 +61,19 @@ def test_unshaped_hann_run_leaves_scipy_signal_out(tmp_path):
     assert (tmp_path / "out" / "metrics.json").exists()
 
 
-def test_lowpass_simulation_imports_scipy_signal(tmp_path):
+def test_lowpass_simulation_leaves_scipy_signal_out(tmp_path):
     code = ("import numpy as np\n"
             "from netspectra import (ConnectivityMatrix, NetworkSystem, NodeDynamics,\n"
             "                        NoiseConfig, SimConfig, simulate)\n"
             "sys_ = NetworkSystem(NodeDynamics.scalar_pole(-1.0), ConnectivityMatrix(np.zeros((2, 2))))\n"
             "simulate(sys_, NoiseConfig(shaping='lowpass', shaping_pole=-2.0), SimConfig(n_samples=256))")
-    assert signal_imported_after(code, tmp_path)
+    assert not signal_imported_after(code, tmp_path)
+
+
+def test_lowpass_run_leaves_scipy_signal_out(tmp_path):
+    (tmp_path / "exp.ini").write_text(
+        CONFIG.replace("shaping = none", "shaping = lowpass\nshaping_pole = -2.0"))
+    code = ("from netspectra import load_config, run_pipeline\n"
+            "run_pipeline(load_config('exp.ini'), 'out')")
+    assert not signal_imported_after(code, tmp_path)
+    assert (tmp_path / "out" / "metrics.json").exists()

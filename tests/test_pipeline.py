@@ -921,6 +921,17 @@ class TestCliErrors:
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: [{section}] {key} = '{text}': ")
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["bench", "--sweep", "6:16384", "--repeats", "1"],
+        ["bench", "--sweep", "6:16384", "--repeats", "1", "--cost-model", "paper"],
+    ], ids=["run", "bench", "bench-paper"])
+    def test_negative_omega0_exit_code(self, tmp_path, capsys, command):
+        # -0.5 once ran: estimates at +0.46, while paper and the oracles took -0.5
+        p, out = reference_config(tmp_path, {("spectral", "omega0"): "-0.5"}), tmp_path / "o"
+        assert main([*command, "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: [spectral] omega0 = '-0.5': ")
+
     @pytest.mark.parametrize("section, override", [
         ("noise", None), ("network", None), (None, "-3"),
     ])

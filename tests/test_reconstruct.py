@@ -43,6 +43,17 @@ def oracle_spectra(sys, s_w, omega, with_grounded=True):
     return s, grounded
 
 
+@pytest.mark.parametrize("route", [
+    lambda s, h: input_psd_from_eigenpair(s, h, 0.0, np.ones(2)),
+    lambda s, h: exact_undirected(s, h, 1.0),
+    lambda s, h: nonreciprocal(s, h, 1.0),
+], ids=["eigenpair", "exact-undirected", "nonreciprocal"])
+def test_transmission_zero_rejected_by_every_route(route):
+    s = analytic_cpsd(make_system(np.zeros((2, 2))), 1.0, 0.5)
+    with pytest.raises(FrequencyRejectedError, match="omega=0.5"):
+        route(s, 1e-13 + 0j)
+
+
 class TestInputPsd:
     def test_laplacian_wrapper_matches_closed_form(self, scalar_node):
         sys = NetworkSystem(scalar_node, reference_laplacian_5())

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 from scipy import signal
+from scipy.linalg.blas import dtbsv
 
 from netspectra import (
     ConnectivityMatrix,
@@ -233,8 +234,15 @@ class TestSimulateBlocks:
         assert max(len(w) for w in blocks) == PROPAGATE_BLOCK
         whole = np.sqrt(2.0) * np.random.default_rng(6).standard_normal((n, 3))
         if shaping == "lowpass":
+            # u[k] = phi u[k-1] + gam w[k], u[-1] = 0: one banded solve per channel over all samples
             phi = np.exp(-2.0 * 0.01)
-            whole = signal.lfilter([(phi - 1.0) / -2.0], [1.0, -phi], whole, axis=0)
+            gam = (phi - 1.0) / -2.0
+            band = np.zeros((2, n + 1), order="F")
+            band[0], band[1] = 1.0, -phi
+            filtered = signal.lfilter([gam], [1.0, -phi], whole, axis=0)
+            whole = np.column_stack([
+                dtbsv(1, band, np.r_[0.0, w * gam], lower=1, diag=1)[1:] for w in whole.T])
+            assert np.abs(whole - filtered).max() <= 1e-14 * np.abs(filtered).max()
         assert np.array_equal(np.concatenate(blocks), whole)
 
     @pytest.mark.parametrize("ground", [None, 2])

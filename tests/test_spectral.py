@@ -144,15 +144,19 @@ class TestEstimateCpsdMatrix:
         with pytest.warns(UserWarning, match="segments"):
             estimate_cpsd_matrix(ts, 1.0, SpectralConfig(segment_length=1024, overlap_fraction=0.0))
 
-    def test_agreement_with_analytic_oracle(self):
-        # strongly coupled 2-node system; estimates concentrate on the oracle
+    @pytest.mark.parametrize("omega0", [0.5, 3.0, 10.0])
+    @pytest.mark.parametrize("shaping", ["none", "lowpass"])
+    def test_agreement_with_analytic_oracle(self, shaping, omega0):
+        # strongly coupled 2-node system; estimates concentrate on the oracle,
+        # whose input density is the shaped one where the noise is shaped
         w = np.zeros((2, 2))
         w[1, 0] = 1.0
         sys = make_system(w)
-        noise = NoiseConfig(variance=1.0, seed=12)
+        noise = NoiseConfig(variance=1.0, seed=12, shaping=shaping,
+                            shaping_pole=-2.0 if shaping == "lowpass" else None)
         ts = simulate(sys, noise, SimConfig(dt=0.01, n_samples=2**18))
         cfg = SpectralConfig(segment_length=2048)
-        s = estimate_cpsd_matrix(ts, 0.5, cfg)
+        s = estimate_cpsd_matrix(ts, omega0, cfg)
         oracle = analytic_cpsd(sys, noise.input_psd_model(0.01), s.omega)
         k = s.segment_count
         se = np.sqrt(np.outer(np.diag(oracle.values).real, np.diag(oracle.values).real) / k)
@@ -233,6 +237,13 @@ class TestLagDomainEstimator:
         ts = white_ts(rng, n_channels=3, n_samples=2000)
         s = estimate_cpsd_lag_domain(ts, 0.4)
         assert np.array_equal(s.values, s.values.conj().T)
+
+    def test_negative_frequency_is_its_magnitude(self, rng):
+        # the matrix is labelled |omega0|, so it must be the one taken there
+        ts = white_ts(rng, n_channels=3, n_samples=2000)
+        pos, neg = estimate_cpsd_lag_domain(ts, 0.5), estimate_cpsd_lag_domain(ts, -0.5)
+        assert neg.omega == pos.omega == 0.5
+        assert np.array_equal(neg.values, pos.values)
 
 
 class TestEstimateInverse:
