@@ -22,15 +22,16 @@ Spectra are taken at the config's omega0: ``fft`` snaps it as ``run`` does,
 (untimed) take it unsnapped.  ``paper`` refuses a fixed omega0 that ``run``
 cannot snap (exit 3 at the DC bin, exit 2 at or above Nyquist), but not a
 record shorter than two segments, since it averages no segments.  The other
-stages take the spectra of the first timed correlation.  Timings are the
-minimum over a configurable number of repeats; scaling factors are measured,
-never asserted.
+stages take the spectra of the correlation timed just before them, in the
+same round.  Timings are the minimum over a configurable number of repeats;
+scaling factors are measured, never asserted.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+from collections.abc import Callable
 from dataclasses import replace
 
 from .errors import ConfigError
@@ -73,12 +74,13 @@ def parse_sweep(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _make_stages(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
-                 node: NodeDynamics) -> list[tuple[str, object]]:
-    """One sweep point's ``(stage name, prepare)`` pairs, in order.
+def _sweep_point(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
+                 node: NodeDynamics) -> Callable[[], dict[str, float]]:
+    """Build sweep point ``(n, l)`` once, as ``run`` builds a run; return its ``measure()``.
 
-    ``prepare()`` does a stage's untimed work and returns the callable to
-    time; whatever it holds is released when that callable is dropped.
+    ``measure()`` times one round of the point's stages, in order, and returns
+    ``{stage: seconds}``.  Under ``paper`` it first simulates the records,
+    untimed, and releases them after the correlation.
     """
     cfg = replace(cfg, network=replace(cfg.network, n_nodes=n),
                   sim=replace(cfg.sim, n_samples=l))
@@ -86,40 +88,38 @@ def _make_stages(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
     if g.n_nodes != n:
         raise ConfigError(f"the network file has {g.n_nodes} nodes, not the sweep's {n}")
     keys = _run_keys(cfg, n)
-    stages: list[tuple[str, object]] = []
-    spectra: list = []  # the oracle's, or filled by each timed correlation
     if cfg.recon.oracle:
-        spectra[:] = oracle_spectra(cfg, g, node)
+        oracle = oracle_spectra(cfg, g, node)
     else:
         runs = simulated_runs(cfg, g, node)
         if cost_model == "paper":
             _require_snappable(cfg)
             omega0 = _analytic_omega0(cfg)
 
-            def correlation():
-                records = [runs(key).into() for key in keys]  # held whole, untimed
-
-                def correlate():
-                    spectra[:] = [estimate_cpsd_lag_domain(ts, omega0) for ts in records]
-
-                return correlate
+    def measure() -> dict[str, float]:
+        seconds = {}
+        if cfg.recon.oracle:
+            spectra = oracle
+        elif cost_model == "paper":
+            records = [runs(key).into() for key in keys]  # held whole, untimed
+            t0 = time.perf_counter()
+            spectra = [estimate_cpsd_lag_domain(ts, omega0) for ts in records]
+            seconds["correlation"] = time.perf_counter() - t0
+            del records
         else:
-            def correlate():
-                spectra[:] = estimate_spectra(cfg, runs, node, n)
-
-            correlation = lambda: correlate
-        stages.append(("correlation", correlation))
-
-    def invert():
+            t0 = time.perf_counter()
+            spectra = estimate_spectra(cfg, runs, node, n)
+            seconds["correlation"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
         for mat in spectra:
             estimate_inverse_cpsd(mat)
-
-    def recover():
+        t1 = time.perf_counter()
         reconstruct(cfg, spectra[0], list(zip(keys[1:], spectra[1:])), node, g.eigenpair)
+        seconds["inversion"] = t1 - t0
+        seconds["reconstruction"] = time.perf_counter() - t1
+        return seconds
 
-    stages.append(("inversion", lambda: invert))
-    stages.append(("reconstruction", lambda: recover))
-    return stages
+    return measure
 
 
 def benchmark(
@@ -140,37 +140,19 @@ def benchmark(
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
     node = _build_node(cfg)
-    prepared = [
-        (n, l, _make_stages(cfg, n, l, cost_model, node)) for n, l in sweep
-    ]
-    best: dict[tuple, float] = {}
+    points = [((n, l), _sweep_point(cfg, n, l, cost_model, node)) for n, l in sweep]
+    best: dict[tuple[int, int], dict[str, float]] = {}
     for round_index in range(repeats):
         # alternate the visit order so slow machine drift cannot
         # systematically penalise one end of the sweep
-        ordered = prepared if round_index % 2 == 0 else prepared[::-1]
-        for n, l, stages in ordered:
-            for name, prepare in stages:
-                fn = prepare()
-                t0 = time.perf_counter()
-                fn()
-                dt = time.perf_counter() - t0
-                del fn
-                key = (n, l, name)
-                best[key] = min(best.get(key, float("inf")), dt)
-    rows = []
-    for n, l, stages in prepared:
-        for name, _ in stages:
-            rows.append(
-                {
-                    "n_nodes": n,
-                    "n_samples": l,
-                    "cost_model": "oracle" if cfg.recon.oracle else cost_model,
-                    "stage": name,
-                    "seconds": best[(n, l, name)],
-                    "repeats": repeats,
-                }
-            )
-    return rows
+        for point, measure in points if round_index % 2 == 0 else points[::-1]:
+            point_best = best.setdefault(point, {})
+            for stage, dt in measure().items():
+                point_best[stage] = min(point_best.get(stage, dt), dt)
+    label = "oracle" if cfg.recon.oracle else cost_model
+    return [{"n_nodes": n, "n_samples": l, "cost_model": label, "stage": stage,
+             "seconds": seconds, "repeats": repeats}
+            for n, l in sweep for stage, seconds in best[(n, l)].items()]
 
 
 def write_bench_csv(path, rows: list[dict]) -> None:

@@ -649,12 +649,11 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     return metrics
 
 
-def _write_manifest(cfg: ExperimentConfig, out: Path, info: dict, workers: int) -> None:
+def _write_manifest(cfg: ExperimentConfig, out: Path, info: dict) -> None:
     manifest = {
         "netspectra_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "workers": workers,
         "estimate": info,
         "seeds": {"network": cfg.network.seed, "noise": cfg.noise.seed},
         "config": config_to_dict(cfg),
@@ -680,7 +679,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
                               truth.n_nodes, workers=workers)
     stage_reconstruct(cfg, out)
     metrics = stage_evaluate(cfg, out)
-    _write_manifest(cfg, out, info, workers)
+    _write_manifest(cfg, out, info)
     return metrics
 
 

@@ -137,7 +137,7 @@ class NoiseConfig:
         for lo in range(0, n_samples, PROPAGATE_BLOCK):
             w = scale * rng.standard_normal((min(PROPAGATE_BLOCK, n_samples - lo), n_channels))
             if self.shaping == "lowpass":
-                # per channel a contiguous row [u[-1], gamma w[0], ...], as the in-place solve needs
+                # per channel a contiguous row [u[-1], gamma w[0], ...], which the solve takes uncopied
                 u = np.empty((n_channels, w.shape[0] + 1))
                 u[:, 0] = last
                 np.multiply(w.T, gam, out=u[:, 1:])
@@ -270,9 +270,9 @@ def _block_solver(t: np.ndarray, lo: int, hi: int):
     ``n <= PROPAGATE_BLOCK``, and leaves ``zb = [z[0], ..., z[n]]``: one unit
     lower-banded solve by BLAS ``dtbsv`` over the rows interleaved in time,
     ``x[b k + r] = z_r[k]``, whose band holds ``-T[lo + r, lo + c]`` at offset
-    ``b + r - c`` in columns ``c::b``.  One row is solved in place; a pair is
-    interleaved into a copy and back.  The band is Fortran-ordered and built
-    once, so no call copies it.
+    ``b + r - c`` in columns ``c::b``.  One row is solved in place (through a
+    copy when it is not contiguous); a pair is interleaved into a copy and
+    back.  The band is Fortran-ordered and built once, so no call copies it.
     """
     b = hi - lo
     band = np.zeros((2 * b, b * (PROPAGATE_BLOCK + 1)), order="F")
@@ -283,7 +283,10 @@ def _block_solver(t: np.ndarray, lo: int, hi: int):
 
     def solve(zb: np.ndarray) -> None:
         if b == 1:
-            dtbsv(1, band[:, :zb.shape[1]], zb[0], lower=1, diag=1, overwrite_x=1)
+            row = zb[0]
+            x = dtbsv(1, band[:, :zb.shape[1]], row, lower=1, diag=1, overwrite_x=1)
+            if x is not row:  # f2py solved a copy of a non-contiguous row
+                row[:] = x
         else:
             x = dtbsv(2 * b - 1, band[:, :zb.size], zb.T.ravel(), lower=1, diag=1, overwrite_x=1)
             zb[:] = x.reshape(-1, b).T

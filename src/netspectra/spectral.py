@@ -367,8 +367,9 @@ def estimate_inverse_cpsd(s: CpsdMatrix) -> CpsdInverse:
 
     Estimated matrices that fail positive definiteness receive one round of
     diagonal loading ``eps * trace / N`` (eps = 1e-10); analytic matrices must
-    be positive definite as given.  The inverse is assembled from the
-    eigendecomposition, so it is exactly Hermitian.
+    be positive definite as given.  The inverse is ``np.linalg.inv`` averaged
+    with its conjugate transpose, so it is exactly Hermitian; the eigenvalues
+    only decide the loading and give the condition number.
     """
     v = s.values
     lam = np.linalg.eigvalsh(v)
@@ -415,8 +416,8 @@ def select_omega0(
     omegas, psd = estimate_psd_grid(record, cfg)
     admissible = (omegas > 0) & (omegas < omega_max) & (omegas < np.pi / record.dt)
     if node is not None:
-        hvals = np.array([abs(nodal_transfer(node, w)) for w in omegas])
-        admissible &= hvals >= H_ADMISSIBLE_TOL
+        for i in np.flatnonzero(admissible):
+            admissible[i] = abs(nodal_transfer(node, omegas[i])) >= H_ADMISSIBLE_TOL
     if not admissible.any():
         raise NumericalError(
             f"no admissible frequency bin in (0, {omega_max:.6g}); "

@@ -300,14 +300,16 @@ class TestOraclePipeline:
 
     def test_resolved_config_reproduces_run(self, tmp_path):
         # no input outside the config changes an artifact: every file of a rerun
-        # of config.resolved.ini, manifest included, equals the first run's
+        # of config.resolved.ini, manifest included, equals the first run's,
+        # also when the first run had two workers and the rerun the default
         empirical = {("reconstruction", "mode"): "exact-directed",
                      ("simulation", "n_samples"): "16384",
                      ("spectral", "segment_length"): "512",
                      ("spectral", "omega0"): "1.5"}
-        for name, overrides in (("oracle", {}), ("empirical", empirical)):
+        for name, overrides, workers in (("oracle", {}, 1), ("empirical", empirical, 1),
+                                         ("workers", empirical, 2)):
             first, rerun = tmp_path / name, tmp_path / f"{name}-rerun"
-            run_pipeline(load_config(write_config(tmp_path, overrides)), first)
+            run_pipeline(load_config(write_config(tmp_path, overrides)), first, workers=workers)
             run_pipeline(load_config(first / "config.resolved.ini"), rerun)
             files = sorted(str(f.relative_to(first)) for f in first.rglob("*") if f.is_file())
             assert "manifest.json" in files
@@ -1043,6 +1045,22 @@ class TestBench:
         lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
         assert lines[0] == "n_nodes,n_samples,cost_model,stage,seconds,repeats"
         assert len(lines) == len(rows) + 1
+
+    @pytest.mark.parametrize("mode, cost_model, label, stages", [
+        ("boolean", "fft", "fft", ["correlation", "inversion", "reconstruction"]),
+        ("boolean", "paper", "paper", ["correlation", "inversion", "reconstruction"]),
+        ("oracle-boolean", "fft", "oracle", ["inversion", "reconstruction"]),
+    ])
+    def test_bench_rows_follow_the_sweep(self, tmp_path, mode, cost_model, label, stages):
+        # one row per point and stage, in sweep order, whichever way the rounds ran
+        cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): mode,
+                                                  ("spectral", "segment_length"): "512",
+                                                  ("spectral", "omega0"): "1.5"}))
+        rows = benchmark(cfg, [(3, 2048), (2, 4096)], cost_model=cost_model, repeats=2)
+        assert [(r["n_nodes"], r["n_samples"], r["cost_model"], r["stage"]) for r in rows] == [
+            *[(3, 2048, label, stage) for stage in stages],
+            *[(2, 4096, label, stage) for stage in stages]]
+        assert all(r["repeats"] == 2 and r["seconds"] >= 0 for r in rows)
 
     def test_bench_empirical_includes_correlation(self, tmp_path):
         p = write_config(

@@ -143,19 +143,26 @@ class TestPropagate:
         pytest.param([[0.99, 0.3], [-0.02, 0.99]], id="pair-0.993"),  # non-normal, lightly damped
     ])
     def test_block_solve_is_its_recursion(self, rng, block):
-        # two propagation blocks, the second started from the state the first left
+        # two propagation blocks, the second started from the state the first left;
+        # the rows are contiguous, or rows of a Fortran-ordered buffer, which f2py copies
         t = np.atleast_2d(block)
-        solve = _block_solver(t, 0, t.shape[0])
-        s = np.array([0.3, -0.2])[:t.shape[0]]
-        v = rng.standard_normal((t.shape[0], PROPAGATE_BLOCK + 100))
-        state, out = s, []
-        for part in (v[:, :PROPAGATE_BLOCK], v[:, PROPAGATE_BLOCK:]):
-            zb = np.concatenate([state[:, None], part], axis=1)
-            solve(zb)
-            out.append(zb[:, :-1])
-            state = zb[:, -1]
-        out = np.concatenate(out, axis=1)
-        if t.shape[0] == 1:
+        b = t.shape[0]
+        solve = _block_solver(t, 0, b)
+        s = np.array([0.3, -0.2])[:b]
+        v = rng.standard_normal((b, PROPAGATE_BLOCK + 100))
+        outs = []
+        for strided in (False, True):
+            state, out = s, []
+            for part in (v[:, :PROPAGATE_BLOCK], v[:, PROPAGATE_BLOCK:]):
+                zb = np.concatenate([state[:, None], part], axis=1)
+                if strided:
+                    zb = np.vstack([zb, zb]).copy(order="F")[:b]
+                    assert not zb[0].flags.contiguous
+                solve(zb)
+                out.append(zb[:, :-1])
+                state = zb[:, -1]
+            outs.append((np.concatenate(out, axis=1), state))
+        if b == 1:
             ref, ref_state = signal.lfilter([0.0, 1.0], [1.0, -block], v[0], zi=s)
             ref, tol = ref[None], 1e-14
         else:
@@ -165,8 +172,9 @@ class TestPropagate:
                 z = t @ z + v[:, k]
             ref_state, tol = z, 1e-13
         scale = np.abs(ref).max()
-        assert np.abs(out - ref).max() <= tol * scale
-        assert np.abs(state - ref_state).max() <= tol * scale
+        for out, state in outs:
+            assert np.abs(out - ref).max() <= tol * scale
+            assert np.abs(state - ref_state).max() <= tol * scale
 
     def test_oversized_block_rejected(self):
         # a band holds PROPAGATE_BLOCK + 1 entries; a longer solve would stop short
