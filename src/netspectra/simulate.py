@@ -16,6 +16,12 @@ and analytic cross-checks use the exact injected density rather than an
 idealisation.  Low-pass shaping, a first-order recursion per node, runs on the
 cascade's own banded solve (:func:`_block_solver`).
 
+``scipy.linalg`` (``expm``, ``schur`` and BLAS ``dtbsv``) is imported inside
+:func:`discretize`, :func:`_cascade` and :func:`_block_solver`, so a process
+loads it at its first simulation and one that never simulates (``import
+netspectra``, the staged ``generate``, ``estimate``, ``reconstruct`` and
+``evaluate``, an oracle run) never pays its import.
+
 A record is described by its header ``(channel labels, n_samples, dt)`` and
 is either held, as a read-only :class:`TimeSeriesMatrix`, or streamed, as a
 :class:`StreamedRecord`.  Both give ``into(sink)``, which feeds the record's
@@ -40,8 +46,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
-from scipy.linalg import expm, schur
-from scipy.linalg.blas import dtbsv
 
 from .errors import NumericalError, StabilityError, ValidationError
 from .graphs import _as_readonly
@@ -135,7 +139,8 @@ class NoiseConfig:
             solve = _block_solver(np.array([[phi]]), 0, 1)
             last = np.zeros(n_channels)
         for lo in range(0, n_samples, PROPAGATE_BLOCK):
-            w = scale * rng.standard_normal((min(PROPAGATE_BLOCK, n_samples - lo), n_channels))
+            w = rng.standard_normal((min(PROPAGATE_BLOCK, n_samples - lo), n_channels))
+            w *= scale
             if self.shaping == "lowpass":
                 # per channel a contiguous row [u[-1], gamma w[0], ...], which the solve takes uncopied
                 u = np.empty((n_channels, w.shape[0] + 1))
@@ -245,6 +250,8 @@ def discretize(sys: NetworkSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     obtained in one augmented matrix exponential (Van Loan block trick).
     The output map is unchanged.
     """
+    from scipy.linalg import expm
+
     if dt <= 0:
         raise ValidationError("dt must be positive")
     m = sys.joint_state_matrix()
@@ -274,6 +281,8 @@ def _block_solver(t: np.ndarray, lo: int, hi: int):
     copy when it is not contiguous); a pair is interleaved into a copy and
     back.  The band is Fortran-ordered and built once, so no call copies it.
     """
+    from scipy.linalg.blas import dtbsv
+
     b = hi - lo
     band = np.zeros((2 * b, b * (PROPAGATE_BLOCK + 1)), order="F")
     band[0] = 1.0
@@ -309,6 +318,8 @@ def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
     time order; each yields its (channels x samples) outputs, the burn-in left
     out, and a non-finite output raises ``NumericalError``.
     """
+    from scipy.linalg import schur
+
     t, q = schur(phi, output="real")
     g = q.T @ gamma
     cq = cmat @ q

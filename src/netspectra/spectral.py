@@ -96,12 +96,6 @@ class SpectralConfig:
         return (n_samples - self.segment_length) // self.step + 1
 
 
-def _segments(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
-    """(K, segment_length) strided view of one channel."""
-    view = np.lib.stride_tricks.sliding_window_view(x, cfg.segment_length)
-    return view[:: cfg.step]
-
-
 def require_two_segments(n_samples: int, cfg: SpectralConfig) -> None:
     """Raise :class:`ValidationError` for a record shorter than two segments."""
     if n_samples < 2 * cfg.segment_length:
@@ -151,11 +145,13 @@ class _SegmentBuffer:
 
     :meth:`feed` takes (channels x samples) blocks in time order, of any
     sizes.  Whenever ``ACCUMULATOR_BATCH`` segments are buffered they go to
-    the subclass's ``_batch(segs)`` (``segs[ch]`` is channel ``ch``'s (n_seg,
-    segment_length) view) and only the samples of later segments are kept, so the batches are
-    cut at fixed segment indices however the record is chunked, and memory is
-    one batch span of samples whatever its length.  :meth:`_rest` gives the
-    segment count and the last, partial batch, which no ``_batch`` has seen.
+    the subclass's ``_batch(segs)``, ``segs`` one read-only (channels, n_seg,
+    segment_length) strided view of the buffer, and only the samples of later
+    segments are kept, so the batches are cut at fixed segment indices however
+    the record is chunked, and memory is one batch span of samples whatever its
+    length.  :meth:`_rest` gives the segment count and the last, partial batch
+    (empty when the count is a multiple of the batch), which no ``_batch`` has
+    seen.
     """
 
     def __init__(self, n_channels: int, cfg: SpectralConfig):
@@ -185,10 +181,17 @@ class _SegmentBuffer:
                 self._fill = cap - used
         self.n_samples += block.shape[1]
 
-    def _buffered(self, n_seg: int) -> list:
-        return [_segments(row[:self._fill], self.cfg)[:n_seg] for row in self._buf]
+    def _buffered(self, n_seg: int) -> np.ndarray:
+        """Read-only (channels, n_seg, segment_length) view of the first ``n_seg`` segments.
 
-    def _rest(self) -> tuple[int, list]:
+        The caller asks only for segments the buffer holds whole.
+        """
+        ch, sample = self._buf.strides
+        return np.lib.stride_tricks.as_strided(
+            self._buf, (self._buf.shape[0], n_seg, self.cfg.segment_length),
+            (ch, self.cfg.step * sample, sample), writeable=False)
+
+    def _rest(self) -> tuple[int, np.ndarray]:
         """``(K, segs)``: the record's segment count and its segments not yet batched."""
         n_seg = _check_record(self.n_samples, self.cfg)
         return n_seg, self._buffered(n_seg - ACCUMULATOR_BATCH * self._batches)
@@ -215,10 +218,10 @@ class CpsdAccumulator(_SegmentBuffer):
         self._mean_gain = phase.sum() / s
         self._transforms: list[np.ndarray] = []
 
-    def _batch(self, segs: list) -> None:
+    def _batch(self, segs: np.ndarray) -> None:
         self._transforms.append(self._transform(segs))
 
-    def _transform(self, segs: list) -> np.ndarray:
+    def _transform(self, segs: np.ndarray) -> np.ndarray:
         """Windowed, detrended transforms of a batch of segments: (n_seg, N)."""
         x = np.empty((len(segs[0]), len(segs)), dtype=complex)
         for ch, seg in enumerate(segs):
@@ -246,7 +249,7 @@ class _PsdGrid(_SegmentBuffer):
         self.dt = dt
         self.sums = np.zeros((n_channels, cfg.segment_length // 2 + 1))
 
-    def _batch(self, segs: list) -> None:
+    def _batch(self, segs: np.ndarray) -> None:
         win = self.cfg.window_values()
         for total, batch in zip(self.sums, segs):
             if self.cfg.detrend == "mean":

@@ -1,8 +1,11 @@
-"""netspectra keeps ``scipy.signal`` (about 0.9 s of import time) out of its import graph.
+"""netspectra loads each heavy SciPy module only on a path that needs it.
 
-No path needs it: lowpass noise shaping solves its recursion with the Schur
-cascade's banded solve.  Each check runs in a fresh interpreter, since this
-test process imports ``scipy.signal`` itself.
+``scipy.signal`` (about 0.9 s of import time) is on no path: lowpass noise
+shaping solves its recursion with the Schur cascade's banded solve.
+``scipy.linalg`` (about 0.26 s and 27 MiB) is loaded only to simulate, so
+importing netspectra, the staged commands other than ``simulate`` and an
+oracle run never load it.  Each check runs in a fresh interpreter, since this
+test process imports both modules itself.
 """
 
 import os
@@ -13,6 +16,8 @@ from pathlib import Path
 import netspectra
 
 SRC = str(Path(netspectra.__file__).resolve().parents[1])
+
+WATCHED = ("scipy.signal", "scipy.linalg")
 
 CONFIG = """
 [network]
@@ -38,18 +43,27 @@ mode = exact-directed
 """
 
 
-def signal_imported_after(code: str, cwd: Path) -> bool:
-    script = f"import sys\n{code}\nprint('scipy.signal' in sys.modules)\n"
+def loaded_after(code: str, cwd: Path) -> set:
+    """The modules of ``WATCHED`` that a fresh interpreter holds after running ``code``."""
+    script = (f"import sys\n{code}\n"
+              f"print('loaded:', *[m for m in {WATCHED!r} if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1] == "True"
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "loaded:", proc.stdout
+    return set(last[1:])
 
 
 def test_import_leaves_scipy_signal_out(tmp_path):
-    assert not signal_imported_after(
+    assert "scipy.signal" not in loaded_after(
+        "import netspectra, netspectra.cli, netspectra.pipeline", tmp_path)
+
+
+def test_import_leaves_scipy_linalg_out(tmp_path):
+    assert "scipy.linalg" not in loaded_after(
         "import netspectra, netspectra.cli, netspectra.pipeline", tmp_path)
 
 
@@ -57,7 +71,7 @@ def test_unshaped_hann_run_leaves_scipy_signal_out(tmp_path):
     (tmp_path / "exp.ini").write_text(CONFIG)
     code = ("from netspectra import load_config, run_pipeline\n"
             "run_pipeline(load_config('exp.ini'), 'out')")
-    assert not signal_imported_after(code, tmp_path)
+    assert "scipy.signal" not in loaded_after(code, tmp_path)
     assert (tmp_path / "out" / "metrics.json").exists()
 
 
@@ -67,7 +81,7 @@ def test_lowpass_simulation_leaves_scipy_signal_out(tmp_path):
             "                        NoiseConfig, SimConfig, simulate)\n"
             "sys_ = NetworkSystem(NodeDynamics.scalar_pole(-1.0), ConnectivityMatrix(np.zeros((2, 2))))\n"
             "simulate(sys_, NoiseConfig(shaping='lowpass', shaping_pole=-2.0), SimConfig(n_samples=256))")
-    assert not signal_imported_after(code, tmp_path)
+    assert "scipy.signal" not in loaded_after(code, tmp_path)
 
 
 def test_lowpass_run_leaves_scipy_signal_out(tmp_path):
@@ -75,5 +89,23 @@ def test_lowpass_run_leaves_scipy_signal_out(tmp_path):
         CONFIG.replace("shaping = none", "shaping = lowpass\nshaping_pole = -2.0"))
     code = ("from netspectra import load_config, run_pipeline\n"
             "run_pipeline(load_config('exp.ini'), 'out')")
-    assert not signal_imported_after(code, tmp_path)
+    assert "scipy.signal" not in loaded_after(code, tmp_path)
+    assert (tmp_path / "out" / "metrics.json").exists()
+
+
+def test_only_the_staged_simulate_loads_scipy_linalg(tmp_path):
+    (tmp_path / "exp.ini").write_text(CONFIG)
+    for command in ("generate", "simulate", "estimate", "reconstruct", "evaluate"):
+        code = ("from netspectra import cli\n"
+                f"assert cli.main([{command!r}, '--config', 'exp.ini', '--out', 'out']) == 0")
+        assert ("scipy.linalg" in loaded_after(code, tmp_path)) == (command == "simulate"), command
+    assert (tmp_path / "out" / "metrics.json").exists()
+
+
+def test_oracle_run_leaves_scipy_linalg_out(tmp_path):
+    (tmp_path / "exp.ini").write_text(
+        CONFIG.replace("mode = exact-directed", "mode = oracle-exact-directed"))
+    code = ("from netspectra import load_config, run_pipeline\n"
+            "run_pipeline(load_config('exp.ini'), 'out')")
+    assert "scipy.linalg" not in loaded_after(code, tmp_path)
     assert (tmp_path / "out" / "metrics.json").exists()

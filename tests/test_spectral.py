@@ -185,6 +185,34 @@ class TestCpsdAccumulator:
             assert (s.omega, s.segment_count, s.stderr) == (
                 whole.omega, whole.segment_count, whole.stderr)
 
+    @pytest.mark.parametrize("n_seg", [2 * ACCUMULATOR_BATCH + 7, 2 * ACCUMULATOR_BATCH])
+    def test_matches_per_channel_segment_views_bit_for_bit(self, rng, n_seg):
+        # the step (179) does not divide the segment length; the record ends
+        # mid-batch, or with no partial batch at all
+        cfg = SpectralConfig(segment_length=256, overlap_fraction=0.3)
+        s, step = cfg.segment_length, cfg.step
+        assert s % step
+        n = (n_seg - 1) * step + s + step - 1  # the last step - 1 samples start no segment
+        assert cfg.n_segments(n) == n_seg
+        ts = white_ts(rng, n_channels=3, n_samples=n)
+        omega, k = snap_frequency(3.0, ts.dt, cfg)
+        win = cfg.window_values()
+        phase = win * np.exp(-2j * np.pi * k * np.arange(s) / s)
+        basis = np.stack([phase.real, phase.imag, np.ones(s)], axis=1)
+        x = np.empty((n_seg, 3), dtype=complex)
+        for ch in range(3):
+            segs = np.lib.stride_tricks.sliding_window_view(ts.data[ch], s)[::step]
+            assert len(segs) == n_seg
+            for lo in range(0, n_seg, ACCUMULATOR_BATCH):
+                t = np.ascontiguousarray(segs[lo:lo + ACCUMULATOR_BATCH]) @ basis
+                x[lo:lo + len(t), ch] = t[:, 0] + 1j * t[:, 1]
+                x[lo:lo + len(t), ch] -= t[:, 2] * (phase.sum() / s)
+        ref = CpsdMatrix(values=ts.dt / (n_seg * (win * win).sum()) * (x.T @ x.conj()),
+                         omega=omega, source="estimated", segment_count=n_seg)
+        est = estimate_cpsd_matrix(streamed(ts, 5), 3.0, cfg)
+        assert est.segment_count == n_seg
+        assert est.values.tobytes() == ref.values.tobytes()
+
     def test_undetrended_rectangular_matches_explicit_segment_sum(self, rng):
         # the scipy comparison covers hann + mean detrend; this covers the rest
         ts = white_ts(rng, n_channels=2, n_samples=5000)
@@ -310,27 +338,27 @@ class TestGrids:
                        detrend="none"),
     ])
     def test_psd_grid_batches_match_whole_array(self, rng, cfg):
-        # more segments than one batch, with a partial last batch
-        n = (2 * ACCUMULATOR_BATCH + 7) * cfg.step + cfg.segment_length
-        ts = white_ts(rng, n_channels=3, n_samples=n)
-        n_seg = cfg.n_segments(n)
-        assert n_seg > 2 * ACCUMULATOR_BATCH and n_seg % ACCUMULATOR_BATCH
-        win = cfg.window_values()
-        ref = np.empty((3, cfg.segment_length // 2 + 1))
-        for ch in range(3):
-            segs = np.lib.stride_tricks.sliding_window_view(ts.data[ch], cfg.segment_length)
-            segs = segs[:: cfg.step]
-            if cfg.detrend == "mean":
-                segs = segs - segs.mean(axis=1, keepdims=True)
-            spec = np.fft.rfft(segs * win, axis=1)
-            ref[ch] = ts.dt / (n_seg * (win * win).sum()) * (
-                spec.real**2 + spec.imag**2).sum(axis=0)
-        chunked = streamed(ts, 7)  # cut across segments and batches
-        omegas, psd = estimate_psd_grid(chunked, cfg)
-        assert np.array_equal(psd, ref)
-        band = 0.5 * np.pi / ts.dt
-        floor = np.where((omegas > 0) & (omegas < band), ref.min(axis=0), -np.inf)
-        assert select_omega0(chunked, band, cfg) == omegas[int(np.argmax(floor))]
+        # more segments than one batch, with a partial last batch or none
+        for n_seg in (2 * ACCUMULATOR_BATCH + 8, 2 * ACCUMULATOR_BATCH):
+            n = (n_seg - 1) * cfg.step + cfg.segment_length
+            ts = white_ts(rng, n_channels=3, n_samples=n)
+            assert cfg.n_segments(n) == n_seg
+            win = cfg.window_values()
+            ref = np.empty((3, cfg.segment_length // 2 + 1))
+            for ch in range(3):
+                segs = np.lib.stride_tricks.sliding_window_view(ts.data[ch], cfg.segment_length)
+                segs = segs[:: cfg.step]
+                if cfg.detrend == "mean":
+                    segs = segs - segs.mean(axis=1, keepdims=True)
+                spec = np.fft.rfft(segs * win, axis=1)
+                ref[ch] = ts.dt / (n_seg * (win * win).sum()) * (
+                    spec.real**2 + spec.imag**2).sum(axis=0)
+            chunked = streamed(ts, 7)  # cut across segments and batches
+            omegas, psd = estimate_psd_grid(chunked, cfg)
+            assert np.array_equal(psd, ref)
+            band = 0.5 * np.pi / ts.dt
+            floor = np.where((omegas > 0) & (omegas < band), ref.min(axis=0), -np.inf)
+            assert select_omega0(chunked, band, cfg) == omegas[int(np.argmax(floor))]
 
 
 class TestSelectOmega0:
