@@ -3,7 +3,9 @@
 Each sweep point ``(N, L)`` is built as ``run`` builds a run: the node from
 ``[node]``, the network from ``[network]`` with ``n_nodes = N``, and the runs
 the mode needs, each of ``L`` samples; so ``bench`` exits 2, 3 or 4 where
-``run`` would.  Three cost centres are timed separately, on one thread:
+``run`` would.  Three cost centres are timed separately, on the calling
+thread; only a simulation's noise draw runs beside it, one block ahead on a
+helper thread (see :mod:`netspectra.simulate`):
 
 * ``correlation`` -- producing every run's CPSD matrix.
   ``cost_model="fft"`` times ``run``'s own streaming

@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="run directory (overrides [output])")
     common.add_argument("--workers", type=int, default=1,
                         help="worker threads for the runs; each streams its record "
-                             "block by block, so no command holds a whole record")
+                             "block by block, so no command holds a whole record, and "
+                             "a simulating run draws its noise on one more thread")
     common.add_argument("--seed-override", type=int, default=None,
                         help="replace the network and noise seeds")
 

@@ -16,6 +16,15 @@ and analytic cross-checks use the exact injected density rather than an
 idealisation.  Low-pass shaping, a first-order recursion per node, runs on the
 cascade's own banded solve (:func:`_block_solver`).
 
+Each simulation draws its noise one block ahead on a helper thread of its own
+(:func:`_ahead`), so the draw, the largest single cost of a simulation,
+overlaps the cascade's work on the block before.  Only work that releases the
+GIL goes there: the ``standard_normal`` draw and its in-place scaling.  The
+shaping solve, the cascade and the sinks stay on the caller's thread, because
+f2py's ``dtbsv`` holds the GIL and two threads solving would take turns.  The
+generator is advanced by one thread at a time, in order, so every number is
+the one a single thread draws.
+
 ``scipy.linalg`` (``expm``, ``schur`` and BLAS ``dtbsv``) is imported inside
 :func:`discretize`, :func:`_cascade` and :func:`_block_solver`, so a process
 loads it at its first simulation and one that never simulates (``import
@@ -42,6 +51,8 @@ import math
 import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -128,19 +139,28 @@ class NoiseConfig:
         """The noise in blocks of ``PROPAGATE_BLOCK`` samples (rows).
 
         Row-major chunks of ``standard_normal`` give the same numbers, bit for
-        bit, as one whole-record draw.  Lowpass shaping solves each channel's
-        recursion with :func:`_block_solver` on the 1x1 block ``[[phi]]``, its
-        last value carried into the next block, which gives the same numbers
-        as one banded solve over the whole record.
+        bit, as one whole-record draw.  They are drawn, and scaled in place,
+        one block ahead on a helper thread (:func:`_ahead`); that work
+        releases the GIL, so it overlaps the caller's.  Lowpass shaping stays
+        on the caller's thread, because f2py's ``dtbsv`` holds the GIL and a
+        solve on the helper would only take turns with the cascade's.  It
+        solves each channel's recursion with :func:`_block_solver` on the 1x1
+        block ``[[phi]]``, its last value carried into the next block, which
+        gives the same numbers as one banded solve over the whole record.
         """
         scale = math.sqrt(self.variance)
+
+        def raw() -> Iterator[np.ndarray]:
+            for lo in range(0, n_samples, PROPAGATE_BLOCK):
+                w = rng.standard_normal((min(PROPAGATE_BLOCK, n_samples - lo), n_channels))
+                w *= scale
+                yield w
+
         if self.shaping == "lowpass":
             phi, gam = self._ar1(dt)
             solve = _block_solver(np.array([[phi]]), 0, 1)
             last = np.zeros(n_channels)
-        for lo in range(0, n_samples, PROPAGATE_BLOCK):
-            w = rng.standard_normal((min(PROPAGATE_BLOCK, n_samples - lo), n_channels))
-            w *= scale
+        for w in _ahead(raw()):
             if self.shaping == "lowpass":
                 # per channel a contiguous row [u[-1], gamma w[0], ...], which the solve takes uncopied
                 u = np.empty((n_channels, w.shape[0] + 1))
@@ -150,6 +170,21 @@ class NoiseConfig:
                     solve(row[None])
                 w, last = u[:, 1:].T, u[:, -1]
             yield w
+
+
+def _ahead(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The blocks of ``blocks``, each taken on a helper thread while the caller has the one before.
+
+    One thread advances ``blocks`` at a time, in order, one block ahead of
+    the caller.  An exception from ``blocks`` reaches the caller as itself,
+    after the blocks before it; closing the generator waits for the block in
+    flight and leaves no thread running.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(next, blocks, None)
+        while (block := ahead.result()) is not None:
+            ahead = pool.submit(next, blocks, None)
+            yield block
 
 
 @dataclass(frozen=True)
@@ -359,18 +394,20 @@ def _collect(blocks: Iterable[np.ndarray], n_channels: int, n_samples: int) -> n
     return out
 
 
-def _deliver(blocks: Iterable[np.ndarray], sink, labels, n_samples: int, dt: float):
+def _deliver(blocks: Iterator[np.ndarray], sink, labels, n_samples: int, dt: float):
     """Feed the stream ``blocks`` to ``sink`` and return it.
 
     With no sink, the record with header ``(labels, n_samples, dt)`` is
-    returned held whole.
+    returned held whole.  The stream is closed on the way out, so one that a
+    failed sink leaves unfinished stops its noise draw at once.
     """
-    if sink is None:
-        return TimeSeriesMatrix(data=_collect(blocks, len(labels), n_samples), dt=dt,
-                                channel_labels=labels)
-    for block in blocks:
-        sink.feed(block)
-    return sink
+    with closing(blocks):
+        if sink is None:
+            return TimeSeriesMatrix(data=_collect(blocks, len(labels), n_samples), dt=dt,
+                                    channel_labels=labels)
+        for block in blocks:
+            sink.feed(block)
+        return sink
 
 
 def channel_labels(n_nodes: int, ground: Optional[int] = None) -> tuple[int, ...]:
@@ -419,7 +456,11 @@ def simulate_blocks(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig,
     phi, gamma = discretize(sys, cfg.dt)
     rng = np.random.default_rng(np.random.SeedSequence((noise.seed, run)))
     draws = noise._draws(rng, cfg.n_samples + burn, sys.n_nodes, cfg.dt)
-    return _cascade(phi, gamma, sys.output_matrix(), draws, burn)
+
+    def outputs() -> Iterator[np.ndarray]:
+        with closing(draws):  # a cascade that raises stops the draw ahead too
+            yield from _cascade(phi, gamma, sys.output_matrix(), draws, burn)
+    return outputs()
 
 
 def simulate(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig, sink=None):

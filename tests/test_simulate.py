@@ -1,4 +1,6 @@
+import importlib
 import struct
+import threading
 import time
 
 import numpy as np
@@ -27,6 +29,7 @@ from netspectra.families import random_hurwitz_system, reference_laplacian_5
 from netspectra.simulate import (
     PROPAGATE_BLOCK,
     StreamedRecord,
+    _ahead,
     _block_solver,
     _cascade,
     _propagate,
@@ -35,6 +38,8 @@ from netspectra.simulate import (
 )
 
 from conftest import make_system
+
+sim = importlib.import_module("netspectra.simulate")
 
 
 class Kept:
@@ -267,6 +272,68 @@ class TestSimulateBlocks:
             simulate_blocks(make_system([[2.0]]), NoiseConfig(), SimConfig(n_samples=64))
 
 
+class TestDrawAhead:
+    @staticmethod
+    def source(n, taken, error=None):
+        """``n`` blocks, each one's thread appended to ``taken``; then ``error``, if any."""
+        for k in range(n):
+            taken.append(threading.get_ident())
+            yield np.full(3, float(k))
+        if error is not None:
+            raise error
+
+    def test_blocks_in_order_from_a_helper_thread(self):
+        taken = []
+        assert [b[0] for b in _ahead(self.source(5, taken))] == [0, 1, 2, 3, 4]
+        assert len(taken) == 5 and threading.get_ident() not in taken
+
+    def test_error_reaches_the_caller_after_the_blocks_before_it(self):
+        error, got = NumericalError("the draw failed"), []
+        with pytest.raises(NumericalError) as info:
+            for block in _ahead(self.source(2, [], error)):
+                got.append(block[0])
+        assert info.value is error
+        assert got == [0, 1]
+
+    def test_close_reads_one_block_ahead_at_most_and_leaves_no_thread(self):
+        before, taken = threading.active_count(), []
+        blocks = _ahead(self.source(10, taken))
+        assert next(blocks)[0] == 0
+        blocks.close()
+        assert 1 <= len(taken) <= 2
+        assert threading.active_count() == before
+
+    def test_overflow_leaves_no_thread(self):
+        # the cascade raises on the first block, while the draw of the next is in flight
+        node = NodeDynamics([[-1.0]], [1e154], [1e154])
+        sys = NetworkSystem(node, ConnectivityMatrix(np.zeros((2, 2))))
+        before = threading.active_count()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="overflow") as info:
+                simulate(sys, NoiseConfig(variance=1e8),
+                         SimConfig(n_samples=3 * PROPAGATE_BLOCK, burn_in=0))
+        assert info.value.__traceback__ is not None
+        assert threading.active_count() == before
+
+    def test_lowpass_solves_on_the_callers_thread(self, monkeypatch):
+        # f2py's dtbsv holds the GIL: on the helper it would contend with the cascade's solves
+        threads, make = set(), sim._block_solver
+
+        def recording(*args):
+            solve = make(*args)
+
+            def recorded(zb):
+                threads.add(threading.get_ident())
+                solve(zb)
+            return recorded
+
+        monkeypatch.setattr(sim, "_block_solver", recording)
+        noise = NoiseConfig(seed=2, shaping="lowpass", shaping_pole=-2.0)
+        simulate(make_system(np.zeros((2, 2))), noise,
+                 SimConfig(dt=0.01, n_samples=2 * PROPAGATE_BLOCK + 9))
+        assert threads == {threading.get_ident()}
+
+
 class TestSimulateGrounded:
     def test_two_node_grounding_isolates_survivor(self):
         w = np.zeros((2, 2))
@@ -488,3 +555,17 @@ class TestTimeSeriesIO:
         with pytest.raises(NumericalError):
             save_timeseries(p, streamed((1, 2), 50, 0.1, overflowing))
         assert not p.exists()
+
+        # a simulated stream longer than its header: the writer refuses the
+        # second block mid-run, and the run's noise draw stops with it, even
+        # while the exception, and so the stream's frames, are still held
+        sys = NetworkSystem(NodeDynamics.scalar_pole(-1.0), reference_laplacian_5())
+        noise, cfg = NoiseConfig(seed=3), SimConfig(dt=0.01, n_samples=2 * PROPAGATE_BLOCK)
+        before = threading.active_count()
+        record = StreamedRecord(channel_labels(5), PROPAGATE_BLOCK + 5, cfg.dt,
+                                lambda sink=None: simulate(sys, noise, cfg, sink))
+        with pytest.raises(ValidationError, match="does not fit") as info:
+            save_timeseries(p, record)
+        assert not p.exists()
+        assert info.value.__traceback__ is not None
+        assert threading.active_count() == before
