@@ -21,9 +21,10 @@ helper thread (see :mod:`netspectra.simulate`):
 
 Spectra are taken at the config's omega0: ``fft`` snaps it as ``run`` does,
 ``paper`` and the oracle modes' :func:`~netspectra.pipeline.oracle_spectra`
-(untimed) take it unsnapped.  ``paper`` refuses a fixed omega0 that ``run``
-cannot snap (exit 3 at the DC bin, exit 2 at or above Nyquist), but not a
-record shorter than two segments, since it averages no segments.  The other
+(untimed) take it unsnapped.  Each ``fft`` point refuses, as it is built,
+what ``run`` refuses (:func:`~netspectra.pipeline._require_estimable`);
+``paper``, which averages no segments, refuses only a fixed omega0 that
+``run`` cannot snap (exit 3 at the DC bin, exit 2 at or above Nyquist).  The other
 stages take the spectra of the correlation timed just before them, in the
 same round.  Timings are the minimum over a configurable number of repeats;
 scaling factors are measured, never asserted.
@@ -43,14 +44,14 @@ from .pipeline import (
     _analytic_omega0,
     _build_network,
     _build_node,
-    _require_snappable,
+    _require_estimable,
     _run_keys,
     estimate_spectra,
     oracle_spectra,
     reconstruct,
     simulated_runs,
 )
-from .spectral import estimate_cpsd_lag_domain, estimate_inverse_cpsd
+from .spectral import estimate_cpsd_lag_domain, estimate_inverse_cpsd, snap_frequency
 
 __all__ = ["benchmark", "write_bench_csv", "parse_sweep"]
 
@@ -94,9 +95,11 @@ def _sweep_point(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
         oracle = oracle_spectra(cfg, g, node)
     else:
         runs = simulated_runs(cfg, g, node)
-        if cost_model == "paper":
-            _require_snappable(cfg)
-            omega0 = _analytic_omega0(cfg)
+        omega0 = _analytic_omega0(cfg)
+        if cost_model == "fft":
+            _require_estimable(cfg, n)
+        elif cfg.omega0_value() is not None:  # paper averages no segments
+            snap_frequency(omega0, cfg.sim.dt, cfg.spectral)
 
     def measure() -> dict[str, float]:
         seconds = {}

@@ -104,7 +104,6 @@ from .simulate import (
 from .spectral import (
     SpectralConfig,
     estimate_cpsd_matrix,
-    require_two_segments,
     select_omega0,
     snap_frequency,
 )
@@ -424,7 +423,7 @@ def stage_simulate(
     if cfg.recon.oracle:
         return
     runs = simulated_runs(cfg, g, node)
-    _require_estimable(cfg)
+    _require_estimable(cfg, g.n_nodes)
     ts_dir = out / "timeseries"
     ts_dir.mkdir(parents=True, exist_ok=True)
     _each_run(lambda key: save_timeseries(ts_dir / f"{_run_name(key)}.nsts", runs(key)),
@@ -438,14 +437,23 @@ def _write_spectra(cfg: ExperimentConfig, out: Path, keys: list, spectra: list,
     ``estimate.json`` is the one place the snap distance ``| |omega| - |omega0| |``
     is computed: every matrix of one estimate shares the bin of ``s_full``.
     Under ``omega0 = auto`` nothing was requested to snap from, so the
-    request reads ``"auto"`` and the distance ``null``.
+    request reads ``"auto"`` and the distance ``null``.  Every run has the
+    config's length, so the full run's K_eff
+    (:meth:`SpectralConfig.effective_segment_count`) serves all; the inverse
+    CPSD's mean is inflated by ``K_eff / (K_eff - N)`` (Goodman 1963), null
+    where it is not finite and for analytic spectra.
     """
     s_full, requested = spectra[0], cfg.omega0_value()
+    k = s_full.segment_count
+    k_eff = None if k is None else cfg.spectral.effective_segment_count(k)
     info = {"omega0_requested": "auto" if requested is None else requested,
             "omega0": s_full.omega,
             "snap_distance": None if requested is None
             else abs(abs(s_full.omega) - abs(requested)),
-            "segment_count": s_full.segment_count, "stderr": s_full.stderr,
+            "segment_count": k, "effective_segment_count": k_eff,
+            "inverse_inflation": k_eff / (k_eff - s_full.n_nodes)
+            if k_eff is not None and k_eff > s_full.n_nodes else None,
+            "stderr": s_full.stderr,
             "cost_model": "oracle" if s_full.source == "analytic" else "fft", **extra}
     sp_dir = out / "spectra"
     sp_dir.mkdir(parents=True, exist_ok=True)
@@ -465,7 +473,7 @@ def estimate_spectra(cfg: ExperimentConfig, runs, node: NodeDynamics, n_nodes: i
     (:func:`select_omega0`).  A record the estimator cannot take
     (:func:`_require_estimable`) raises before any run is produced.
     """
-    _require_estimable(cfg)
+    _require_estimable(cfg, n_nodes)
     omega0 = cfg.omega0_value()
     if omega0 is None:
         omega_max = cfg.noise.input_psd_model(cfg.sim.dt).omega_max
@@ -516,16 +524,10 @@ def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
         )
 
 
-def _require_estimable(cfg: ExperimentConfig) -> None:
+def _require_estimable(cfg: ExperimentConfig, n_nodes: int) -> None:
     """Raise, with its exit code, what :func:`estimate_spectra` would on the configured record:
-    fewer than two segments, or a fixed omega0 that snaps to no bin."""
-    require_two_segments(cfg.sim.n_samples, cfg.spectral)
-    _require_snappable(cfg)
-
-
-def _require_snappable(cfg: ExperimentConfig) -> None:
-    """Raise what :func:`snap_frequency` does on a fixed omega0: :class:`NumericalError`
-    (exit 3) at the DC bin, :class:`ValidationError` (exit 2) at or above Nyquist."""
+    :meth:`SpectralConfig.n_segments` on its length, :func:`snap_frequency` on a fixed omega0."""
+    cfg.spectral.n_segments(cfg.sim.n_samples, n_nodes)
     omega0 = cfg.omega0_value()
     if omega0 is not None:
         snap_frequency(omega0, cfg.sim.dt, cfg.spectral)
@@ -707,8 +709,10 @@ def load_saved_runs(cfg: ExperimentConfig, out: Path, n_nodes: int):
     the run's (channel labels, length and dt of the resolved config) raises
     :class:`ValidationError`.  Every run of :func:`_run_keys` must be saved: a
     missing file raises :class:`ConfigError` at the call; files of other runs
-    are ignored.
+    are ignored.  A record the estimator cannot take (:func:`_require_estimable`)
+    raises first, before any file is looked for.
     """
+    _require_estimable(cfg, n_nodes)
     keys = _run_keys(cfg, n_nodes)
     names = [f"{_run_name(key)}.nsts" for key in keys]
     paths = dict(zip(keys, _saved(out / "timeseries", names, "simulate")))

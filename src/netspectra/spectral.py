@@ -92,25 +92,32 @@ class SpectralConfig:
         fac = np.linspace(-np.pi, np.pi, m + 1)
         return (0.5 + 0.5 * np.cos(fac))[:m]
 
-    def n_segments(self, n_samples: int) -> int:
-        return (n_samples - self.segment_length) // self.step + 1
+    def n_segments(self, n_samples: int, n_channels: int = 0) -> int:
+        """K, the segment count of ``n_samples``: the one estimability rule.
 
+        It refuses fewer than two segments and, given N channels, K <= N, where
+        an N x N estimate's inverse has no finite mean (Goodman 1963).
+        """
+        if n_samples < 2 * self.segment_length:
+            raise ValidationError(f"record of {n_samples} samples is shorter than twice the "
+                                  f"segment length {self.segment_length}")
+        k = (n_samples - self.segment_length) // self.step + 1
+        if k <= n_channels:
+            raise ValidationError(f"{n_samples} samples give K = {k} segments, no more than the "
+                                  f"N = {n_channels} channels; the CPSD inverse needs K > N")
+        return k
 
-def require_two_segments(n_samples: int, cfg: SpectralConfig) -> None:
-    """Raise :class:`ValidationError` for a record shorter than two segments."""
-    if n_samples < 2 * cfg.segment_length:
-        raise ValidationError(
-            f"record of {n_samples} samples is shorter than twice the "
-            f"segment length {cfg.segment_length}"
-        )
+    def effective_segment_count(self, k: int) -> float:
+        """K_eff, the independent segments that K overlapping ones are worth (Welch 1967).
 
-
-def _check_record(n_samples: int, cfg: SpectralConfig) -> int:
-    require_two_segments(n_samples, cfg)
-    k = cfg.n_segments(n_samples)
-    if k < 8:
-        warnings.warn(f"only {k} segments averaged; estimates will be noisy")
-    return k
+        ``K / (1 + 2 sum_{l>=1} (1 - l/K) rho_l^2)`` with ``rho_l`` the
+        window's normalised overlap at a lag of ``l`` steps: ``K / 1.0556``
+        for hann at 50% overlap, ``K`` when segments do not overlap.
+        """
+        w, s = self.window_values(), self.segment_length
+        lags = range(1, min(k, -(-s // self.step)))
+        rho = [w[:s - l * self.step] @ w[l * self.step:] / (w @ w) for l in lags]
+        return k / (1.0 + 2.0 * sum((1.0 - l / k) * r * r for l, r in zip(lags, rho)))
 
 
 def snap_frequency(omega0: float, ts_dt: float, cfg: SpectralConfig) -> tuple[float, int]:
@@ -193,7 +200,9 @@ class _SegmentBuffer:
 
     def _rest(self) -> tuple[int, np.ndarray]:
         """``(K, segs)``: the record's segment count and its segments not yet batched."""
-        n_seg = _check_record(self.n_samples, self.cfg)
+        n_seg = self.cfg.n_segments(self.n_samples)
+        if n_seg < 8:
+            warnings.warn(f"only {n_seg} segments averaged; estimates will be noisy")
         return n_seg, self._buffered(n_seg - ACCUMULATOR_BATCH * self._batches)
 
 

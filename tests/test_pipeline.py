@@ -1028,6 +1028,90 @@ class TestCliErrors:
         assert main(["evaluate", *args]) == 2
 
 
+class TestSegmentsPerChannel:
+    """A CPSD of K <= N segments has an inverse with no finite mean: every command refuses it.
+
+    On ``configs/reference.ini`` (N = 6, 4096-sample hann segments at 50%
+    overlap) 12288 samples give K = 5, 14336 give K = 6 and 16384 give K = 7.
+    Once such runs exited 0 with S_w of 3.3e-11 or 6.0e-7 against 0.0100.
+    """
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a record whose CPSD has K <= N")
+
+        for name in ("simulate", "simulate_grounded"):
+            monkeypatch.setattr(pl, name, refuse)
+
+    @pytest.mark.parametrize("n_samples, k", [(12288, 5), (14336, 6)])
+    def test_run_and_simulate_refuse_before_simulating(self, tmp_path, capsys, no_simulation,
+                                                       n_samples, k):
+        p = reference_config(tmp_path, {("simulation", "n_samples"): str(n_samples)})
+        out = tmp_path / "k"
+        args = ["--config", str(p), "--out", str(out)]
+        assert main(["run", *args]) == 2
+        assert main(["simulate", *args]) == 2
+        assert not (out / "spectra").exists() and not (out / "timeseries").exists()
+        assert f"K = {k} segments, no more than the N = 6 channels" in capsys.readouterr().err
+
+    def test_estimate_refuses_before_it_looks_for_the_records(self, tmp_path, capsys):
+        p = reference_config(tmp_path, {("simulation", "n_samples"): "14336"})
+        args = ["--config", str(p), "--out", str(tmp_path / "k")]
+        assert main(["generate", *args]) == 0
+        capsys.readouterr()
+        assert main(["estimate", *args]) == 2
+        err = capsys.readouterr().err
+        assert "K = 6 segments, no more than the N = 6 channels" in err
+        assert "run simulate first" not in err
+        assert not (tmp_path / "k" / "spectra").exists()
+
+    def test_bench_refuses_before_timing(self, tmp_path, capsys, no_simulation):
+        # every point is built, and checked, before the first one is timed
+        p, out = reference_config(tmp_path), tmp_path / "b"
+        assert main(["bench", "--config", str(p), "--out", str(out),
+                     "--sweep", "6:16384,6:14336", "--repeats", "1"]) == 2
+        assert not out.exists()
+        assert "K = 6 segments" in capsys.readouterr().err
+
+    def test_one_segment_more_than_nodes_runs_and_records_its_margin(self, tmp_path):
+        p = reference_config(tmp_path, {("simulation", "n_samples"): "16384"})
+        out = tmp_path / "k"
+        with pytest.warns(UserWarning, match="only 7 segments"):
+            assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        info = json.loads((out / "spectra" / "estimate.json").read_text())
+        k_eff = 7 / (1 + 2 * (1 - 1 / 7) / 36)  # hann at 50% overlap (Welch 1967)
+        assert info["segment_count"] == 7
+        assert info["effective_segment_count"] == pytest.approx(k_eff, rel=1e-12)
+        assert info["inverse_inflation"] == pytest.approx(k_eff / (k_eff - 6), rel=1e-12)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["estimate"] == info
+
+    def test_inflation_is_null_where_it_is_not_finite(self, tmp_path):
+        # rectangular 1024-sample segments at 50% overlap: 8192 samples give K = 15,
+        # and neighbours share half their samples, so K_eff = 15 / (1 + 2 (14/15) / 4)
+        # = 225/22; the inflation is null once N reaches K_eff, and for analytic spectra
+        k_eff = 225 / 22
+        for n_nodes, mode, inflation in [(3, "undirected", k_eff / (k_eff - 3)),
+                                         (12, "undirected", None),
+                                         (3, "oracle-undirected", None)]:
+            cfg = load_config(write_config(tmp_path, {("network", "n_nodes"): str(n_nodes),
+                                                      ("simulation", "n_samples"): "8192",
+                                                      ("spectral", "window"): "rectangular",
+                                                      ("reconstruction", "mode"): mode}))
+            out = tmp_path / f"{mode}-{n_nodes}"
+            truth, node = pl.stage_generate(cfg, out)
+            if mode.startswith("oracle-"):
+                info = pl.stage_oracle_spectra(cfg, out, truth, node)
+                assert info["effective_segment_count"] is None
+            else:
+                info = pl.stage_estimate(cfg, out, pl.simulated_runs(cfg, truth, node),
+                                         node, n_nodes)
+                assert info["effective_segment_count"] == pytest.approx(k_eff, rel=1e-12)
+            assert info["inverse_inflation"] == (
+                None if inflation is None else pytest.approx(inflation, rel=1e-12))
+
+
 class TestBench:
     def test_parse_sweep(self):
         assert parse_sweep("4:1024,8:2048") == [(4, 1024), (8, 2048)]

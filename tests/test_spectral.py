@@ -66,6 +66,29 @@ class TestSpectralConfig:
         assert w.dtype == np.float64
         assert np.array_equal(w, signal.get_window(scipy_name, m))
 
+    def test_n_segments_refuses_no_more_segments_than_channels(self):
+        cfg = SpectralConfig()  # 4096-sample hann segments, a 2048-sample step
+        assert cfg.n_segments(16384, 6) == 7
+        for n_samples, k in [(12288, 5), (14336, 6)]:
+            assert cfg.n_segments(n_samples) == k  # given no channels, K alone
+            with pytest.raises(ValidationError, match=f"K = {k} segments.*N = 6 channels"):
+                cfg.n_segments(n_samples, 6)
+        with pytest.raises(ValidationError, match="shorter than twice"):
+            cfg.n_segments(8191)
+
+    @pytest.mark.parametrize("k", [2, 7, 511, 10**6])
+    def test_effective_segment_count(self, k):
+        # hann segments at 50% overlap share a normalised overlap of 1/6 with
+        # their neighbour and none with any other (Welch 1967), so K / K_eff
+        # tends to 1 + 2/36 = 1.0556; disjoint segments are independent
+        hann = SpectralConfig()
+        assert k / hann.effective_segment_count(k) == pytest.approx(1 + 2 * (1 - 1 / k) / 36,
+                                                                     rel=1e-12)
+        if k == 10**6:
+            assert k / hann.effective_segment_count(k) == pytest.approx(1.0556, abs=1e-4)
+        rect = SpectralConfig(overlap_fraction=0.0, window="rectangular")
+        assert rect.effective_segment_count(k) == k
+
 
 class TestSnapFrequency:
     @pytest.mark.filterwarnings("ignore:only 7 segments")
