@@ -84,14 +84,22 @@ def _cmd_generate(args) -> None:
     pl.stage_generate(cfg, out)
 
 
-def _cmd_simulate(args) -> None:
+def _load_estimable(args) -> tuple[pl.ExperimentConfig, Path]:
+    """:func:`_load`, then refuse what the config alone makes unestimable, before any artifact is read."""
     cfg, out = _load(args)
+    if not cfg.recon.oracle:
+        pl._require_estimable(cfg)
+    return cfg, out
+
+
+def _cmd_simulate(args) -> None:
+    cfg, out = _load_estimable(args)
     truth, node = pl.load_saved_truth(out)
     pl.stage_simulate(cfg, out, truth, node, workers=args.workers)
 
 
 def _cmd_estimate(args) -> None:
-    cfg, out = _load(args)
+    cfg, out = _load_estimable(args)
     truth, node = pl.load_saved_truth(out)
     if cfg.recon.oracle:
         pl.stage_oracle_spectra(cfg, out, truth, node)

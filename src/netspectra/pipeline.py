@@ -347,10 +347,17 @@ def _build_node(cfg: ExperimentConfig) -> NodeDynamics:
     return NodeDynamics.scalar_pole(cfg.node.pole)
 
 
-def stage_generate(cfg: ExperimentConfig, out: Path) -> tuple[ConnectivityMatrix, NodeDynamics]:
-    """Materialise the ground-truth network and node dynamics."""
+def _build_truth(cfg: ExperimentConfig) -> tuple[ConnectivityMatrix, NodeDynamics]:
+    """The ground-truth network and node dynamics of ``cfg``."""
     node = _build_node(cfg)
-    g = _build_network(cfg, node)
+    return _build_network(cfg, node), node
+
+
+def stage_generate(cfg: ExperimentConfig, out: Path,
+                   truth: Optional[tuple[ConnectivityMatrix, NodeDynamics]] = None,
+                   ) -> tuple[ConnectivityMatrix, NodeDynamics]:
+    """Materialise the ground-truth network and node dynamics: ``truth``, else built from ``cfg``."""
+    g, node = truth if truth is not None else _build_truth(cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_matrix(out / "network.txt", g)
     save_node(out / "node.txt", node)
@@ -524,9 +531,10 @@ def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
         )
 
 
-def _require_estimable(cfg: ExperimentConfig, n_nodes: int) -> None:
+def _require_estimable(cfg: ExperimentConfig, n_nodes: int = 0) -> None:
     """Raise, with its exit code, what :func:`estimate_spectra` would on the configured record:
-    :meth:`SpectralConfig.n_segments` on its length, :func:`snap_frequency` on a fixed omega0."""
+    :meth:`SpectralConfig.n_segments` on its length, :func:`snap_frequency` on a fixed omega0.
+    With no ``n_nodes``, what the config alone refuses: K <= N is not asked."""
     cfg.spectral.n_segments(cfg.sim.n_samples, n_nodes)
     omega0 = cfg.omega0_value()
     if omega0 is not None:
@@ -670,15 +678,20 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
     Simulation streams into estimation, so no ``timeseries/`` is written; every
     later stage reads the run directory as its staged command does.  Returns
     the metrics dictionary and adds ``manifest.json`` and ``config.resolved.ini``;
-    a rerun of the resolved configuration is byte-identical.
+    a rerun of the resolved configuration is byte-identical.  A run the
+    simulate or estimate stage refuses (:func:`simulated_runs`,
+    :func:`_require_estimable`) raises before anything is written.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    truth, node = stage_generate(cfg, out)
+    truth, node = _build_truth(cfg)
+    if not cfg.recon.oracle:
+        runs = simulated_runs(cfg, truth, node)
+        _require_estimable(cfg, truth.n_nodes)
+    stage_generate(cfg, out, (truth, node))
     if cfg.recon.oracle:
         info = stage_oracle_spectra(cfg, out, truth, node)
     else:
-        info = stage_estimate(cfg, out, simulated_runs(cfg, truth, node), node,
-                              truth.n_nodes, workers=workers)
+        info = stage_estimate(cfg, out, runs, node, truth.n_nodes, workers=workers)
     stage_reconstruct(cfg, out)
     metrics = stage_evaluate(cfg, out)
     _write_manifest(cfg, out, info)

@@ -3,10 +3,13 @@
 The continuous-time network is driven by independent per-node noise: a
 discrete white (optionally low-pass shaped) Gaussian sequence held constant
 over each sampling interval.  The held input makes the discretization exact
-(a matrix exponential, then a cascade of recursions in the real Schur basis,
-one per real pole and one per complex pole pair, each a real banded triangular
-solve, exact for defective couplings too) and gives the injected noise a
-known, strictly positive power spectral density over a wide band:
+(a matrix exponential, then a recursion in the real Schur basis lifted to
+chunks of ``CASCADE_CHUNK`` samples, :func:`_cascade`: the states at the
+chunk starts follow a cascade of recursions, one per real pole and one per
+complex pole pair, each a real banded triangular solve, exact for defective
+couplings too, and three GEMMs per block give their inputs and the outputs)
+and gives the injected noise a known, strictly positive power spectral
+density over a wide band:
 
     ``S_w(w) = sigma^2 * dt * sinc^2(w dt / 2)``            (unshaped)
 
@@ -25,11 +28,12 @@ f2py's ``dtbsv`` holds the GIL and two threads solving would take turns.  The
 generator is advanced by one thread at a time, in order, so every number is
 the one a single thread draws.
 
-``scipy.linalg`` (``expm``, ``schur`` and BLAS ``dtbsv``) is imported inside
-:func:`discretize`, :func:`_cascade` and :func:`_block_solver`, so a process
-loads it at its first simulation and one that never simulates (``import
-netspectra``, the staged ``generate``, ``estimate``, ``reconstruct`` and
-``evaluate``, an oracle run) never pays its import.
+``scipy.linalg`` (``expm``, ``schur`` and BLAS ``dtbsv`` and ``dgemm``) is
+imported inside :func:`discretize`, :func:`_cascade` and
+:func:`_block_solver`, so a process loads it at its first simulation and one
+that never simulates (``import netspectra``, the staged ``generate``,
+``estimate``, ``reconstruct`` and ``evaluate``, an oracle run) never pays its
+import.
 
 A record is described by its header ``(channel labels, n_samples, dt)`` and
 is either held, as a read-only :class:`TimeSeriesMatrix`, or streamed, as a
@@ -81,6 +85,9 @@ FLAT_BAND_FRACTION = 0.35
 
 #: Samples per block of the noise draw and the Schur cascade (cache-sized).
 PROPAGATE_BLOCK = 2**14
+
+#: Samples per chunk of the lifted Schur cascade: one state recursion step per chunk.
+CASCADE_CHUNK = 8
 
 _MAGIC = b"NSTS0001"
 _HEAD = struct.Struct("<8sIQd")
@@ -304,12 +311,12 @@ def discretize(sys: NetworkSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return e[:nx, :nx], e[:nx, nx:]
 
 
-def _block_solver(t: np.ndarray, lo: int, hi: int):
+def _block_solver(t: np.ndarray, lo: int, hi: int, n_max: int = PROPAGATE_BLOCK):
     """In-place solver of block ``T[lo:hi, lo:hi]``'s recursion ``z[k+1] = T_b z[k] + v[k]``.
 
     A real Schur block is one row (a real pole) or two (a complex pair).
     ``solve(zb)`` takes the block's rows ``zb = [z[0], v[0], ..., v[n-1]]``,
-    ``n <= PROPAGATE_BLOCK``, and leaves ``zb = [z[0], ..., z[n]]``: one unit
+    ``n <= n_max``, and leaves ``zb = [z[0], ..., z[n]]``: one unit
     lower-banded solve by BLAS ``dtbsv`` over the rows interleaved in time,
     ``x[b k + r] = z_r[k]``, whose band holds ``-T[lo + r, lo + c]`` at offset
     ``b + r - c`` in columns ``c::b``.  One row is solved in place (through a
@@ -319,7 +326,7 @@ def _block_solver(t: np.ndarray, lo: int, hi: int):
     from scipy.linalg.blas import dtbsv
 
     b = hi - lo
-    band = np.zeros((2 * b, b * (PROPAGATE_BLOCK + 1)), order="F")
+    band = np.zeros((2 * b, b * (n_max + 1)), order="F")
     band[0] = 1.0
     for r in range(b):
         for c in range(b):
@@ -342,44 +349,77 @@ def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
              w_blocks: Iterable[np.ndarray], burn: int = 0) -> Iterator[np.ndarray]:
     """Outputs ``y[k] = C x[k]``, ``k >= burn``, of ``x[k+1] = Phi x[k] + Gamma w[k]``, ``x[0] = 0``.
 
-    Exact for every ``Phi``, defective or not, in real arithmetic only: in the
+    Exact for every ``Phi``, defective or not, in real arithmetic only, and
+    lifted (Burrus 1972) to chunks of ``m = CASCADE_CHUNK`` samples.  In the
     real Schur basis ``Phi = Q T Q^T`` (``Q`` orthogonal, ``T`` quasi-upper
-    triangular with a 2x2 diagonal block per complex pole pair) block ``lo:hi``
-    of ``z = Q^T x`` is a recursion driven by its input plus ``T[lo:hi, hi:]
-    z[hi:]``, solved bottom block first as one banded triangular solve per
-    propagation block (:func:`_block_solver`).  Column 0 of each propagation
-    block's buffer carries the state in from the block before.  ``w_blocks``
-    are (samples x inputs) blocks of at most ``PROPAGATE_BLOCK`` samples in
-    time order; each yields its (channels x samples) outputs, the burn-in left
-    out, and a non-finite output raises ``NumericalError``.
+    triangular with a 2x2 diagonal block per complex pole pair), the state
+    ``s`` of ``z = Q^T x`` at each chunk's start follows ``s' = T^m s + R w``,
+    ``w`` the chunk's ``m`` inputs side by side and ``R = [T^(m-1-i) Q^T
+    Gamma]``.  ``T^m`` has ``T``'s block structure, so block ``lo:hi`` of
+    ``s`` is a recursion driven by ``R w`` plus ``T^m[lo:hi, hi:] s[hi:]``,
+    solved bottom block first as one banded triangular solve per propagation
+    block (:func:`_block_solver`).  The chunk's outputs are then ``y = O s + H
+    w``, with ``O = [C Q T^k]`` and the block-Toeplitz Markov matrix ``H =
+    [C Q T^(k-1-i) Q^T Gamma]``, ``i < k``: with the ``R w`` product, three
+    GEMMs per propagation block.  Chunks start at each propagation block's
+    start; a block that ends ``r`` samples into a chunk takes that chunk's
+    outputs from its inputs padded with zeros and leaves ``T^r s + R_r w``,
+    ``R_r`` the last ``r`` columns of ``R``, to the next.  ``w_blocks`` are
+    (samples x inputs) blocks of at most ``PROPAGATE_BLOCK`` samples in time
+    order; each yields its (channels x samples) outputs, a view of the GEMM
+    output with the burn-in left out, and a non-finite output raises
+    ``NumericalError``.
     """
     from scipy.linalg import schur
+    from scipy.linalg.blas import dgemm
 
     t, q = schur(phi, output="real")
-    g = q.T @ gamma
+    m, nx, p, nu = CASCADE_CHUNK, t.shape[0], cmat.shape[0], gamma.shape[1]
+    powers = [np.eye(nx)]  # T^0 .. T^m
+    for _ in range(m):
+        powers.append(t @ powers[-1])
     cq = cmat @ q
-    nx = t.shape[0]
+    obs = np.asfortranarray(np.vstack([cq @ tk for tk in powers[:m]]))  # O
+    drive = np.hstack([tk @ (q.T @ gamma) for tk in powers[m - 1::-1]])  # R
+    # H without its last column block, the chunk's last input, which no output of it sees
+    markov = np.zeros((m * p, (m - 1) * nu))
+    cr = cq @ drive
+    for k in range(1, m):
+        markov[k * p:(k + 1) * p, :k * nu] = cr[:, (m - k) * nu:]
+    tm = powers[m]
+    # the block starts of T: a 2x2 block of T^m may have lost its subdiagonal entry
     starts = [i for i in range(nx) if i == 0 or t[i, i - 1] == 0]
-    blocks = [(b_lo, b_hi, _block_solver(t, b_lo, b_hi))
+    n_chunks = PROPAGATE_BLOCK // m
+    blocks = [(b_lo, b_hi, _block_solver(tm, b_lo, b_hi, n_chunks))
               for b_lo, b_hi in zip(starts, starts[1:] + [nx])]
-    z = np.zeros((nx, PROPAGATE_BLOCK + 1))
+    s = np.zeros((nx, n_chunks + 1))  # column 0 carries the state in from the block before
     lo = 0
     for w in w_blocks:
         n = w.shape[0]
         if n > PROPAGATE_BLOCK:
             raise ValueError(f"a block holds {n} samples, more than PROPAGATE_BLOCK")
-        zb = z[:, :n + 1]
-        np.matmul(g, w.T, out=zb[:, 1:])
+        full, r = divmod(n, m)
+        wc = w[:full * m].reshape(full, m * nu)
+        tail = np.zeros((m - 1) * nu)  # the inputs of a last, partial chunk, padded with zeros
+        tail[:r * nu] = w[full * m:].ravel()
+        sb = s[:, :full + 1]
+        np.matmul(drive, wc.T, out=sb[:, 1:])
         for b_lo, b_hi, solve in reversed(blocks):
-            zb[b_lo:b_hi, 1:] += t[b_lo:b_hi, b_hi:] @ zb[b_hi:, :n]
-            solve(zb[b_lo:b_hi])
+            sb[b_lo:b_hi, 1:] += tm[b_lo:b_hi, b_hi:] @ sb[b_hi:, :full]
+            solve(sb[b_lo:b_hi])
         hi = lo + n
         if hi > burn:
-            y = (cq @ zb[:, :n])[:, max(0, burn - lo):]
+            y = np.empty((full + (r > 0), m * p))
+            if full:
+                np.matmul(wc[:, :(m - 1) * nu], markov.T, out=y[:full])
+                dgemm(1.0, obs, sb[:, :full], beta=1.0, c=y[:full].T, overwrite_c=1)  # += S^T O^T
+            if r:
+                y[full] = markov @ tail + obs @ sb[:, full]
+            y = y.reshape(-1, p)[max(0, burn - lo):n].T
             if not np.isfinite(y).all():
                 raise NumericalError("simulation produced non-finite samples (overflow)")
             yield y
-        z[:, 0] = zb[:, n]
+        s[:, 0] = powers[r] @ sb[:, full] + drive[:, (m - r) * nu:] @ tail[:r * nu]
         lo = hi
 
 

@@ -46,7 +46,7 @@ __all__ = [
 #: Minimum |h(jw)| for a frequency to be admissible in automatic selection.
 H_ADMISSIBLE_TOL = 1e-6
 
-#: Diagonal loading factor applied to indefinite estimated CPSD matrices.
+#: Diagonal loading factor applied to estimated CPSD matrices that are not positive definite.
 LOADING_EPS = 1e-10
 
 
@@ -377,16 +377,21 @@ class CpsdInverse:
 def estimate_inverse_cpsd(s: CpsdMatrix) -> CpsdInverse:
     """Invert a Hermitian CPSD matrix, reporting conditioning.
 
-    Estimated matrices that fail positive definiteness receive one round of
-    diagonal loading ``eps * trace / N`` (eps = 1e-10); analytic matrices must
-    be positive definite as given.  The inverse is ``np.linalg.inv`` averaged
-    with its conjugate transpose, so it is exactly Hermitian; the eigenvalues
-    only decide the loading and give the condition number.
+    Estimated matrices that are not positive definite to working precision,
+    smallest eigenvalue at most ``N eps`` times the largest (the rounding
+    noise, of either sign, of a rank-deficient estimate's zero eigenvalues),
+    receive one round of diagonal loading ``eps_l * trace / N`` (eps_l =
+    1e-10); analytic matrices must be positive definite as given.  The
+    inverse is ``np.linalg.inv`` averaged with its conjugate transpose, so it
+    is exactly Hermitian; the eigenvalues only decide the loading and give the
+    condition number.  A matrix that cannot be inverted raises
+    :class:`NumericalError`.
     """
     v = s.values
     lam = np.linalg.eigvalsh(v)
     loaded = False
-    if lam[0] <= 0.0:
+    floor = s.n_nodes * np.finfo(float).eps * lam[-1] if s.source == "estimated" else 0.0
+    if lam[0] <= floor:
         if s.source == "estimated":
             shift = LOADING_EPS * np.trace(v).real / s.n_nodes
             v = v + shift * np.eye(s.n_nodes)
@@ -398,7 +403,10 @@ def estimate_inverse_cpsd(s: CpsdMatrix) -> CpsdInverse:
                 f"(min eigenvalue {lam[0]:.3e})"
                 + ("" if loaded else "; analytic input should be positive definite")
             )
-    inv = np.linalg.inv(v)
+    try:
+        inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"CPSD matrix at omega={s.omega:.6g} is singular") from exc
     inv = 0.5 * (inv + inv.conj().T)
     return CpsdInverse(
         values=inv,

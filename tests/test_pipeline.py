@@ -1055,6 +1055,20 @@ class TestSegmentsPerChannel:
         assert not (out / "spectra").exists() and not (out / "timeseries").exists()
         assert f"K = {k} segments, no more than the N = 6 channels" in capsys.readouterr().err
 
+    def test_run_that_refuses_writes_nothing(self, tmp_path, capsys, no_simulation):
+        # run builds the truth and asks the estimability rule before it saves network.txt
+        p = reference_config(tmp_path, {("simulation", "n_samples"): "14336"})
+        out = tmp_path / "k"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists() or list(out.iterdir()) == []
+        assert "K = 6 segments" in capsys.readouterr().err
+        # a mode without S_w refuses before any write too
+        p = write_config(tmp_path, {("network", "family"): "directed-sparse",
+                                    ("reconstruction", "mode"): "exact-directed"})
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists() or list(out.iterdir()) == []
+        assert "needs S_w" in capsys.readouterr().err
+
     def test_estimate_refuses_before_it_looks_for_the_records(self, tmp_path, capsys):
         p = reference_config(tmp_path, {("simulation", "n_samples"): "14336"})
         args = ["--config", str(p), "--out", str(tmp_path / "k")]

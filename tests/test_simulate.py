@@ -27,6 +27,7 @@ from netspectra import (
 )
 from netspectra.families import random_hurwitz_system, reference_laplacian_5
 from netspectra.simulate import (
+    CASCADE_CHUNK,
     PROPAGATE_BLOCK,
     StreamedRecord,
     _ahead,
@@ -180,6 +181,57 @@ class TestPropagate:
         for out, state in outs:
             assert np.abs(out - ref).max() <= tol * scale
             assert np.abs(state - ref_state).max() <= tol * scale
+
+    @pytest.mark.parametrize("make", [random_hurwitz_system, chain_system, cycle_system])
+    @pytest.mark.parametrize("burn", [0, 3, 2 * CASCADE_CHUNK + 5])
+    def test_ragged_blocks_match_stepwise(self, rng, make, burn):
+        # blocks of 1, m - 1, m + 1 and PROPAGATE_BLOCK - 3 samples in a row: every one but
+        # the first ends inside a chunk and hands its state on; the burn-ins end inside one
+        sys = make(rng) if make is random_hurwitz_system else make()
+        phi, gam = discretize(sys, 0.02)
+        m = CASCADE_CHUNK
+        sizes = [1, m - 1, m + 1, PROPAGATE_BLOCK - 3, m + 1, 2]
+        w = rng.standard_normal((sum(sizes), sys.n_nodes))
+        blocks = np.split(w, np.cumsum(sizes)[:-1])
+        ys = list(_cascade(phi, gam, sys.output_matrix(), blocks, burn))
+        ref = self.reference_loop(phi, gam, w, sys.output_matrix())
+        y = np.concatenate(ys, axis=1).T
+        assert y.shape == ref[burn:].shape
+        assert np.abs(y - ref[burn:]).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+
+    def test_near_marginal_pole_matches_stepwise(self, rng):
+        # a real pole at 0.999999 coupled to a lightly damped complex pair
+        phi = np.array([[0.999999, 0.2, -0.1],
+                        [0.0, 0.99, 0.3],
+                        [0.0, -0.02, 0.99]])
+        gam = rng.standard_normal((3, 2))
+        cmat = rng.standard_normal((2, 3))
+        w = rng.standard_normal((2 * PROPAGATE_BLOCK + 11, 2))
+        y = _propagate(phi, gam, w, cmat, burn=5)
+        ref = self.reference_loop(phi, gam, w, cmat)
+        assert np.abs(y - ref[5:]).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+
+    def test_overflow_raises_before_a_non_finite_block(self, rng):
+        # the second block's inputs overflow the outputs: the first block is yielded, finite
+        gam = 1e10 * np.eye(2)
+        blocks = [rng.standard_normal((PROPAGATE_BLOCK - 3, 2)), np.full((50, 2), 1e300)]
+        yielded = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="overflow"):
+                for y in _cascade(0.5 * np.eye(2), gam, np.eye(2), blocks):
+                    yielded.append(np.array(y))
+        assert len(yielded) == 1 and np.isfinite(yielded[0]).all()
+        # a 1e154 gain in and out overflows the first block, which is never yielded
+        node = NodeDynamics([[-1.0]], [1e154], [1e154])
+        sys = NetworkSystem(node, ConnectivityMatrix(np.zeros((2, 2))))
+        blocks = simulate_blocks(sys, NoiseConfig(variance=1e8),
+                                 SimConfig(n_samples=3 * PROPAGATE_BLOCK, burn_in=0))
+        yielded = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="overflow"):
+                for y in blocks:
+                    yielded.append(np.array(y))
+        assert all(np.isfinite(y).all() for y in yielded)
 
     def test_oversized_block_rejected(self):
         # a band holds PROPAGATE_BLOCK + 1 entries; a longer solve would stop short

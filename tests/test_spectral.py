@@ -327,6 +327,22 @@ class TestEstimateInverse:
         assert inv.loaded
         assert np.isfinite(inv.values).all()
 
+    def test_rank_deficient_estimate_with_positive_rounding_gets_loaded(self):
+        # a rank-one estimate whose zero eigenvalue rounded to +1e-19, not to <= 0
+        v = np.diag([4.2e-3, 1e-19])
+        assert np.linalg.eigvalsh(v)[0] == 1e-19
+        inv = estimate_inverse_cpsd(CpsdMatrix(values=v, omega=0.3, source="estimated"))
+        assert inv.loaded
+        assert np.isfinite(inv.values).all()
+        assert inv.condition_number <= 1e11
+
+    def test_singular_analytic_raises_numerical_error(self):
+        # rank one; where eigvalsh rounds its zero eigenvalue above 0 (+1.1e-16 with
+        # OpenBLAS), the eigenvalue check passes it and the inversion must refuse it
+        v = np.array([[9.0, 3.0], [3.0, 1.0]])
+        with pytest.raises(NumericalError, match="singular"):
+            estimate_inverse_cpsd(CpsdMatrix(values=v, omega=0.3, source="analytic"))
+
     def test_indefinite_estimated_fails_after_loading(self):
         v = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         s = CpsdMatrix(values=v, omega=0.3, source="estimated")
