@@ -3,37 +3,29 @@
 The continuous-time network is driven by independent per-node noise: a
 discrete white (optionally low-pass shaped) Gaussian sequence held constant
 over each sampling interval.  The held input makes the discretization exact
-(a matrix exponential, then a recursion in the real Schur basis lifted to
-chunks of ``CASCADE_CHUNK`` samples, :func:`_cascade`: the states at the
-chunk starts follow a cascade of recursions, one per real pole and one per
-complex pole pair, each a real banded triangular solve, exact for defective
-couplings too, and three GEMMs per block give their inputs and the outputs)
-and gives the injected noise a known, strictly positive power spectral
-density over a wide band:
+(a matrix exponential, then a recursion lifted to chunks of ``CASCADE_CHUNK``
+samples, :func:`_cascade`: per block, one GEMM drives the states at the chunk
+starts, a doubling scan solves their recursion, exact for defective couplings
+too, and two GEMMs give the outputs) and gives the injected noise a known,
+strictly positive power spectral density over a wide band:
 
     ``S_w(w) = sigma^2 * dt * sinc^2(w dt / 2)``            (unshaped)
 
 which is flat to within 1% for ``|w| <= 0.35 / dt``.  That band is exposed as
 the excitation interval so every downstream frequency choice stays inside it,
 and analytic cross-checks use the exact injected density rather than an
-idealisation.  Low-pass shaping, a first-order recursion per node, runs on the
-cascade's own banded solve (:func:`_block_solver`).
+idealisation.  Low-pass shaping, a first-order recursion per node, is state
+of the propagator (:meth:`NoiseConfig._shaped`), and so is the noise scale:
+the propagator takes unit white draws.
 
 Each simulation draws its noise one block ahead on a helper thread of its own
 (:func:`_ahead`), so the draw, the largest single cost of a simulation,
-overlaps the cascade's work on the block before.  Only work that releases the
-GIL goes there: the ``standard_normal`` draw and its in-place scaling.  The
-shaping solve, the cascade and the sinks stay on the caller's thread, because
-f2py's ``dtbsv`` holds the GIL and two threads solving would take turns.  The
-generator is advanced by one thread at a time, in order, so every number is
-the one a single thread draws.
+overlaps the propagator's work on the block before.  The helper runs the
+``standard_normal`` draw and nothing else.  The generator is advanced by one
+thread at a time, in order, so every number is the one a single thread draws.
 
-``scipy.linalg`` (``expm``, ``schur`` and BLAS ``dtbsv`` and ``dgemm``) is
-imported inside :func:`discretize`, :func:`_cascade` and
-:func:`_block_solver`, so a process loads it at its first simulation and one
-that never simulates (``import netspectra``, the staged ``generate``,
-``estimate``, ``reconstruct`` and ``evaluate``, an oracle run) never pays its
-import.
+The module needs numpy alone; the exponential is a Pade approximant
+(:func:`_expm`).
 
 A record is described by its header ``(channel labels, n_samples, dt)`` and
 is either held, as a read-only :class:`TimeSeriesMatrix`, or streamed, as a
@@ -83,10 +75,10 @@ __all__ = [
 #: Fraction of the sampling rate up to which the held-noise PSD is flat to ~1%.
 FLAT_BAND_FRACTION = 0.35
 
-#: Samples per block of the noise draw and the Schur cascade (cache-sized).
+#: Samples per block of the noise draw and the propagator (cache-sized).
 PROPAGATE_BLOCK = 2**14
 
-#: Samples per chunk of the lifted Schur cascade: one state recursion step per chunk.
+#: Samples per chunk of the lifted propagator: one state recursion step per chunk.
 CASCADE_CHUNK = 8
 
 _MAGIC = b"NSTS0001"
@@ -141,42 +133,34 @@ class NoiseConfig:
         phi = math.exp(p * dt)
         return phi, (phi - 1.0) / p
 
-    def _draws(self, rng: np.random.Generator, n_samples: int, n_channels: int,
-               dt: float) -> Iterator[np.ndarray]:
-        """The noise in blocks of ``PROPAGATE_BLOCK`` samples (rows).
+    def _shaped(self, phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
+                dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(Phi, Gamma, C)`` of the network driven by this noise, from unit white draws.
 
-        Row-major chunks of ``standard_normal`` give the same numbers, bit for
-        bit, as one whole-record draw.  They are drawn, and scaled in place,
-        one block ahead on a helper thread (:func:`_ahead`); that work
-        releases the GIL, so it overlaps the caller's.  Lowpass shaping stays
-        on the caller's thread, because f2py's ``dtbsv`` holds the GIL and a
-        solve on the helper would only take turns with the cascade's.  It
-        solves each channel's recursion with :func:`_block_solver` on the 1x1
-        block ``[[phi]]``, its last value carried into the next block, which
-        gives the same numbers as one banded solve over the whole record.
+        ``sqrt(variance)`` goes into ``Gamma``.  Lowpass shaping becomes state:
+        with ``(a, c)`` of :meth:`_ar1`, the shaped input ``u[k] = a u[k-1] + c
+        w[k]`` joins the state as ``[x[k], u[k-1]]``, so ``Phi = [[Phi, a
+        Gamma], [0, a I]]``, ``Gamma = [[c Gamma], [c I]]`` and ``C = [C, 0]``.
         """
-        scale = math.sqrt(self.variance)
+        gamma = gamma * math.sqrt(self.variance)
+        if self.shaping == "none":
+            return phi, gamma, cmat
+        a, c = self._ar1(dt)
+        nx, nu = gamma.shape
+        return (np.block([[phi, a * gamma], [np.zeros((nu, nx)), a * np.eye(nu)]]),
+                np.vstack([c * gamma, c * np.eye(nu)]), np.hstack([cmat, np.zeros((len(cmat), nu))]))
 
-        def raw() -> Iterator[np.ndarray]:
-            for lo in range(0, n_samples, PROPAGATE_BLOCK):
-                w = rng.standard_normal((min(PROPAGATE_BLOCK, n_samples - lo), n_channels))
-                w *= scale
-                yield w
 
-        if self.shaping == "lowpass":
-            phi, gam = self._ar1(dt)
-            solve = _block_solver(np.array([[phi]]), 0, 1)
-            last = np.zeros(n_channels)
-        for w in _ahead(raw()):
-            if self.shaping == "lowpass":
-                # per channel a contiguous row [u[-1], gamma w[0], ...], which the solve takes uncopied
-                u = np.empty((n_channels, w.shape[0] + 1))
-                u[:, 0] = last
-                np.multiply(w.T, gam, out=u[:, 1:])
-                for row in u:
-                    solve(row[None])
-                w, last = u[:, 1:].T, u[:, -1]
-            yield w
+def _draws(rng: np.random.Generator, n_samples: int, n_channels: int) -> Iterator[np.ndarray]:
+    """Unit white noise in (samples x channels) blocks of ``PROPAGATE_BLOCK`` samples.
+
+    Row-major chunks of ``standard_normal`` give the same numbers, bit for
+    bit, as one whole-record draw.  Each is drawn one block ahead on a helper
+    thread (:func:`_ahead`), and nothing else runs there: the draw releases
+    the GIL, so it overlaps the caller's work on the block before.
+    """
+    return _ahead(rng.standard_normal((min(PROPAGATE_BLOCK, n_samples - lo), n_channels))
+                  for lo in range(0, n_samples, PROPAGATE_BLOCK))
 
 
 def _ahead(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
@@ -289,60 +273,53 @@ def discretize(sys: NetworkSystem, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact ZOH discretization ``(Phi, Gamma)`` of the joint dynamics.
 
     ``Phi = exp(M dt)`` and ``Gamma = (int_0^dt exp(M s) ds) (I_N (x) b)``,
-    obtained in one augmented matrix exponential (Van Loan block trick).
-    The output map is unchanged.
+    obtained in one augmented matrix exponential (Van Loan block trick), its
+    input block scaled to unit max so that it cannot set the exponential's
+    scaling, and ``Gamma`` scaled back.  The output map is unchanged.
     """
-    from scipy.linalg import expm
-
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    m = sys.joint_state_matrix()
-    bmat = sys.input_matrix()
-    nx, nu = bmat.shape
+    bdt = sys.input_matrix() * dt
+    nx, nu = bdt.shape
+    scale = np.abs(bdt).max() or 1.0
     aug = np.zeros((nx + nu, nx + nu))
-    aug[:nx, :nx] = m * dt
-    aug[:nx, nx:] = bmat * dt
+    aug[:nx, :nx] = sys.joint_state_matrix() * dt
+    aug[:nx, nx:] = bdt / scale
     try:
-        e = expm(aug)
-    except Exception as exc:  # scipy raises various types on overflow
+        e = _expm(aug)
+    except (ArithmeticError, ValueError) as exc:  # a LinAlgError is a ValueError
         raise NumericalError(f"matrix exponential failed for dt={dt}") from exc
-    if not np.isfinite(e).all():
+    phi, gamma = e[:nx, :nx], e[:nx, nx:] * scale
+    if not (np.isfinite(phi).all() and np.isfinite(gamma).all()):
         raise NumericalError(f"matrix exponential overflowed for dt={dt}")
-    return e[:nx, :nx], e[:nx, nx:]
+    return phi, gamma
 
 
-def _block_solver(t: np.ndarray, lo: int, hi: int, n_max: int = PROPAGATE_BLOCK):
-    """In-place solver of block ``T[lo:hi, lo:hi]``'s recursion ``z[k+1] = T_b z[k] + v[k]``.
+#: Coefficients of the [13/13] Pade approximant of ``exp`` and the largest 1-norm it takes
+#: unscaled (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE13_THETA = 5.371920351148152
 
-    A real Schur block is one row (a real pole) or two (a complex pair).
-    ``solve(zb)`` takes the block's rows ``zb = [z[0], v[0], ..., v[n-1]]``,
-    ``n <= n_max``, and leaves ``zb = [z[0], ..., z[n]]``: one unit
-    lower-banded solve by BLAS ``dtbsv`` over the rows interleaved in time,
-    ``x[b k + r] = z_r[k]``, whose band holds ``-T[lo + r, lo + c]`` at offset
-    ``b + r - c`` in columns ``c::b``.  One row is solved in place (through a
-    copy when it is not contiguous); a pair is interleaved into a copy and
-    back.  The band is Fortran-ordered and built once, so no call copies it.
-    """
-    from scipy.linalg.blas import dtbsv
 
-    b = hi - lo
-    band = np.zeros((2 * b, b * (n_max + 1)), order="F")
-    band[0] = 1.0
-    for r in range(b):
-        for c in range(b):
-            band[b + r - c, c::b] = -t[lo + r, lo + c]
-
-    def solve(zb: np.ndarray) -> None:
-        if b == 1:
-            row = zb[0]
-            x = dtbsv(1, band[:, :zb.shape[1]], row, lower=1, diag=1, overwrite_x=1)
-            if x is not row:  # f2py solved a copy of a non-contiguous row
-                row[:] = x
-        else:
-            x = dtbsv(2 * b - 1, band[:, :zb.size], zb.T.ravel(), lower=1, diag=1, overwrite_x=1)
-            zb[:] = x.reshape(-1, b).T
-
-    return solve
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` by scaling and squaring of the [13/13] Pade approximant (Higham 2005)."""
+    norm = np.abs(a).sum(axis=0).max()
+    s = max(0, math.ceil(math.log2(norm / _PADE13_THETA))) if norm > 0 else 0
+    a = a / 2.0**s
+    b, ident = _PADE13, np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    e = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
@@ -350,49 +327,44 @@ def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
     """Outputs ``y[k] = C x[k]``, ``k >= burn``, of ``x[k+1] = Phi x[k] + Gamma w[k]``, ``x[0] = 0``.
 
     Exact for every ``Phi``, defective or not, in real arithmetic only, and
-    lifted (Burrus 1972) to chunks of ``m = CASCADE_CHUNK`` samples.  In the
-    real Schur basis ``Phi = Q T Q^T`` (``Q`` orthogonal, ``T`` quasi-upper
-    triangular with a 2x2 diagonal block per complex pole pair), the state
-    ``s`` of ``z = Q^T x`` at each chunk's start follows ``s' = T^m s + R w``,
-    ``w`` the chunk's ``m`` inputs side by side and ``R = [T^(m-1-i) Q^T
-    Gamma]``.  ``T^m`` has ``T``'s block structure, so block ``lo:hi`` of
-    ``s`` is a recursion driven by ``R w`` plus ``T^m[lo:hi, hi:] s[hi:]``,
-    solved bottom block first as one banded triangular solve per propagation
-    block (:func:`_block_solver`).  The chunk's outputs are then ``y = O s + H
-    w``, with ``O = [C Q T^k]`` and the block-Toeplitz Markov matrix ``H =
-    [C Q T^(k-1-i) Q^T Gamma]``, ``i < k``: with the ``R w`` product, three
-    GEMMs per propagation block.  Chunks start at each propagation block's
-    start; a block that ends ``r`` samples into a chunk takes that chunk's
-    outputs from its inputs padded with zeros and leaves ``T^r s + R_r w``,
-    ``R_r`` the last ``r`` columns of ``R``, to the next.  ``w_blocks`` are
-    (samples x inputs) blocks of at most ``PROPAGATE_BLOCK`` samples in time
-    order; each yields its (channels x samples) outputs, a view of the GEMM
-    output with the burn-in left out, and a non-finite output raises
-    ``NumericalError``.
+    lifted (Burrus 1972) to chunks of ``m = CASCADE_CHUNK`` samples.  The
+    state ``s`` at each chunk's start follows ``s' = A s + R w``, ``A =
+    Phi^m``, ``w`` the chunk's ``m`` inputs side by side and ``R =
+    [Phi^(m-1-i) Gamma]``.  Per propagation block, one GEMM gives every
+    chunk's ``R w``, and a Hillis-Steele scan (Kogge & Stone 1973) solves the
+    recursion over the block's chunk starts, held sample-major with row 0 the
+    state carried in: at level ``l`` each row adds ``A^(2^l)`` times the row
+    ``2^l`` above it, one GEMM and one add, the jumps ``A^(2^l)`` made once per
+    run.  The chunk's outputs are then ``y = O s + H w``, with ``O = [C
+    Phi^k]`` and the block-Toeplitz Markov matrix ``H = [C Phi^(k-1-i)
+    Gamma]``, ``i < k``, two more GEMMs.  Chunks start at each propagation
+    block's start; a block that ends ``r`` samples into a chunk takes that
+    chunk's outputs from its inputs padded with zeros and leaves ``Phi^r s +
+    R_r w``, ``R_r`` the last ``r`` columns of ``R``, to the next.
+    ``w_blocks`` are (samples x inputs) blocks of at most ``PROPAGATE_BLOCK``
+    samples in time order; each yields its (channels x samples) outputs, a
+    view of the GEMM output with the burn-in left out, and a non-finite
+    output raises ``NumericalError``.
     """
-    from scipy.linalg import schur
-    from scipy.linalg.blas import dgemm
-
-    t, q = schur(phi, output="real")
-    m, nx, p, nu = CASCADE_CHUNK, t.shape[0], cmat.shape[0], gamma.shape[1]
-    powers = [np.eye(nx)]  # T^0 .. T^m
+    m, nx, p, nu = CASCADE_CHUNK, phi.shape[0], cmat.shape[0], gamma.shape[1]
+    powers = [np.eye(nx)]  # Phi^0 .. Phi^m
     for _ in range(m):
-        powers.append(t @ powers[-1])
-    cq = cmat @ q
-    obs = np.asfortranarray(np.vstack([cq @ tk for tk in powers[:m]]))  # O
-    drive = np.hstack([tk @ (q.T @ gamma) for tk in powers[m - 1::-1]])  # R
-    # H without its last column block, the chunk's last input, which no output of it sees
-    markov = np.zeros((m * p, (m - 1) * nu))
-    cr = cq @ drive
+        powers.append(phi @ powers[-1])
+    # O, R, H and the jumps act on sample-major rows, so each is held transposed and C-ordered:
+    # numpy's matmul is up to 2.5 times slower with a transposed view as its right operand
+    obs = np.hstack([(cmat @ pk).T for pk in powers[:m]])  # O^T
+    drive = np.vstack([(pk @ gamma).T for pk in powers[m - 1::-1]])  # R^T
+    # H^T without its last row block, the chunk's last input, which no output of it sees
+    markov = np.zeros(((m - 1) * nu, m * p))
+    cr = drive @ cmat.T
     for k in range(1, m):
-        markov[k * p:(k + 1) * p, :k * nu] = cr[:, (m - k) * nu:]
-    tm = powers[m]
-    # the block starts of T: a 2x2 block of T^m may have lost its subdiagonal entry
-    starts = [i for i in range(nx) if i == 0 or t[i, i - 1] == 0]
+        markov[:k * nu, k * p:(k + 1) * p] = cr[(m - k) * nu:]
     n_chunks = PROPAGATE_BLOCK // m
-    blocks = [(b_lo, b_hi, _block_solver(tm, b_lo, b_hi, n_chunks))
-              for b_lo, b_hi in zip(starts, starts[1:] + [nx])]
-    s = np.zeros((nx, n_chunks + 1))  # column 0 carries the state in from the block before
+    jumps = [powers[m].T.copy()]  # A^(2^l) transposed, for every 2^l <= n_chunks
+    while 1 << len(jumps) <= n_chunks:
+        jumps.append(jumps[-1] @ jumps[-1])
+    s = np.zeros((n_chunks + 1, nx))  # row 0 carries the state in from the block before
+    lag, from_s = np.empty((n_chunks, nx)), np.empty((n_chunks, m * p))
     lo = 0
     for w in w_blocks:
         n = w.shape[0]
@@ -402,24 +374,28 @@ def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
         wc = w[:full * m].reshape(full, m * nu)
         tail = np.zeros((m - 1) * nu)  # the inputs of a last, partial chunk, padded with zeros
         tail[:r * nu] = w[full * m:].ravel()
-        sb = s[:, :full + 1]
-        np.matmul(drive, wc.T, out=sb[:, 1:])
-        for b_lo, b_hi, solve in reversed(blocks):
-            sb[b_lo:b_hi, 1:] += tm[b_lo:b_hi, b_hi:] @ sb[b_hi:, :full]
-            solve(sb[b_lo:b_hi])
+        sb = s[:full + 1]
+        np.matmul(wc, drive, out=sb[1:])
+        for level, jump in enumerate(jumps):
+            d = 1 << level
+            if d > full:
+                break
+            np.matmul(sb[:-d], jump, out=lag[:full + 1 - d])
+            sb[d:] += lag[:full + 1 - d]
         hi = lo + n
         if hi > burn:
             y = np.empty((full + (r > 0), m * p))
             if full:
-                np.matmul(wc[:, :(m - 1) * nu], markov.T, out=y[:full])
-                dgemm(1.0, obs, sb[:, :full], beta=1.0, c=y[:full].T, overwrite_c=1)  # += S^T O^T
+                np.matmul(wc[:, :(m - 1) * nu], markov, out=y[:full])
+                np.matmul(sb[:full], obs, out=from_s[:full])
+                y[:full] += from_s[:full]
             if r:
-                y[full] = markov @ tail + obs @ sb[:, full]
+                y[full] = tail @ markov + sb[full] @ obs
             y = y.reshape(-1, p)[max(0, burn - lo):n].T
             if not np.isfinite(y).all():
                 raise NumericalError("simulation produced non-finite samples (overflow)")
             yield y
-        s[:, 0] = powers[r] @ sb[:, full] + drive[:, (m - r) * nu:] @ tail[:r * nu]
+        s[0] = powers[r] @ sb[full] + tail[:r * nu] @ drive[(m - r) * nu:]
         lo = hi
 
 
@@ -493,13 +469,13 @@ def simulate_blocks(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig,
                 f"{report.spectral_abscissa:+.3e} is nearly marginal); set "
                 "burn_in explicitly if this is intended"
             )
-    phi, gamma = discretize(sys, cfg.dt)
+    shaped = noise._shaped(*discretize(sys, cfg.dt), sys.output_matrix(), cfg.dt)
     rng = np.random.default_rng(np.random.SeedSequence((noise.seed, run)))
-    draws = noise._draws(rng, cfg.n_samples + burn, sys.n_nodes, cfg.dt)
+    draws = _draws(rng, cfg.n_samples + burn, sys.n_nodes)
 
     def outputs() -> Iterator[np.ndarray]:
         with closing(draws):  # a cascade that raises stops the draw ahead too
-            yield from _cascade(phi, gamma, sys.output_matrix(), draws, burn)
+            yield from _cascade(*shaped, draws, burn)
     return outputs()
 
 

@@ -1,11 +1,13 @@
-"""netspectra loads each heavy SciPy module only on a path that needs it.
+"""netspectra never loads the heavy SciPy modules.
 
 ``scipy.signal`` (about 0.9 s of import time) is on no path: lowpass noise
-shaping solves its recursion with the Schur cascade's banded solve.
-``scipy.linalg`` (about 0.26 s and 27 MiB) is loaded only to simulate, so
-importing netspectra, the staged commands other than ``simulate`` and an
-oracle run never load it.  Each check runs in a fresh interpreter, since this
-test process imports both modules itself.
+shaping is state of the propagator.  ``scipy.linalg`` (about 0.3 s and
+21 MiB, with the numpy.f2py, numpy.testing and second OpenBLAS it pulls in)
+is on no path either: the propagator and the discretization's matrix
+exponential are numpy alone, so no command loads it, the simulating ones
+(``run``, the staged ``simulate``, an empirical ``bench``) included.  Each
+check runs in a fresh interpreter, since this test process imports both
+modules itself.
 """
 
 import os
@@ -93,13 +95,23 @@ def test_lowpass_run_leaves_scipy_signal_out(tmp_path):
     assert (tmp_path / "out" / "metrics.json").exists()
 
 
-def test_only_the_staged_simulate_loads_scipy_linalg(tmp_path):
+def test_no_command_loads_scipy_linalg(tmp_path):
     (tmp_path / "exp.ini").write_text(CONFIG)
-    for command in ("generate", "simulate", "estimate", "reconstruct", "evaluate"):
-        code = ("from netspectra import cli\n"
-                f"assert cli.main([{command!r}, '--config', 'exp.ini', '--out', 'out']) == 0")
-        assert ("scipy.linalg" in loaded_after(code, tmp_path)) == (command == "simulate"), command
-    assert (tmp_path / "out" / "metrics.json").exists()
+    (tmp_path / "lowpass.ini").write_text(
+        CONFIG.replace("shaping = none", "shaping = lowpass\nshaping_pole = -2.0"))
+    commands = [[command, "--config", "exp.ini", "--out", "staged"]
+                for command in ("generate", "simulate", "estimate", "reconstruct", "evaluate")]
+    commands += [["run", "--config", config, "--out", out]
+                 for config, out in (("exp.ini", "run"), ("lowpass.ini", "lowpass"))]
+    commands.append(["bench", "--config", "exp.ini", "--out", "bench", "--sweep", "3:8192",
+                     "--repeats", "1"])
+    for args in commands:
+        code = f"from netspectra import cli\nassert cli.main({args!r}) == 0"
+        assert "scipy.linalg" not in loaded_after(code, tmp_path), args
+    for out in ("staged", "run", "lowpass"):
+        assert (tmp_path / out / "metrics.json").exists()
+    assert (tmp_path / "staged" / "timeseries").is_dir()
+    assert (tmp_path / "bench" / "bench.csv").exists()
 
 
 def test_oracle_run_leaves_scipy_linalg_out(tmp_path):

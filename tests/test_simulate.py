@@ -2,11 +2,11 @@ import importlib
 import struct
 import threading
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy import signal
-from scipy.linalg.blas import dtbsv
+from scipy.linalg import expm
 
 from netspectra import (
     ConnectivityMatrix,
@@ -31,8 +31,8 @@ from netspectra.simulate import (
     PROPAGATE_BLOCK,
     StreamedRecord,
     _ahead,
-    _block_solver,
     _cascade,
+    _draws,
     _propagate,
     channel_labels,
     simulate_blocks,
@@ -101,6 +101,25 @@ class TestDiscretize:
                 np.sort(np.abs(lam_phi)), np.sort(np.exp(lam_m.real * dt)), rtol=1e-9
             )
 
+    @pytest.mark.parametrize("case", ["hurwitz", "chain", "cycle", "large-step"])
+    def test_matches_scipy_expm(self, rng, case):
+        # SciPy's expm of the whole Van Loan matrix, the exponential discretize used before
+        systems = {"hurwitz": [random_hurwitz_system(rng) for _ in range(5)],
+                   "chain": [chain_system()], "cycle": [cycle_system()],
+                   "large-step": [NetworkSystem(NodeDynamics.scalar_pole(-2.0),
+                                                reference_laplacian_5())]}[case]
+        dt = 1.0 if case == "large-step" else 0.02
+        for sys in systems:
+            m, b = sys.joint_state_matrix(), sys.input_matrix()
+            nx, nu = b.shape
+            if case == "large-step":
+                assert np.linalg.norm(m, 2) * dt > 0.5
+            aug = np.zeros((nx + nu, nx + nu))
+            aug[:nx, :nx], aug[:nx, nx:] = m * dt, b * dt
+            ref = expm(aug)
+            for got, want in zip(discretize(sys, dt), (ref[:nx, :nx], ref[:nx, nx:])):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestPropagate:
     def reference_loop(self, phi, gam, w, cmat):
@@ -123,7 +142,7 @@ class TestPropagate:
         sys = chain_system()
         phi, gam = discretize(sys, 0.01)
         # the chain is a defective input (an ill-conditioned eigenbasis) to
-        # the one Schur cascade, which must still match the stepwise loop
+        # the one propagator, which must still match the stepwise loop
         assert np.linalg.cond(np.linalg.eig(phi)[1]) > 1e8
         w = rng.standard_normal((300, 3))
         y = _propagate(phi, gam, w, sys.output_matrix())
@@ -149,38 +168,24 @@ class TestPropagate:
         pytest.param([[0.99, 0.3], [-0.02, 0.99]], id="pair-0.993"),  # non-normal, lightly damped
     ])
     def test_block_solve_is_its_recursion(self, rng, block):
-        # two propagation blocks, the second started from the state the first left;
-        # the rows are contiguous, or rows of a Fortran-ordered buffer, which f2py copies
+        # the scan over each block's chunk starts, over two propagation blocks, the second
+        # started from the state the first left; with Gamma = C = I the outputs are the states,
+        # checked against the recursion carried to 40 digits
         t = np.atleast_2d(block)
         b = t.shape[0]
-        solve = _block_solver(t, 0, b)
-        s = np.array([0.3, -0.2])[:b]
-        v = rng.standard_normal((b, PROPAGATE_BLOCK + 100))
-        outs = []
-        for strided in (False, True):
-            state, out = s, []
-            for part in (v[:, :PROPAGATE_BLOCK], v[:, PROPAGATE_BLOCK:]):
-                zb = np.concatenate([state[:, None], part], axis=1)
-                if strided:
-                    zb = np.vstack([zb, zb]).copy(order="F")[:b]
-                    assert not zb[0].flags.contiguous
-                solve(zb)
-                out.append(zb[:, :-1])
-                state = zb[:, -1]
-            outs.append((np.concatenate(out, axis=1), state))
-        if b == 1:
-            ref, ref_state = signal.lfilter([0.0, 1.0], [1.0, -block], v[0], zi=s)
-            ref, tol = ref[None], 1e-14
-        else:
-            ref, z = np.empty_like(v), s
-            for k in range(v.shape[1]):
-                ref[:, k] = z
-                z = t @ z + v[:, k]
-            ref_state, tol = z, 1e-13
-        scale = np.abs(ref).max()
-        for out, state in outs:
-            assert np.abs(out - ref).max() <= tol * scale
-            assert np.abs(state - ref_state).max() <= tol * scale
+        v = rng.standard_normal((PROPAGATE_BLOCK + 100, b))
+        blocks = [v[:PROPAGATE_BLOCK], v[PROPAGATE_BLOCK:]]
+        out = np.concatenate(list(_cascade(t, np.eye(b), np.eye(b), blocks)), axis=1).T
+        ref = np.empty_like(v)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            tt = [[Decimal(x) for x in row] for row in t.tolist()]
+            z = [Decimal(0)] * b
+            for k, vk in enumerate(v.tolist()):
+                ref[k] = [float(x) for x in z]
+                z = [sum(tt[i][j] * z[j] for j in range(b)) + Decimal(vk[i]) for i in range(b)]
+        tol = 1e-14 if b == 1 else 1e-13
+        assert np.abs(out - ref).max() <= tol * np.abs(ref).max()
 
     @pytest.mark.parametrize("make", [random_hurwitz_system, chain_system, cycle_system])
     @pytest.mark.parametrize("burn", [0, 3, 2 * CASCADE_CHUNK + 5])
@@ -234,7 +239,7 @@ class TestPropagate:
         assert all(np.isfinite(y).all() for y in yielded)
 
     def test_oversized_block_rejected(self):
-        # a band holds PROPAGATE_BLOCK + 1 entries; a longer solve would stop short
+        # the scan holds PROPAGATE_BLOCK / CASCADE_CHUNK + 1 chunk starts; a longer block has no room
         blocks = _cascade(np.eye(1) * 0.5, np.eye(1), np.eye(1), [np.ones((PROPAGATE_BLOCK + 1, 1))])
         with pytest.raises(ValueError):
             next(blocks)
@@ -291,24 +296,26 @@ class TestSimulate:
 
 class TestSimulateBlocks:
     @pytest.mark.parametrize("shaping", ["none", "lowpass"])
-    def test_noise_blocks_equal_one_draw(self, shaping):
+    def test_noise_blocks_equal_one_draw(self, monkeypatch, shaping):
+        # the propagator gets one unit white draw, shaped or not, in C-contiguous (samples x
+        # channels) blocks that it reshapes into chunks uncopied
+        got, cascade = [], sim._cascade
+
+        def recording(phi, gamma, cmat, w_blocks, burn=0):
+            yield from cascade(phi, gamma, cmat, (got.append(w) or w for w in w_blocks), burn)
+        monkeypatch.setattr(sim, "_cascade", recording)
         noise = NoiseConfig(variance=2.0, seed=6, shaping=shaping,
                             shaping_pole=-2.0 if shaping == "lowpass" else None)
-        n = 2 * PROPAGATE_BLOCK + 33
-        blocks = list(noise._draws(np.random.default_rng(6), n, 3, 0.01))
-        assert max(len(w) for w in blocks) == PROPAGATE_BLOCK
-        whole = np.sqrt(2.0) * np.random.default_rng(6).standard_normal((n, 3))
-        if shaping == "lowpass":
-            # u[k] = phi u[k-1] + gam w[k], u[-1] = 0: one banded solve per channel over all samples
-            phi = np.exp(-2.0 * 0.01)
-            gam = (phi - 1.0) / -2.0
-            band = np.zeros((2, n + 1), order="F")
-            band[0], band[1] = 1.0, -phi
-            filtered = signal.lfilter([gam], [1.0, -phi], whole, axis=0)
-            whole = np.column_stack([
-                dtbsv(1, band, np.r_[0.0, w * gam], lower=1, diag=1)[1:] for w in whole.T])
-            assert np.abs(whole - filtered).max() <= 1e-14 * np.abs(filtered).max()
-        assert np.array_equal(np.concatenate(blocks), whole)
+        n, burn = 2 * PROPAGATE_BLOCK + 33, 7
+        simulate(make_system(np.zeros((3, 3))), noise,
+                 SimConfig(dt=0.01, n_samples=n, burn_in=burn))
+        assert max(len(w) for w in got) == PROPAGATE_BLOCK
+        for w in got:
+            assert w.dtype == np.float64 and w.shape[1] == 3 and w.flags.c_contiguous
+            full = len(w) // CASCADE_CHUNK * CASCADE_CHUNK
+            assert np.shares_memory(w[:full].reshape(-1, CASCADE_CHUNK * 3), w)
+        whole = np.random.default_rng(6).standard_normal((n + burn, 3))
+        assert np.array_equal(np.concatenate(got), whole)
 
     @pytest.mark.parametrize("ground", [None, 2])
     def test_blocks_are_the_collected_record(self, ground):
@@ -367,23 +374,23 @@ class TestDrawAhead:
         assert info.value.__traceback__ is not None
         assert threading.active_count() == before
 
-    def test_lowpass_solves_on_the_callers_thread(self, monkeypatch):
-        # f2py's dtbsv holds the GIL: on the helper it would contend with the cascade's solves
-        threads, make = set(), sim._block_solver
+    def test_the_helper_only_draws(self):
+        # the helper runs standard_normal and nothing else: the caller gets the very arrays
+        # drawn, unscaled, and every one was drawn off the caller's thread
+        rng, drawn = np.random.default_rng(4), []
 
-        def recording(*args):
-            solve = make(*args)
+        class Recording:
+            def standard_normal(self, shape):
+                drawn.append((threading.get_ident(), rng.standard_normal(shape)))
+                return drawn[-1][1]
 
-            def recorded(zb):
-                threads.add(threading.get_ident())
-                solve(zb)
-            return recorded
-
-        monkeypatch.setattr(sim, "_block_solver", recording)
-        noise = NoiseConfig(seed=2, shaping="lowpass", shaping_pole=-2.0)
-        simulate(make_system(np.zeros((2, 2))), noise,
-                 SimConfig(dt=0.01, n_samples=2 * PROPAGATE_BLOCK + 9))
-        assert threads == {threading.get_ident()}
+        n = 2 * PROPAGATE_BLOCK + 9
+        blocks = list(_draws(Recording(), n, 3))
+        assert [w.shape for w in blocks] == [(PROPAGATE_BLOCK, 3)] * 2 + [(9, 3)]
+        assert len(drawn) == 3 and all(w is d for w, (_, d) in zip(blocks, drawn))
+        assert threading.get_ident() not in {thread for thread, _ in drawn}
+        whole = np.random.default_rng(4).standard_normal((n, 3))
+        assert np.array_equal(np.concatenate(blocks), whole)
 
 
 class TestSimulateGrounded:
@@ -489,6 +496,24 @@ class TestShapedNoise:
         white = NoiseConfig(variance=1.0).input_psd_model(0.01)
         # at DC the AR(1) shaping multiplies the held PSD by 1/p^2
         assert model(0.0) == pytest.approx(white(0.0) / 4.0, rel=1e-6)
+
+    def test_lowpass_record_is_ar1_then_network(self):
+        # u[k] = a u[k-1] + c sigma w[k], u[-1] = 0, drives x[k+1] = Phi x[k] + Gamma u[k]
+        sys = NetworkSystem(NodeDynamics.scalar_pole(-1.0), reference_laplacian_5())
+        noise = NoiseConfig(variance=2.0, seed=6, shaping="lowpass", shaping_pole=-2.0)
+        cfg = SimConfig(dt=0.01, n_samples=PROPAGATE_BLOCK + 33, burn_in=7)
+        ts = simulate(sys, noise, cfg)
+        phi, gam = discretize(sys, cfg.dt)
+        cmat = sys.output_matrix()
+        a = np.exp(-2.0 * cfg.dt)
+        c = (a - 1.0) / -2.0
+        w = np.sqrt(2.0) * np.random.default_rng(6).standard_normal((cfg.n_samples + 7, 5))
+        x, u, ref = np.zeros(5), np.zeros(5), np.empty_like(w)
+        for k, wk in enumerate(w):
+            ref[k] = cmat @ x
+            u = a * u + c * wk
+            x = phi @ x + gam @ u
+        assert np.abs(ts.data.T - ref[7:]).max() <= 1e-9 * np.abs(ref).max()
 
     def test_lowpass_needs_negative_pole(self):
         with pytest.raises(ValidationError):
