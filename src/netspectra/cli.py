@@ -4,13 +4,13 @@ Subcommands mirror the pipeline stages (``generate``, ``simulate``,
 ``estimate``, ``reconstruct``, ``evaluate``), plus ``run`` for the whole
 pipeline and ``bench`` for stage timing sweeps.  Every stage reads its inputs
 from, and writes its outputs to, the run directory, so stages can be re-driven
-individually against saved artifacts.  Each does only its own stage, and
-``run`` runs them in order, except that it streams each simulation into the
-estimator instead of writing ``timeseries/`` (in oracle modes ``simulate``
-writes nothing and ``estimate`` the analytic spectra).  Every command after
-``generate`` exits 2, writing nothing, without its ``network.txt`` and
-``node.txt``.  Only ``bench`` takes ``--cost-model``: the config alone decides
-what every other command writes.
+individually against saved artifacts.  No command asks where the spectra come
+from: ``estimate`` writes them, analytic in an oracle mode (where ``simulate``
+writes nothing).  ``run`` runs the stages in order, except that it streams
+each simulation into the estimator instead of writing ``timeseries/``.  Every
+command after ``generate`` exits 2, writing nothing, without its
+``network.txt`` and ``node.txt``.  Only ``bench`` takes ``--cost-model``: the
+config alone decides what every other command writes.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure,
 4 stability rejection.
@@ -87,25 +87,18 @@ def _cmd_generate(args) -> None:
 def _load_estimable(args) -> tuple[pl.ExperimentConfig, Path]:
     """:func:`_load`, then refuse what the config alone makes unestimable, before any artifact is read."""
     cfg, out = _load(args)
-    if not cfg.recon.oracle:
-        pl._require_estimable(cfg)
+    pl._require_estimable(cfg)
     return cfg, out
 
 
 def _cmd_simulate(args) -> None:
     cfg, out = _load_estimable(args)
-    truth, node = pl.load_saved_truth(out)
-    pl.stage_simulate(cfg, out, truth, node, workers=args.workers)
+    pl.stage_simulate(cfg, out, *pl.load_saved_truth(out), workers=args.workers)
 
 
 def _cmd_estimate(args) -> None:
     cfg, out = _load_estimable(args)
-    truth, node = pl.load_saved_truth(out)
-    if cfg.recon.oracle:
-        pl.stage_oracle_spectra(cfg, out, truth, node)
-    else:
-        runs = pl.load_saved_runs(cfg, out, truth.n_nodes)
-        pl.stage_estimate(cfg, out, runs, node, truth.n_nodes, workers=args.workers)
+    pl.stage_estimate(cfg, out, *pl.load_saved_truth(out), workers=args.workers)
 
 
 def _cmd_reconstruct(args) -> None:

@@ -17,11 +17,12 @@ second (:func:`save_timeseries`).  No stage holds a whole record:
 :func:`estimate_spectra` streams each run into a single-bin CPSD accumulator
 (:func:`estimate_cpsd_matrix`), after one more pass over the full run under
 ``omega0 = auto`` to choose the bin (:func:`select_omega0`).
-:func:`run_pipeline` is the staged commands with one shortcut: it streams
-:func:`simulated_runs` into :func:`estimate_spectra` and writes no
-``timeseries/``, and gives the staged spectra byte for byte, since both
-sources are deterministic.  Oracle modes take :func:`oracle_spectra` in place
-of both stages.  These two and :func:`reconstruct` touch no file: each stage
+:func:`run_pipeline` is the staged commands with one shortcut: it hands the
+spectra stage, :func:`stage_estimate`, :func:`simulated_runs` in place of the
+saved records, writes no ``timeseries/``, and gives the staged spectra byte
+for byte, since both sources are deterministic.  That stage alone asks where
+the spectra come from: oracle modes take :func:`oracle_spectra`, which, like
+:func:`estimate_spectra` and :func:`reconstruct`, touches no file: each stage
 writes what one of them returns, and ``bench`` times them.  Reconstruction and
 evaluation read their inputs from the run directory, in ``run`` too.
 
@@ -109,9 +110,9 @@ from .spectral import (
 )
 from . import families
 
-EMPIRICAL_MODES = ("boolean", "exact-directed", "undirected", "nonreciprocal")
-MODES = EMPIRICAL_MODES + tuple("oracle-" + m for m in EMPIRICAL_MODES)
-GROUNDING_MODES = ("boolean", "exact-directed")
+ROUTES = ("boolean", "exact-directed", "undirected", "nonreciprocal")
+MODES = ROUTES + tuple("oracle-" + route for route in ROUTES)
+GROUNDING_ROUTES = ("boolean", "exact-directed")
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,11 @@ class ReconSpec:
     def oracle(self) -> bool:
         """Whether the mode takes analytic spectra in place of simulation and estimation."""
         return self.mode.startswith("oracle-")
+
+    @property
+    def route(self) -> str:
+        """The reconstruction route: the mode without its ``oracle-`` prefix."""
+        return self.mode.removeprefix("oracle-")
 
 
 @dataclass(frozen=True)
@@ -369,7 +375,7 @@ def _run_keys(cfg: ExperimentConfig, n_nodes: int) -> list:
 
     The only place that decides which runs exist.
     """
-    if cfg.recon.mode.replace("oracle-", "") in GROUNDING_MODES:
+    if cfg.recon.route in GROUNDING_ROUTES:
         return ["full", *range(1, n_nodes + 1)]
     return ["full"]
 
@@ -422,10 +428,10 @@ def stage_simulate(
 
     Each run streams into ``timeseries/*.nsts`` for the staged ``estimate``
     block by block, as it is simulated; ``run`` streams into the estimator
-    instead (:func:`estimate_spectra`).  Oracle modes take analytic spectra
-    (:func:`oracle_spectra`), so they simulate and write nothing; a mode
-    without S_w (:func:`simulated_runs`) or a record the estimate stage cannot
-    take (:func:`_require_estimable`) raises first.
+    instead (:func:`estimate_spectra`).  An oracle mode's spectra stage reads
+    no record (:func:`stage_estimate`), so it simulates and writes nothing; a
+    mode without S_w (:func:`simulated_runs`) or a record the estimate stage
+    cannot take (:func:`_require_estimable`) raises first.
     """
     if cfg.recon.oracle:
         return
@@ -489,11 +495,15 @@ def estimate_spectra(cfg: ExperimentConfig, runs, node: NodeDynamics, n_nodes: i
                      _run_keys(cfg, n_nodes), workers)
 
 
-def stage_estimate(cfg: ExperimentConfig, out: Path, runs, node: NodeDynamics, n_nodes: int,
-                   workers: int = 1) -> dict:
-    """Write :func:`estimate_spectra` to ``spectra/``; return the ``estimate.json`` dict."""
-    return _write_spectra(cfg, out, _run_keys(cfg, n_nodes),
-                          estimate_spectra(cfg, runs, node, n_nodes, workers=workers))
+def stage_estimate(cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix, node: NodeDynamics,
+                   runs=None, workers: int = 1) -> dict:
+    """Write each run's CPSD matrix to ``spectra/``: analytic in an oracle mode, else estimated
+    from ``runs``, by default the saved records.  Return the ``estimate.json`` dict."""
+    if cfg.recon.oracle:
+        return stage_oracle_spectra(cfg, out, g, node)
+    runs = runs or load_saved_runs(cfg, out, g.n_nodes)
+    return _write_spectra(cfg, out, _run_keys(cfg, g.n_nodes),
+                          estimate_spectra(cfg, runs, node, g.n_nodes, workers=workers))
 
 
 def _analytic_omega0(cfg: ExperimentConfig) -> float:
@@ -534,7 +544,9 @@ def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
 def _require_estimable(cfg: ExperimentConfig, n_nodes: int = 0) -> None:
     """Raise, with its exit code, what :func:`estimate_spectra` would on the configured record:
     :meth:`SpectralConfig.n_segments` on its length, :func:`snap_frequency` on a fixed omega0.
-    With no ``n_nodes``, what the config alone refuses: K <= N is not asked."""
+    With no ``n_nodes``, K <= N is not asked.  An oracle mode estimates nothing."""
+    if cfg.recon.oracle:
+        return
     cfg.spectral.n_segments(cfg.sim.n_samples, n_nodes)
     omega0 = cfg.omega0_value()
     if omega0 is not None:
@@ -550,27 +562,28 @@ def reconstruct(cfg: ExperimentConfig, s_full: CpsdMatrix, grounded: list,
     ``None``.  ``stage_reconstruct`` and ``bench`` both call this, and it reads
     the route names at each call, so a route patched on this module runs in both.
     """
-    mode = cfg.recon.mode.replace("oracle-", "")
+    route = cfg.recon.route
     # the gap policy reads the route's own raw statistics, so each route runs once
     tau = cfg.recon.tau if cfg.recon.threshold == "fixed" else (
         lambda raw: threshold_heuristic(raw, fallback_tau=cfg.recon.tau))
-    if mode == "boolean":
+    if route == "boolean":
         return boolean_directed(s_full, grounded, tau=tau), "unused", None
     h = nodal_transfer(node, s_full.omega)
     if eigenpair is not None:
         s_w, s_w_source = input_psd_from_eigenpair(s_full, h, *eigenpair), "eigenpair"
-    elif cfg.recon.oracle:
-        s_w = cfg.noise.input_psd_model(cfg.sim.dt)(s_full.omega)
-        s_w_source = "noise-model (oracle)"
+    elif s_full.source == "analytic":
+        s_w, s_w_source = cfg.noise.input_psd_model(cfg.sim.dt)(s_full.omega), "noise-model (oracle)"
     else:
         s_w, s_w_source = None, "unavailable"
-    if mode == "exact-directed":
+    if route == "exact-directed":
         return exact_directed(s_full, grounded, s_w, tau=tau), s_w_source, None
-    if mode == "undirected":
-        rec = exact_undirected(s_full, h, s_w, tau=tau)
+    if route == "undirected":
+        k = s_full.segment_count  # None for analytic spectra, which are not tested
+        k_eff = None if k is None else cfg.spectral.effective_segment_count(k)
+        rec = exact_undirected(s_full, h, s_w, tau=tau, k_eff=k_eff)
         branch = {k: v for k, v in rec._asdict().items() if k != "result"}
         return rec.result, s_w_source, branch
-    # nonreciprocal; ReconSpec admits no other mode
+    # nonreciprocal; ReconSpec admits no other route
     return nonreciprocal(s_full, h, s_w, tau=tau), s_w_source, None
 
 
@@ -673,7 +686,7 @@ def _write_manifest(cfg: ExperimentConfig, out: Path, info: dict) -> None:
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
-    """The staged generate -> (simulate -> estimate | oracle) -> reconstruct -> evaluate.
+    """The staged generate -> simulate -> estimate -> reconstruct -> evaluate.
 
     Simulation streams into estimation, so no ``timeseries/`` is written; every
     later stage reads the run directory as its staged command does.  Returns
@@ -684,14 +697,10 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     truth, node = _build_truth(cfg)
-    if not cfg.recon.oracle:
-        runs = simulated_runs(cfg, truth, node)
-        _require_estimable(cfg, truth.n_nodes)
+    runs = simulated_runs(cfg, truth, node)
+    _require_estimable(cfg, truth.n_nodes)
     stage_generate(cfg, out, (truth, node))
-    if cfg.recon.oracle:
-        info = stage_oracle_spectra(cfg, out, truth, node)
-    else:
-        info = stage_estimate(cfg, out, runs, node, truth.n_nodes, workers=workers)
+    info = stage_estimate(cfg, out, truth, node, runs, workers=workers)
     stage_reconstruct(cfg, out)
     metrics = stage_evaluate(cfg, out)
     _write_manifest(cfg, out, info)

@@ -68,6 +68,10 @@ IM_H_INV_TOL = 1e-8
 #: an estimate's eigenvalues scatter by about ``K^-1/2``.
 EIG_CLAMP_TOL = {"analytic": 1e-8, "estimated": 0.05}
 
+#: Significance level of the undirected route's symmetry test: an estimate
+#: whose imaginary part is this improbable under symmetry is refused.
+SYMMETRY_ALPHA = 0.01
+
 #: An edge threshold: a number, or a policy mapping the finite raw statistics
 #: to one (:func:`threshold_heuristic` is such a policy).
 Tau = Union[float, Callable[[np.ndarray], float]]
@@ -294,7 +298,8 @@ def exact_directed(
 
 
 class UndirectedRecovery(NamedTuple):
-    """Symmetric-network recovery, its square-root branch audit and the input's skew."""
+    """Symmetric-network recovery, its square-root branch audit, the input's skew
+    and, for a tested estimate, its symmetry statistic and p-value."""
 
     result: ReconstructionResult
     flipped: bool
@@ -302,6 +307,8 @@ class UndirectedRecovery(NamedTuple):
     branch_score_alternative: float
     clamped_eigenvalues: int
     skew: float
+    symmetry_chi2: Optional[float] = None
+    symmetry_p: Optional[float] = None
 
     @property
     def connectivity(self) -> ConnectivityMatrix:
@@ -320,6 +327,7 @@ def exact_undirected(
     h: complex,
     s_w: float,
     tau: Tau = DEFAULT_TAU,
+    k_eff: Optional[float] = None,
 ) -> UndirectedRecovery:
     """Symmetric coupling matrix from the CPSD at one frequency, no grounding.
 
@@ -339,7 +347,12 @@ def exact_undirected(
     Tolerances come from ``s.source``.  An analytic CPSD whose skew
     ``max|Im S^{-1}| / max|S^{-1}|`` exceeds ``1e-8`` is no symmetric
     network's and raises; an estimate's skew, of order ``K^-1/2`` on any
-    network, is only reported.  Eigenvalues of ``M`` down to
+    network, is only reported.  An estimate with ``k_eff`` segments' worth of
+    averaging (:meth:`SpectralConfig.effective_segment_count`) is tested
+    instead: a symmetric network's CPSD is real, so whitened by
+    ``W = (Re S)^{-1/2}``, ``T = 2 k_eff sum_{i<j} (W Im S W)_ij^2`` is about
+    chi-square with ``N(N-1)/2`` degrees of freedom (complex Wishart, Goodman
+    1963); a p-value below :data:`SYMMETRY_ALPHA` raises.  Eigenvalues of ``M`` down to
     ``-EIG_CLAMP_TOL[s.source]`` times the largest are clamped to zero; more
     negative ones (an eigenvalue of ``G`` straddling ``Re{1/h}``, or an
     unusable estimate) raise.  Edges are the off-diagonal weights above
@@ -356,8 +369,21 @@ def exact_undirected(
             f"skew part {skew:.3e} of the inverse CPSD exceeds 1e-8 of its largest "
             "entry; the input CPSD is inconsistent with a symmetric network"
         )
-    a = 1.0 / h
     n = s.n_nodes
+    chi2 = p_value = None
+    if s.source == "estimated" and k_eff is not None:
+        from scipy.special import chdtrc  # about 0.3 s to import: only this test needs it
+
+        lam_s, v_s = np.linalg.eigh(s.values.real)
+        w = (v_s / np.sqrt(lam_s)) @ v_s.T
+        chi2 = float(2.0 * k_eff * np.square(np.triu(w @ s.values.imag @ w, 1)).sum())
+        p_value = float(chdtrc(n * (n - 1) / 2, chi2))
+        if p_value < SYMMETRY_ALPHA:
+            raise NumericalError(
+                f"symmetry test: T = {chi2:.4g} on {n * (n - 1) // 2} degrees of freedom, "
+                f"p = {p_value:.3g} < {SYMMETRY_ALPHA}; the estimated CPSD is inconsistent "
+                "with a symmetric network")
+    a = 1.0 / h
     lam, v = np.linalg.eigh(inv.values.real * s_w - (a.imag**2) * np.eye(n))
     scale = max(1.0, float(lam[-1]))
     clamp_tol = EIG_CLAMP_TOL[s.source]
@@ -382,7 +408,7 @@ def exact_undirected(
     raw = np.where(np.eye(n, dtype=bool), np.nan, chosen)
     result = _decide(s.omega, raw, tau, s_w, {"full": inv},
                      ("real square-root method; assumes G = G^T",), weights=chosen)
-    return UndirectedRecovery(result, flipped, res, res_alt, clamped, skew)
+    return UndirectedRecovery(result, flipped, res, res_alt, clamped, skew, chi2, p_value)
 
 
 def nonreciprocal(

@@ -95,8 +95,8 @@ class SpectralConfig:
     def n_segments(self, n_samples: int, n_channels: int = 0) -> int:
         """K, the segment count of ``n_samples``: the one estimability rule.
 
-        It refuses fewer than two segments and, given N channels, K <= N, where
-        an N x N estimate's inverse has no finite mean (Goodman 1963).
+        It refuses a record shorter than two segment lengths (6144 samples hold K = 2 of 4096
+        at 50% overlap, and are refused) and, given N channels, K <= N (Goodman 1963).
         """
         if n_samples < 2 * self.segment_length:
             raise ValidationError(f"record of {n_samples} samples is shorter than twice the "

@@ -5,9 +5,10 @@ shaping is state of the propagator.  ``scipy.linalg`` (about 0.3 s and
 21 MiB, with the numpy.f2py, numpy.testing and second OpenBLAS it pulls in)
 is on no path either: the propagator and the discretization's matrix
 exponential are numpy alone, so no command loads it, the simulating ones
-(``run``, the staged ``simulate``, an empirical ``bench``) included.  Each
-check runs in a fresh interpreter, since this test process imports both
-modules itself.
+(``run``, the staged ``simulate``, an empirical ``bench``) included.
+``scipy.special`` (about 0.3 s) is loaded only by the undirected route's
+symmetry test, for its chi-square tail.  Each check runs in a fresh
+interpreter, since this test process imports these modules itself.
 """
 
 import os
@@ -19,7 +20,7 @@ import netspectra
 
 SRC = str(Path(netspectra.__file__).resolve().parents[1])
 
-WATCHED = ("scipy.signal", "scipy.linalg")
+WATCHED = ("scipy.signal", "scipy.linalg", "scipy.special")
 
 CONFIG = """
 [network]
@@ -67,6 +68,16 @@ def test_import_leaves_scipy_signal_out(tmp_path):
 def test_import_leaves_scipy_linalg_out(tmp_path):
     assert "scipy.linalg" not in loaded_after(
         "import netspectra, netspectra.cli, netspectra.pipeline", tmp_path)
+
+
+def test_import_and_a_directed_run_leave_scipy_special_out(tmp_path):
+    assert "scipy.special" not in loaded_after(
+        "import netspectra, netspectra.cli, netspectra.pipeline", tmp_path)
+    (tmp_path / "exp.ini").write_text(CONFIG)
+    code = ("from netspectra import cli\n"
+            "assert cli.main(['run', '--config', 'exp.ini', '--out', 'run']) == 0")
+    assert "scipy.special" not in loaded_after(code, tmp_path)
+    assert (tmp_path / "run" / "metrics.json").exists()
 
 
 def test_unshaped_hann_run_leaves_scipy_signal_out(tmp_path):

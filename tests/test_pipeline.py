@@ -13,12 +13,14 @@ import pytest
 from netspectra import (
     ConfigError,
     ConnectivityMatrix,
+    NodeDynamics,
     ValidationError,
     laplacian_connectivity,
     load_config,
     load_matrix,
     run_pipeline,
     save_matrix,
+    save_node,
 )
 from netspectra.bench import benchmark, parse_sweep, write_bench_csv
 from netspectra.cli import main
@@ -478,14 +480,33 @@ class TestStagedArtifacts:
         for name in names:
             assert (out_run / name).read_bytes() == (out_staged / name).read_bytes(), name
 
-    @pytest.mark.parametrize("config", ["reference", "oracle-boolean"])
+    SHORT = {("simulation", "n_samples"): "8192", ("spectral", "segment_length"): "512",
+             ("spectral", "omega0"): "1.5", ("reconstruction", "threshold"): "gap"}
+    # overrides of BASE_CONFIG, or of configs/reference.ini for "reference"
+    EVALUATED = {
+        "reference": {("simulation", "n_samples"): "32768"},
+        "oracle-boolean": {("reconstruction", "mode"): "oracle-boolean",
+                           ("simulation", "n_samples"): "8192"},
+        # the node's dynamics read from a file (saved by the test)
+        "node-file": {**SHORT, ("node", "preset"): "file",
+                      ("reconstruction", "mode"): "exact-directed"},
+        # no eigenpair: the route has no S_w, so it writes no weights and is scored on
+        # its Boolean structure
+        "nonreciprocal-without-eigenpair": {**SHORT, ("network", "family"): "nonreciprocal-ring",
+                                            ("reconstruction", "mode"): "nonreciprocal"},
+        "random-laplacian": {("network", "graph"): "random", ("network", "edge_prob"): "0.5",
+                             ("simulation", "n_samples"): "8192"},
+    }
+
+    @pytest.mark.parametrize("config", list(EVALUATED))
     def test_staged_evaluate_writes_the_run_metrics(self, tmp_path, config):
-        if config == "reference":
-            text = (Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
-            p = write_config(tmp_path, {("simulation", "n_samples"): "32768"}, text=text)
-        else:
-            p = write_config(tmp_path, {("reconstruction", "mode"): config,
-                                        ("simulation", "n_samples"): "8192"})
+        overrides = dict(self.EVALUATED[config])
+        if ("node", "preset") in overrides:
+            save_node(tmp_path / "node.txt", NodeDynamics.scalar_pole(-2.0))
+            overrides[("node", "file")] = str(tmp_path / "node.txt")
+        text = BASE_CONFIG if config != "reference" else (
+            Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
+        p = write_config(tmp_path, overrides, text=text)
         out_run, out_staged = tmp_path / "run", tmp_path / "staged"
         assert main(["run", "--config", str(p), "--out", str(out_run)]) == 0
         for cmd in ("generate", "simulate", "estimate", "reconstruct", "evaluate"):
@@ -493,6 +514,9 @@ class TestStagedArtifacts:
         metrics = (out_run / "metrics.json").read_text()
         assert (out_staged / "metrics.json").read_text() == metrics
         assert {"omega0", "threshold_used", "input_psd_estimate"} <= json.loads(metrics).keys()
+        # weights exactly where the route recovered S_w
+        assert (out_run / "recovered_weights.txt").exists() == (
+            json.loads(metrics)["input_psd_estimate"] is not None)
 
     # networks the grounding-free routes apply to, each with an eigenpair for S_w
     ROUTE_NETWORKS = {
@@ -635,7 +659,7 @@ class TestStagedArtifacts:
         for cmd in ("generate", "simulate", "estimate"):
             assert main([cmd, "--config", str(p), "--out", str(staged)]) == 0
         g, node = pl.stage_generate(cfg, streamed)
-        pl.stage_estimate(cfg, streamed, pl.simulated_runs(cfg, g, node), node, g.n_nodes)
+        pl.stage_estimate(cfg, streamed, g, node, pl.simulated_runs(cfg, g, node))
         s_full, grounded = pl.load_saved_spectra(cfg, staged, g.n_nodes)
         r_full, r_grounded = pl.load_saved_spectra(cfg, streamed, g.n_nodes)
         assert [j for j, _ in grounded] == [j for j, _ in r_grounded] == [1, 2, 3, 4]
@@ -839,6 +863,36 @@ class TestEmpiricalRecovery:
         p = reference_config(tmp_path, {("reconstruction", "mode"): "oracle-undirected"})
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
         assert "inconsistent with a symmetric network" in capsys.readouterr().err
+
+
+class TestUndirectedSymmetry:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_undirected_refuses_the_directed_reference_network(self, tmp_path, capsys, seed):
+        # this run once exited 0 with F1 0.667: the route assumed the symmetry
+        # it now tests, and the reference network's estimate reads T near 300
+        # on 15 degrees of freedom
+        p = reference_config(tmp_path, {("reconstruction", "mode"): "undirected"})
+        out = tmp_path / "und"
+        assert main(["run", "--config", str(p), "--out", str(out),
+                     "--seed-override", str(seed)]) == 3
+        assert re.search(r"symmetry test: T = .* p = \S+ < 0\.01", capsys.readouterr().err)
+        assert not (out / "undirected_branch.json").exists()
+        assert not (out / "metrics.json").exists()
+
+    def test_symmetric_ring_records_its_statistic(self, tmp_path):
+        from scipy.special import chdtrc
+
+        adjacency = np.roll(np.eye(6), 1, axis=0)
+        save_matrix(tmp_path / "ring.txt", laplacian_connectivity(adjacency + adjacency.T))
+        p = reference_config(tmp_path, {("network", "source"): "file",
+                                        ("network", "file"): str(tmp_path / "ring.txt"),
+                                        ("simulation", "n_samples"): "65536",
+                                        ("reconstruction", "mode"): "undirected"})
+        run_pipeline(load_config(p), tmp_path / "und")
+        branch = json.loads((tmp_path / "und" / "undirected_branch.json").read_text())
+        assert branch["symmetry_p"] == pytest.approx(chdtrc(15, branch["symmetry_chi2"]),
+                                                     rel=1e-12)
+        assert branch["symmetry_p"] >= 0.01
 
 
 class TestBenchmarkTracing:
@@ -1119,8 +1173,8 @@ class TestSegmentsPerChannel:
                 info = pl.stage_oracle_spectra(cfg, out, truth, node)
                 assert info["effective_segment_count"] is None
             else:
-                info = pl.stage_estimate(cfg, out, pl.simulated_runs(cfg, truth, node),
-                                         node, n_nodes)
+                info = pl.stage_estimate(cfg, out, truth, node,
+                                         pl.simulated_runs(cfg, truth, node))
                 assert info["effective_segment_count"] == pytest.approx(k_eff, rel=1e-12)
             assert info["inverse_inflation"] == (
                 None if inflation is None else pytest.approx(inflation, rel=1e-12))

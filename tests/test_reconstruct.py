@@ -6,6 +6,7 @@ from netspectra import (
     CpsdMatrix,
     FrequencyRejectedError,
     NetworkSystem,
+    NumericalError,
     NodeDynamics,
     ValidationError,
     analytic_cpsd,
@@ -321,6 +322,62 @@ class TestExactUndirected:
         rec = exact_undirected(s, h, 1.0)
         assert rec.flipped
         assert np.abs(rec.connectivity.weights - g.weights).max() <= 1e-8
+
+
+class TestUndirectedSymmetryTest:
+    """The undirected route's chi-square test of the symmetry it assumes."""
+
+    def wishart(self, rng, s: CpsdMatrix, k: int) -> CpsdMatrix:
+        """An estimate of ``s`` from ``k`` independent segments: ``Z Z^H / k``."""
+        n = s.n_nodes
+        z = np.linalg.cholesky(s.values) @ (
+            rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
+        return CpsdMatrix(z @ z.conj().T / k, s.omega, "estimated", k)
+
+    def test_calibrated_on_a_symmetric_network(self, rng, scalar_node):
+        # a symmetric network's CPSD is real: T is chi-square with N(N-1)/2 = 6
+        # degrees of freedom, so about 1% of its estimates are refused
+        a = np.roll(np.eye(4), 1, axis=0)
+        s = analytic_cpsd(make_system(laplacian_connectivity(a + a.T).weights), 1.0, 0.5)
+        h = nodal_transfer(scalar_node, 0.5)
+        p_values, refused = [], 0
+        for _ in range(500):
+            try:
+                rec = exact_undirected(self.wishart(rng, s, 200), h, 1.0, k_eff=200)
+            except NumericalError as exc:
+                assert "symmetry test" in str(exc)
+                refused += 1
+                continue
+            assert rec.symmetry_p >= 0.01
+            p_values.append(rec.symmetry_p)
+        # 5 refusals expected (binomial 99.9% range 0-13); accepted p uniform on [0.01, 1]
+        assert refused <= 13
+        assert abs(np.mean(p_values) - 0.505) <= 0.05
+
+    def test_refuses_a_directed_network(self, rng, scalar_node):
+        g = ConnectivityMatrix(0.8 * np.roll(np.eye(4), 1, axis=0))
+        s = analytic_cpsd(make_system(g.weights), 1.0, 0.5)
+        h = nodal_transfer(scalar_node, 0.5)
+        for _ in range(20):
+            with pytest.raises(NumericalError, match=r"symmetry test: T = .* p = .* < 0.01"):
+                exact_undirected(self.wishart(rng, s, 200), h, 1.0, k_eff=200)
+
+    def test_statistic_is_the_whitened_imaginary_part(self, rng, scalar_node):
+        from scipy.special import chdtrc
+
+        a = np.roll(np.eye(3), 1, axis=0)
+        s = analytic_cpsd(make_system(laplacian_connectivity(a + a.T).weights), 1.0, 0.5)
+        h = nodal_transfer(scalar_node, 0.5)
+        est = self.wishart(rng, s, 500)
+        rec = exact_undirected(est, h, 1.0, k_eff=400.0)
+        lam, v = np.linalg.eigh(est.values.real)
+        z = v @ np.diag(lam ** -0.5) @ v.T @ est.values.imag @ v @ np.diag(lam ** -0.5) @ v.T
+        t = 2 * 400.0 * sum(z[i, j] ** 2 for i in range(3) for j in range(i + 1, 3))
+        assert rec.symmetry_chi2 == pytest.approx(t, rel=1e-10)
+        assert rec.symmetry_p == pytest.approx(chdtrc(3, t), rel=1e-10)
+        # analytic spectra and estimates given no k_eff are not tested
+        assert exact_undirected(s, h, 1.0).symmetry_chi2 is None
+        assert exact_undirected(est, h, 1.0).symmetry_p is None
 
 
 class TestNonreciprocal:
