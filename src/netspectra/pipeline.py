@@ -578,7 +578,7 @@ def reconstruct(cfg: ExperimentConfig, s_full: CpsdMatrix, grounded: list,
     if route == "exact-directed":
         return exact_directed(s_full, grounded, s_w, tau=tau), s_w_source, None
     if route == "undirected":
-        k = s_full.segment_count  # None for analytic spectra, which are not tested
+        k = s_full.segment_count  # None for analytic spectra; an estimate without K raises
         k_eff = None if k is None else cfg.spectral.effective_segment_count(k)
         rec = exact_undirected(s_full, h, s_w, tau=tau, k_eff=k_eff)
         branch = {k: v for k, v in rec._asdict().items() if k != "result"}

@@ -347,17 +347,19 @@ def exact_undirected(
     Tolerances come from ``s.source``.  An analytic CPSD whose skew
     ``max|Im S^{-1}| / max|S^{-1}|`` exceeds ``1e-8`` is no symmetric
     network's and raises; an estimate's skew, of order ``K^-1/2`` on any
-    network, is only reported.  An estimate with ``k_eff`` segments' worth of
-    averaging (:meth:`SpectralConfig.effective_segment_count`) is tested
-    instead: a symmetric network's CPSD is real, so whitened by
-    ``W = (Re S)^{-1/2}``, ``T = 2 k_eff sum_{i<j} (W Im S W)_ij^2`` is about
-    chi-square with ``N(N-1)/2`` degrees of freedom (complex Wishart, Goodman
-    1963); a p-value below :data:`SYMMETRY_ALPHA` raises.  Eigenvalues of ``M`` down to
-    ``-EIG_CLAMP_TOL[s.source]`` times the largest are clamped to zero; more
-    negative ones (an eigenvalue of ``G`` straddling ``Re{1/h}``, or an
-    unusable estimate) raise.  Edges are the off-diagonal weights above
-    ``tau`` (a number, or a policy called on them); absent entries weigh zero
-    and the diagonal is kept.
+    network, is only reported.  An estimate is tested instead, and must give
+    ``k_eff``, its segments' worth of averaging
+    (:meth:`SpectralConfig.effective_segment_count`): a symmetric network's
+    CPSD is real, so whitened by ``W = (Re S)^{-1/2}``,
+    ``T = 2 k_eff sum_{i<j} (W Im S W)_ij^2`` is about chi-square with
+    ``N(N-1)/2`` degrees of freedom (complex Wishart, Goodman 1963); a
+    p-value below :data:`SYMMETRY_ALPHA`, or a ``Re S`` not positive definite
+    to working precision (as a one-segment estimate's), raises.  Eigenvalues
+    of ``M`` down to ``-EIG_CLAMP_TOL[s.source]`` times the largest are
+    clamped to zero; more negative ones (an eigenvalue of ``G`` straddling
+    ``Re{1/h}``, or an unusable estimate) raise.  Edges are the off-diagonal
+    weights above ``tau`` (a number, or a policy called on them); absent
+    entries weigh zero and the diagonal is kept.
     """
     check_nodal_transfer(h, s.omega)
     if s_w <= 0:
@@ -371,14 +373,20 @@ def exact_undirected(
         )
     n = s.n_nodes
     chi2 = p_value = None
-    if s.source == "estimated" and k_eff is not None:
+    if s.source == "estimated":
+        if k_eff is None:
+            raise ValidationError("an estimated CPSD needs k_eff for the symmetry test")
         from scipy.special import chdtrc  # about 0.3 s to import: only this test needs it
 
         lam_s, v_s = np.linalg.eigh(s.values.real)
+        if not lam_s[0] > n * np.finfo(float).eps * lam_s[-1]:
+            raise NumericalError(
+                f"symmetry test: Re S has eigenvalue {lam_s[0]:.3e} of {lam_s[-1]:.3e}; an "
+                "estimate not positive definite to working precision cannot be whitened")
         w = (v_s / np.sqrt(lam_s)) @ v_s.T
         chi2 = float(2.0 * k_eff * np.square(np.triu(w @ s.values.imag @ w, 1)).sum())
         p_value = float(chdtrc(n * (n - 1) / 2, chi2))
-        if p_value < SYMMETRY_ALPHA:
+        if not p_value >= SYMMETRY_ALPHA:  # a nan p-value is refused too
             raise NumericalError(
                 f"symmetry test: T = {chi2:.4g} on {n * (n - 1) // 2} degrees of freedom, "
                 f"p = {p_value:.3g} < {SYMMETRY_ALPHA}; the estimated CPSD is inconsistent "

@@ -96,7 +96,8 @@ class SpectralConfig:
         """K, the segment count of ``n_samples``: the one estimability rule.
 
         It refuses a record shorter than two segment lengths (6144 samples hold K = 2 of 4096
-        at 50% overlap, and are refused) and, given N channels, K <= N (Goodman 1963).
+        at 50% overlap, and are refused) and, given N channels, K <= N, where an
+        N x N estimate's inverse has no finite mean (Goodman 1963).
         """
         if n_samples < 2 * self.segment_length:
             raise ValidationError(f"record of {n_samples} samples is shorter than twice the "

@@ -14,6 +14,7 @@ from netspectra import (
     ConfigError,
     ConnectivityMatrix,
     NodeDynamics,
+    NumericalError,
     ValidationError,
     laplacian_connectivity,
     load_config,
@@ -893,6 +894,32 @@ class TestUndirectedSymmetry:
         assert branch["symmetry_p"] == pytest.approx(chdtrc(15, branch["symmetry_chi2"]),
                                                      rel=1e-12)
         assert branch["symmetry_p"] >= 0.01
+
+    def test_symmetric_ring_refusal_rate_with_the_pipelines_k_eff(self, tmp_path):
+        # 60 runs of K = 15 overlapping hann segments (K_eff = 14.26) at the
+        # reference omega0 (bin 3): T should be chi-square on 15 degrees of
+        # freedom, so about 0.6 refusals (4 or more has probability 0.003) and a
+        # mean T of 15 +- 0.71; a K_eff off by a quarter moves the mean by 3.7
+        adjacency = np.roll(np.eye(6), 1, axis=0)
+        save_matrix(tmp_path / "ring.txt", laplacian_connectivity(adjacency + adjacency.T))
+        p = reference_config(tmp_path, {("network", "source"): "file",
+                                        ("network", "file"): str(tmp_path / "ring.txt"),
+                                        ("simulation", "n_samples"): "32768",
+                                        ("reconstruction", "mode"): "undirected"})
+        cfg, out = load_config(p), tmp_path / "und"
+        stats, refused = [], 0
+        for seed in range(1, 61):
+            try:
+                run_pipeline(pl.apply_seed_override(cfg, seed), out)
+            except NumericalError as exc:
+                stats.append(float(re.search(r"T = (\S+)", str(exc)).group(1)))
+                refused += 1
+                continue
+            stats.append(json.loads((out / "undirected_branch.json").read_text())["symmetry_chi2"])
+        info = json.loads((out / "spectra" / "estimate.json").read_text())
+        assert info["segment_count"] == 15
+        assert refused <= 3
+        assert abs(np.mean(stats) - 15.0) <= 2.1
 
 
 class TestBenchmarkTracing:

@@ -375,9 +375,21 @@ class TestUndirectedSymmetryTest:
         t = 2 * 400.0 * sum(z[i, j] ** 2 for i in range(3) for j in range(i + 1, 3))
         assert rec.symmetry_chi2 == pytest.approx(t, rel=1e-10)
         assert rec.symmetry_p == pytest.approx(chdtrc(3, t), rel=1e-10)
-        # analytic spectra and estimates given no k_eff are not tested
+        # analytic spectra are not tested; an estimate given no k_eff is refused
         assert exact_undirected(s, h, 1.0).symmetry_chi2 is None
-        assert exact_undirected(est, h, 1.0).symmetry_p is None
+        with pytest.raises(ValidationError, match="needs k_eff"):
+            exact_undirected(est, h, 1.0)
+
+    def test_refuses_an_estimate_it_cannot_whiten(self, rng, scalar_node):
+        # a singular Re S would whiten to a nan statistic, and nan < alpha is false:
+        # an exactly singular one, and a one-segment estimate's (Re S of rank two)
+        a = np.roll(np.eye(4), 1, axis=0)
+        s = analytic_cpsd(make_system(laplacian_connectivity(a + a.T).weights), 1.0, 0.5)
+        h = nodal_transfer(scalar_node, 0.5)
+        singular = CpsdMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), 0.5, "estimated", 1)
+        for est in [singular] + [self.wishart(rng, s, 1) for _ in range(20)]:
+            with pytest.raises(NumericalError, match="symmetry test: Re S has eigenvalue"):
+                exact_undirected(est, h, 1.0, k_eff=1.0)
 
 
 class TestNonreciprocal:
