@@ -25,6 +25,10 @@ the spectra come from: oracle modes take :func:`oracle_spectra`, which, like
 :func:`estimate_spectra` and :func:`reconstruct`, touches no file: each stage
 writes what one of them returns, and ``bench`` times them.  Reconstruction and
 evaluation read their inputs from the run directory, in ``run`` too.
+Reconstruction first removes its earlier output and the ``metrics.json`` that
+scored it, so a route that fails leaves nothing to evaluate; evaluation reads
+no config and scores the recovery ``result.txt`` names, counting the nonzero
+off-diagonal entries as edges (``tau`` thresholds the raw statistic only).
 
 Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
 unknown-key check and the rendering of ``config.resolved.ini``; each config
@@ -64,7 +68,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigError, NetspectraError, ValidationError
+from .errors import ConfigError, ValidationError
 from .graphs import (
     BooleanStructure,
     ConnectivityMatrix,
@@ -98,6 +102,7 @@ from .simulate import (
     StreamedRecord,
     channel_labels,
     load_timeseries,
+    run_system,
     save_timeseries,
     simulate,
     simulate_grounded,
@@ -405,10 +410,15 @@ def simulated_runs(cfg: ExperimentConfig, g: ConnectivityMatrix, node: NodeDynam
 
     Each ``into(sink)`` simulates the run afresh, the same numbers every
     time, through :func:`simulate` or :func:`simulate_grounded`.  A mode
-    without S_w (:func:`_require_input_psd`) raises when it is built.
+    without S_w (:func:`_require_input_psd`) raises when it is built, and so,
+    outside an oracle mode, does a run whose system is not Hurwitz
+    (:func:`run_system`, which names the grounded node).
     """
     _require_input_psd(cfg, g.eigenpair)
     sys = NetworkSystem(node, g)
+    if not cfg.recon.oracle:  # an oracle mode simulates nothing
+        for key in _run_keys(cfg, g.n_nodes):
+            run_system(sys, _ground(key))
 
     def source(key) -> StreamedRecord:
         if key == "full":
@@ -430,8 +440,9 @@ def stage_simulate(
     block by block, as it is simulated; ``run`` streams into the estimator
     instead (:func:`estimate_spectra`).  An oracle mode's spectra stage reads
     no record (:func:`stage_estimate`), so it simulates and writes nothing; a
-    mode without S_w (:func:`simulated_runs`) or a record the estimate stage
-    cannot take (:func:`_require_estimable`) raises first.
+    mode without S_w or a run that is not Hurwitz (:func:`simulated_runs`), or
+    a record the estimate stage cannot take (:func:`_require_estimable`),
+    raises first.
     """
     if cfg.recon.oracle:
         return
@@ -588,15 +599,18 @@ def reconstruct(cfg: ExperimentConfig, s_full: CpsdMatrix, grounded: list,
 
 
 def stage_reconstruct(cfg: ExperimentConfig, out: Path) -> None:
-    """Run :func:`reconstruct` on the saved truth and spectra under ``out`` and write its output."""
+    """Run :func:`reconstruct` on the saved truth and spectra under ``out`` and write its output,
+    first removing its earlier output and the ``metrics.json`` that scored it."""
     truth, node = load_saved_truth(out)
     _require_input_psd(cfg, truth.eigenpair)
     s_full, grounded = load_saved_spectra(cfg, out, truth.n_nodes)
+    for name in ("result.txt", "recovered_boolean.txt", "recovered_weights.txt",
+                 "undirected_branch.json", "metrics.json"):
+        (out / name).unlink(missing_ok=True)
     result, s_w_source, branch = reconstruct(cfg, s_full, grounded, node, truth.eigenpair)
     if branch is not None:
         (out / "undirected_branch.json").write_text(json.dumps(branch, indent=2) + "\n")
-    if result.boolean_structure is not None:
-        save_matrix(out / "recovered_boolean.txt", result.boolean_structure)
+    save_matrix(out / "recovered_boolean.txt", result.boolean_structure)
     if result.weights is not None:
         save_matrix(out / "recovered_weights.txt", result.weights)
     _write_report(out / "result.txt", cfg, result, s_w_source)
@@ -628,24 +642,23 @@ def _write_report(path: Path, cfg: ExperimentConfig, result: ReconstructionResul
         lines.append("weights")
         for row in result.weights.weights:
             lines.append(" ".join(format(v, ".17g") for v in row))
-    if result.boolean_structure is not None:
-        lines.append("boolean")
-        for row in result.boolean_structure.entries:
-            lines.append(" ".join(str(int(v)) for v in row))
+    lines.append("boolean")
+    for row in result.boolean_structure.entries:
+        lines.append(" ".join(str(int(v)) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
 def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
-    """Score the saved recovery against the saved truth; write and return metrics.json.
+    """Score the recovery the report names against the saved truth; write and return metrics.json.
 
-    The matrices come from ``recovered_*.txt``; ω0, the S_w estimate and the
-    threshold from the head of ``result.txt``, which holds them at round-trip
-    precision; the oracle's true S_w from ``spectra/estimate.json``.
+    It is ``recovered_weights.txt`` when the report gives S_w (every route
+    weighs its edges exactly then), else ``recovered_boolean.txt``; an edge is
+    a nonzero off-diagonal entry, as every route writes an absent one as 0.
+    ω0, S_w and the threshold come from the report's head, at round-trip
+    precision, the oracle's true S_w from ``spectra/estimate.json``; ``cfg`` is not read.
     """
     truth, _ = load_saved_truth(out)
-    report = out / "result.txt"
-    if not report.exists():
-        raise ConfigError(f"no recovery artifacts under {out}; run reconstruct first")
+    report, = _saved(out, ["result.txt"], "reconstruct")
     try:
         head = dict(line.split(" ", 1) for line in report.read_text().splitlines()[1:5])
         omega0 = float(head["omega0"])
@@ -653,17 +666,12 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
                     for v in (head["input_psd"].split()[0], head["threshold"]))
     except (KeyError, ValueError, IndexError) as exc:
         raise ValidationError(f"malformed reconstruction report {report}: {exc}") from exc
-    weights_path, boolean_path = out / "recovered_weights.txt", out / "recovered_boolean.txt"
-    if weights_path.exists():
-        recovered = load_matrix(weights_path)
-    elif boolean_path.exists():
-        recovered = BooleanStructure(load_matrix(boolean_path).weights)
-    else:
-        raise NetspectraError("reconstruction produced no output to evaluate")
-    metrics = compare(truth, recovered, edge_tol=cfg.recon.tau).as_dict()
-    metrics["omega0"] = omega0
-    metrics["threshold_used"] = tau
-    metrics["input_psd_estimate"] = s_w
+    name = "recovered_boolean.txt" if s_w is None else "recovered_weights.txt"
+    recovered = load_matrix(*_saved(out, [name], "reconstruct"))
+    if s_w is None:
+        recovered = BooleanStructure(recovered.weights)
+    metrics = compare(truth, recovered, edge_tol=0.0).as_dict()
+    metrics.update(omega0=omega0, threshold_used=tau, input_psd_estimate=s_w)
     info_path = out / "spectra" / "estimate.json"
     info = json.loads(info_path.read_text()) if info_path.exists() else {}
     if "true_input_psd" in info:
@@ -693,12 +701,15 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
     the metrics dictionary and adds ``manifest.json`` and ``config.resolved.ini``;
     a rerun of the resolved configuration is byte-identical.  A run the
     simulate or estimate stage refuses (:func:`simulated_runs`,
-    :func:`_require_estimable`) raises before anything is written.
+    :func:`_require_estimable`) raises before anything is written; then the
+    ``manifest.json`` and ``config.resolved.ini`` of an earlier run go first.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     truth, node = _build_truth(cfg)
     runs = simulated_runs(cfg, truth, node)
     _require_estimable(cfg, truth.n_nodes)
+    for name in ("manifest.json", "config.resolved.ini"):
+        (out / name).unlink(missing_ok=True)
     stage_generate(cfg, out, (truth, node))
     info = stage_estimate(cfg, out, truth, node, runs, workers=workers)
     stage_reconstruct(cfg, out)

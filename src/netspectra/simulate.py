@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError, ValidationError
 from .graphs import _as_readonly
-from .lti import InputPsdModel, NetworkSystem, is_hurwitz
+from .lti import HurwitzReport, InputPsdModel, NetworkSystem, is_hurwitz
 
 __all__ = [
     "NoiseConfig",
@@ -67,6 +67,7 @@ __all__ = [
     "simulate",
     "simulate_grounded",
     "simulate_blocks",
+    "run_system",
     "channel_labels",
     "save_timeseries",
     "load_timeseries",
@@ -438,25 +439,37 @@ def _propagate(phi: np.ndarray, gamma: np.ndarray, w: np.ndarray, cmat: np.ndarr
     return _collect(_cascade(phi, gamma, cmat, blocks, burn), cmat.shape[0], w.shape[0] - burn).T
 
 
+def run_system(sys: NetworkSystem, ground: Optional[int] = None,
+               ) -> tuple[NetworkSystem, HurwitzReport]:
+    """The system a run simulates, ``sys`` or it with node ``ground`` grounded, and its report.
+
+    A system that is not Hurwitz raises :class:`StabilityError`, which names
+    the grounded node.
+    """
+    if ground is not None:
+        sys = sys.grounded(ground)
+    report = is_hurwitz(sys)
+    if not report.stable:
+        where = "" if ground is None else f" with node {ground} grounded"
+        raise StabilityError(
+            f"network state matrix{where} is not Hurwitz "
+            f"(spectral abscissa {report.spectral_abscissa:+.6g})"
+        )
+    return sys, report
+
+
 def simulate_blocks(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig,
                     ground: Optional[int] = None) -> Iterator[np.ndarray]:
     """Sampled outputs, block by block: (channels x samples) arrays in time order.
 
     ``ground=j`` simulates the network with node ``j`` grounded (N-1
-    channels).  Stability, step size and burn-in are checked at the call,
-    before the first block; the blocks together hold ``cfg.n_samples``
-    samples, at most ``PROPAGATE_BLOCK`` each, and are the same numbers
-    :func:`simulate` and :func:`simulate_grounded` return as one record.
+    channels).  Stability (:func:`run_system`), step size and burn-in are
+    checked at the call, before the first block; the blocks together hold
+    ``cfg.n_samples`` samples, at most ``PROPAGATE_BLOCK`` each, and are the
+    same numbers :func:`simulate` and :func:`simulate_grounded` return as one
+    record.
     """
-    run = 0
-    if ground is not None:
-        sys, run = sys.grounded(ground), ground
-    report = is_hurwitz(sys)
-    if not report.stable:
-        raise StabilityError(
-            f"network state matrix is not Hurwitz "
-            f"(spectral abscissa {report.spectral_abscissa:+.6g})"
-        )
+    sys, report = run_system(sys, ground)
     step_norm = np.linalg.norm(sys.joint_state_matrix(), 2) * cfg.dt
     if step_norm > 0.5:
         warnings.warn(f"||M||*dt = {step_norm:.3g} > 0.5; consider a smaller dt")
@@ -470,7 +483,7 @@ def simulate_blocks(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig,
                 "burn_in explicitly if this is intended"
             )
     shaped = noise._shaped(*discretize(sys, cfg.dt), sys.output_matrix(), cfg.dt)
-    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, run)))
+    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, ground or 0)))
     draws = _draws(rng, cfg.n_samples + burn, sys.n_nodes)
 
     def outputs() -> Iterator[np.ndarray]:

@@ -922,6 +922,69 @@ class TestUndirectedSymmetry:
         assert abs(np.mean(stats) - 15.0) <= 2.1
 
 
+class TestEvaluateScoresTheWrittenRecovery:
+    """``evaluate`` scores the recovery ``result.txt`` names, its edges as written."""
+
+    SHORT = {("simulation", "n_samples"): str(2**16)}
+    # the grounding statistic reads about 25 / S_w = 2500 on the reference's edges, whose
+    # weights are 5: evaluate once took tau = 100 as its edge tolerance too, and read
+    # F1 1.0 with no true edge
+    FIXED_TAU = {("reconstruction", "threshold"): "fixed", ("reconstruction", "tau"): "100"}
+
+    def _config(self, tmp_path, name, mode, overrides=None):
+        """``configs/reference.ini`` at L = 2^16 in ``mode``, written under ``tmp_path / name``."""
+        (tmp_path / name).mkdir()
+        overrides = {**self.SHORT, **(overrides or {}), ("reconstruction", "mode"): mode}
+        return str(reference_config(tmp_path / name, overrides))
+
+    @pytest.mark.parametrize("mode, overrides", [(mode, {}) for mode in pl.MODES]
+                             + [("exact-directed", FIXED_TAU)],
+                             ids=[*pl.MODES, "exact-directed-tau-100"])
+    def test_metrics_count_the_edges_as_written(self, tmp_path, mode, overrides):
+        if mode.endswith("undirected"):  # the directed reference network fails its test
+            ring = np.roll(np.eye(6), 1, axis=0)
+            save_matrix(tmp_path / "ring.txt", laplacian_connectivity(ring + ring.T))
+            overrides = {("network", "source"): "file",
+                         ("network", "file"): str(tmp_path / "ring.txt")}
+        out = tmp_path / "run"
+        p = self._config(tmp_path, "cfg", mode, overrides)
+        assert main(["run", "--config", p, "--out", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        off = ~np.eye(6, dtype=bool)
+        recovered, truth = (load_matrix(out / name).weights[off]
+                            for name in ("recovered_boolean.txt", "network.txt"))
+        assert metrics["n_recovered_edges"] == np.count_nonzero(recovered)
+        assert metrics["n_true_edges"] == np.count_nonzero(truth)
+        if overrides == self.FIXED_TAU:
+            assert (metrics["n_true_edges"], metrics["n_recovered_edges"]) == (3, 14)
+            assert metrics["f1"] == pytest.approx(6 / 17)
+
+    def test_a_route_switch_scores_no_stale_weights(self, tmp_path):
+        # a boolean recovery in an exact-directed run's directory was once scored
+        # on the weights left there: max_abs_error 5.0, rms_error 4.10
+        out = ["--out", str(tmp_path / "run")]
+        assert main(["run", "--config", self._config(tmp_path, "a", "exact-directed"), *out]) == 0
+        boolean = self._config(tmp_path, "b", "boolean")
+        for cmd in ("reconstruct", "evaluate"):
+            assert main([cmd, "--config", boolean, *out]) == 0
+        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert metrics["max_abs_error"] is None and metrics["rms_error"] is None
+        assert not (tmp_path / "run" / "recovered_weights.txt").exists()
+
+    def test_a_failed_reconstruction_leaves_nothing_to_evaluate(self, tmp_path, capsys):
+        # the directed reference network fails the undirected symmetry test
+        # (exit 3); evaluate once scored the earlier run's recovery and exited 0
+        out = ["--out", str(tmp_path / "run")]
+        assert main(["run", "--config", self._config(tmp_path, "a", "exact-directed"), *out]) == 0
+        undirected = self._config(tmp_path, "b", "undirected")
+        assert main(["run", "--config", undirected, *out]) == 3
+        capsys.readouterr()
+        assert main(["evaluate", "--config", undirected, *out]) == 2
+        assert "run reconstruct first" in capsys.readouterr().err
+        left = {path.name for path in (tmp_path / "run").iterdir()}
+        assert left == {"network.txt", "node.txt", "spectra"}
+
+
 class TestBenchmarkTracing:
     def test_traced_names_resolve(self, monkeypatch):
         # the benchmark's traced runs wrap these names; a missing one crashes them
@@ -971,6 +1034,31 @@ class TestCliErrors:
             },
         )
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "u")]) == 4
+
+    @pytest.mark.parametrize("network, pole, grounded", [
+        ([[0.0, 3.0], [3.0, 0.0]], "-1.0", None),
+        # stable as a whole (a double pole at -2.5); grounding node 2 leaves 2 - 1.5 = +0.5
+        ([[2.0, 3.0], [-3.0, -4.0]], "-1.5", 2),
+    ], ids=["full", "grounded"])
+    def test_an_unstable_run_is_refused_before_any_write(self, tmp_path, capsys, network, pole,
+                                                         grounded):
+        save_matrix(tmp_path / "net.txt", ConnectivityMatrix(network))
+        p = write_config(tmp_path, {("network", "source"): "file",
+                                    ("network", "file"): str(tmp_path / "net.txt"),
+                                    ("node", "pole"): pole,
+                                    ("reconstruction", "mode"): "boolean"})
+        out = tmp_path / "u"
+        args = ["--config", str(p), "--out", str(out)]
+        named = "" if grounded is None else f" with node {grounded} grounded"
+        assert main(["run", *args]) == 4
+        assert not out.exists() or list(out.iterdir()) == []
+        assert f"network state matrix{named} is not Hurwitz" in capsys.readouterr().err
+        assert main(["bench", *args, "--sweep", "2:8192", "--repeats", "1"]) == 4
+        assert not out.exists() or list(out.iterdir()) == []
+        assert main(["generate", *args]) == 0
+        assert main(["simulate", *args]) == 4
+        assert not (out / "timeseries").exists()
+        assert f"network state matrix{named} is not Hurwitz" in capsys.readouterr().err
 
     def test_numerical_exit_code(self, tmp_path):
         # omega0 snapping to the DC bin is a numerical rejection (exit 3)
