@@ -58,6 +58,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -438,25 +439,27 @@ def stage_simulate(
 
     Each run streams into ``timeseries/*.nsts`` for the staged ``estimate``
     block by block, as it is simulated; ``run`` streams into the estimator
-    instead (:func:`estimate_spectra`).  An oracle mode's spectra stage reads
-    no record (:func:`stage_estimate`), so it simulates and writes nothing; a
-    mode without S_w or a run that is not Hurwitz (:func:`simulated_runs`), or
-    a record the estimate stage cannot take (:func:`_require_estimable`),
-    raises first.
+    instead (:func:`estimate_spectra`).  A mode without S_w, a run that is not
+    Hurwitz (:func:`simulated_runs`) or a record the estimate stage cannot take
+    (:func:`_require_estimable`) raises first; then an earlier ``timeseries/``
+    goes, in an oracle mode too, which simulates and writes nothing, since its
+    spectra stage reads no record (:func:`stage_estimate`).
     """
-    if cfg.recon.oracle:
-        return
     runs = simulated_runs(cfg, g, node)
     _require_estimable(cfg, g.n_nodes)
     ts_dir = out / "timeseries"
-    ts_dir.mkdir(parents=True, exist_ok=True)
+    if ts_dir.exists():
+        shutil.rmtree(ts_dir)
+    if cfg.recon.oracle:
+        return
+    ts_dir.mkdir(parents=True)
     _each_run(lambda key: save_timeseries(ts_dir / f"{_run_name(key)}.nsts", runs(key)),
               _run_keys(cfg, g.n_nodes), workers)
 
 
 def _write_spectra(cfg: ExperimentConfig, out: Path, keys: list, spectra: list,
                    **extra) -> dict:
-    """Save one CPSD matrix per run key and ``estimate.json``; return the latter's dict.
+    """Replace ``spectra/`` with one CPSD matrix per run key and ``estimate.json``; return the latter.
 
     ``estimate.json`` is the one place the snap distance ``| |omega| - |omega0| |``
     is computed: every matrix of one estimate shares the bin of ``s_full``.
@@ -480,7 +483,9 @@ def _write_spectra(cfg: ExperimentConfig, out: Path, keys: list, spectra: list,
             "stderr": s_full.stderr,
             "cost_model": "oracle" if s_full.source == "analytic" else "fft", **extra}
     sp_dir = out / "spectra"
-    sp_dir.mkdir(parents=True, exist_ok=True)
+    if sp_dir.exists():
+        shutil.rmtree(sp_dir)
+    sp_dir.mkdir(parents=True)
     for key, s in zip(keys, spectra):
         save_cpsd(sp_dir / f"cpsd_{_run_name(key)}.txt", s)
     (sp_dir / "estimate.json").write_text(json.dumps(info, indent=2) + "\n")

@@ -82,7 +82,7 @@ PROPAGATE_BLOCK = 2**14
 #: Samples per chunk of the lifted propagator: one state recursion step per chunk.
 CASCADE_CHUNK = 8
 
-_MAGIC = b"NSTS0001"
+_MAGIC = b"NSTS0002"
 _HEAD = struct.Struct("<8sIQd")
 
 
@@ -519,16 +519,11 @@ def simulate_grounded(sys: NetworkSystem, j: int, noise: NoiseConfig, cfg: SimCo
 
 
 # ---------------------------------------------------------------------------
-# binary container: magic, N (u32), L (u64), dt (f64), labels (N x u32),
-# then the samples as float64, channel after channel; all little-endian.
-
-def _offset(n_channels: int, n_samples: int, ch: int, lo: int) -> int:
-    """Where sample ``lo`` of channel ``ch`` sits in an ``.nsts`` file."""
-    return _HEAD.size + 4 * n_channels + 8 * (ch * n_samples + lo)
-
+# binary container: magic, N (u32), L (u64), dt (f64), labels (N x u32), then the samples
+# as float64, sample-major (the N channels of each sample in turn); all little-endian.
 
 class _NstsWriter:
-    """The sink of :func:`save_timeseries`: each block to its place in an open ``.nsts`` file."""
+    """The sink of :func:`save_timeseries`: each block appended to an open ``.nsts`` file."""
 
     def __init__(self, fh, n_channels: int, n_samples: int):
         self._fh, self._shape = fh, (n_channels, n_samples)
@@ -540,20 +535,19 @@ class _NstsWriter:
             raise ValidationError(
                 f"a {block.shape} block does not fit a record of {n} channels "
                 f"x {l} samples after {self.n_samples} samples")
-        for ch, row in enumerate(block):
-            self._fh.seek(_offset(n, l, ch, self.n_samples))
-            self._fh.write(np.ascontiguousarray(row, dtype="<f8"))
+        for lo in range(0, block.shape[1], PROPAGATE_BLOCK):  # a simulated block is one slice
+            self._fh.write(np.ascontiguousarray(block[:, lo:lo + PROPAGATE_BLOCK].T, dtype="<f8"))
         self.n_samples += block.shape[1]
 
 
 def save_timeseries(path, record) -> None:
     """Write ``record``, held or streamed, as an ``.nsts`` file.
 
-    Each (channels x samples) block goes to its place in the file as it
-    arrives, one positioned write per channel, so a streamed record is never
-    held.  The blocks must hold the header's samples of its channels in all
-    (else :class:`ValidationError`); a stream that does not, or that raises,
-    leaves no file behind.
+    Each (channels x samples) block is appended as it arrives, in one write: a
+    simulated block is a transposed view of the sample-major memory written, and
+    a held record goes ``PROPAGATE_BLOCK`` samples at a time.  The blocks must
+    hold the header's samples of its channels in all (else :class:`ValidationError`);
+    a stream that does not, or that raises, leaves no file behind.
     """
     labels, l = record.channel_labels, record.n_samples
     n = len(labels)
@@ -572,22 +566,23 @@ def save_timeseries(path, record) -> None:
 def load_timeseries(path, labels, n_samples: int, dt: float, sink=None):
     """Read the record of an ``.nsts`` file into ``sink`` and return ``sink``.
 
-    The header is checked before any sample is read: the file must be a
-    netspectra time series whose size matches its header, and the header
-    must be ``(labels, n_samples, dt)``, the run the caller expects.  The
-    samples then go to ``sink.feed`` ``PROPAGATE_BLOCK`` columns at a time
-    (the last block may hold fewer), one positioned read per channel; with no
-    sink, the record is returned held whole.  A failed check, a file that
-    shrinks while being read and a non-finite sample each raise
-    :class:`ValidationError`.
+    The header is checked before any sample is read: the file must be an ``NSTS0002`` time
+    series (not the channel-major ``NSTS0001``) whose size matches its header, and the header
+    must be ``(labels, n_samples, dt)``, the run the caller expects.  The samples then go to
+    ``sink.feed``, one read per ``PROPAGATE_BLOCK`` samples; with no sink, the record is
+    returned held whole.  A failed check, a file that shrinks while being read and a
+    non-finite sample each raise :class:`ValidationError`.
     """
     labels = tuple(labels)
     with open(path, "rb") as fh:
         head = fh.read(_HEAD.size)
+        if head[:len(_MAGIC)] == b"NSTS0001":
+            raise ValidationError(f"{path} is an NSTS0001 (channel-major) time series, a format "
+                                  "this version does not read; re-run simulate")
         if head[:len(_MAGIC)] != _MAGIC:
             raise ValidationError(f"{path} is not a netspectra time-series file")
         _, n, l, file_dt = _HEAD.unpack(head.ljust(_HEAD.size, b"\0"))  # short: size check fails
-        if os.fstat(fh.fileno()).st_size != _offset(n, l, n, 0):  # the end of the last channel
+        if os.fstat(fh.fileno()).st_size != _HEAD.size + 4 * n + 8 * n * l:
             raise ValidationError(f"{path} is truncated: its size does not match its header")
         file_labels = struct.unpack(f"<{n}I", fh.read(4 * n))
         if (file_labels, l, file_dt) != (labels, n_samples, dt):
@@ -598,13 +593,12 @@ def load_timeseries(path, labels, n_samples: int, dt: float, sink=None):
 
 
 def _read_blocks(fh, path, n_channels: int, n_samples: int) -> Iterator[np.ndarray]:
-    """The samples of the checked ``.nsts`` file ``fh``, ``PROPAGATE_BLOCK`` columns at a time."""
+    """The checked ``.nsts`` file ``fh``, ``PROPAGATE_BLOCK`` samples at a time: each read into a
+    fresh (samples x channels) buffer and yielded as its transpose, as the propagator yields."""
     for lo in range(0, n_samples, PROPAGATE_BLOCK):
-        block = np.empty((n_channels, min(PROPAGATE_BLOCK, n_samples - lo)), dtype="<f8")
-        for ch, row in enumerate(block):
-            fh.seek(_offset(n_channels, n_samples, ch, lo))
-            if fh.readinto(row) != row.nbytes:
-                raise ValidationError(f"{path} is truncated: it shrank while being read")
+        block = np.empty((min(PROPAGATE_BLOCK, n_samples - lo), n_channels), dtype="<f8")
+        if fh.readinto(block) != block.nbytes:
+            raise ValidationError(f"{path} is truncated: it shrank while being read")
         if not np.isfinite(block).all():
             raise ValidationError(f"{path} contains non-finite samples")
-        yield block
+        yield block.T

@@ -3,6 +3,7 @@ import functools
 import importlib.util
 import json
 import re
+import struct
 import sys
 import tracemalloc
 from pathlib import Path
@@ -763,6 +764,19 @@ class TestStagedArtifacts:
         full.write_bytes(full.read_bytes()[:-8])
         assert main(["estimate", "--config", str(p), "--out", str(out)]) == 2
 
+    def test_estimate_refuses_a_channel_major_record(self, tmp_path, capsys):
+        # NSTS0001, the format before, held each channel's samples in turn
+        p, out = self._simulated(tmp_path)
+        full = out / "timeseries" / "full.nsts"
+        labels = sim.channel_labels(4)
+        data = sim.load_timeseries(full, labels, 8192, 0.01).data
+        full.write_bytes(b"NSTS0001" + struct.pack("<IQd4I", 4, 8192, 0.01, *labels)
+                         + data.astype("<f8").tobytes())
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 2
+        assert "NSTS0001" in capsys.readouterr().err
+        assert not (out / "spectra").exists()
+
     def test_run_reads_the_run_directory_after_estimating(self, tmp_path, monkeypatch):
         # reconstruct and evaluate load their inputs as the staged commands do
         calls = {"load_saved_truth": 0, "load_saved_spectra": 0}
@@ -983,6 +997,46 @@ class TestEvaluateScoresTheWrittenRecovery:
         assert "run reconstruct first" in capsys.readouterr().err
         left = {path.name for path in (tmp_path / "run").iterdir()}
         assert left == {"network.txt", "node.txt", "spectra"}
+
+
+class TestNoRunsOfAnotherConfig:
+    """``simulate`` replaces ``timeseries/`` and ``estimate`` replaces ``spectra/``, so no later
+    stage pairs the runs of one config or seed with another's."""
+
+    SHORT = {("simulation", "n_samples"): str(2**16)}
+
+    def _staged(self, tmp_path, mode, seed, cmds):
+        """Run the staged ``cmds`` of the L = 2^16 reference in ``mode``, seed ``seed``."""
+        cfg = tmp_path / f"{mode}-{seed}"
+        cfg.mkdir(exist_ok=True)
+        p = str(reference_config(cfg, {**self.SHORT, ("reconstruction", "mode"): mode}))
+        return [main([cmd, "--config", p, "--out", str(tmp_path / "run"),
+                      "--seed-override", str(seed)]) for cmd in cmds]
+
+    def test_simulate_leaves_no_grounded_run_of_another_seed(self, tmp_path):
+        # these steps once all exited 0 and scored F1 0.429 from the seed-2 full
+        # record and the seed-1 grounded records
+        assert self._staged(tmp_path, "exact-directed", 1, ["generate", "simulate"]) == [0, 0]
+        assert self._staged(tmp_path, "nonreciprocal", 2, ["simulate"]) == [0]
+        assert sorted(f.name for f in (tmp_path / "run" / "timeseries").iterdir()) == ["full.nsts"]
+        assert self._staged(tmp_path, "boolean", 2, ["estimate", "reconstruct", "evaluate"]) == [
+            2, 2, 2]
+
+    def test_estimate_leaves_no_grounded_spectra_of_another_seed(self, tmp_path):
+        # a run's grounded spectra were once paired with a later estimate's full one
+        p = reference_config(tmp_path, {**self.SHORT, ("reconstruction", "mode"): "exact-directed"})
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "run"),
+                     "--seed-override", "1"]) == 0
+        assert self._staged(tmp_path, "nonreciprocal", 2, ["simulate", "estimate"]) == [0, 0]
+        assert sorted(f.name for f in (tmp_path / "run" / "spectra").iterdir()) == [
+            "cpsd_full.txt", "estimate.json"]
+        assert self._staged(tmp_path, "boolean", 2, ["reconstruct"]) == [2]
+
+    def test_an_oracle_simulate_removes_the_saved_runs(self, tmp_path):
+        assert self._staged(tmp_path, "exact-directed", 1, ["generate", "simulate"]) == [0, 0]
+        assert self._staged(tmp_path, "oracle-boolean", 1, ["simulate"]) == [0]
+        assert not (tmp_path / "run" / "timeseries").exists()
+        assert self._staged(tmp_path, "boolean", 1, ["estimate"]) == [2]
 
 
 class TestBenchmarkTracing:

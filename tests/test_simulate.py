@@ -30,6 +30,7 @@ from netspectra.simulate import (
     CASCADE_CHUNK,
     PROPAGATE_BLOCK,
     StreamedRecord,
+    _NstsWriter,
     _ahead,
     _cascade,
     _draws,
@@ -530,10 +531,30 @@ class TestTimeSeriesIO:
         assert t2.channel_labels == (1, 3, 4)
 
     def test_file_layout(self, tmp_path, rng):
+        # sample-major: the two channels of sample 0, then of sample 1, ...
         ts = TimeSeriesMatrix(rng.standard_normal((2, 50)), 0.25, (2, 5))
         save_timeseries(tmp_path / "x.nsts", ts)
-        header = b"NSTS0001" + struct.pack("<IQd2I", 2, 50, 0.25, 2, 5)
-        assert (tmp_path / "x.nsts").read_bytes() == header + ts.data.astype("<f8").tobytes()
+        header = b"NSTS0002" + struct.pack("<IQd2I", 2, 50, 0.25, 2, 5)
+        assert (tmp_path / "x.nsts").read_bytes() == header + ts.data.T.astype("<f8").tobytes()
+
+    def test_writer_makes_one_write_per_block_and_gathers_nothing(self, rng):
+        class Writes(list):
+            def write(self, data):
+                self.append(data)
+
+        # a held record goes PROPAGATE_BLOCK samples at a time, so it is never copied whole
+        fh, data = Writes(), rng.standard_normal((3, 2 * PROPAGATE_BLOCK + 9))
+        _NstsWriter(fh, 3, data.shape[1]).feed(data)
+        assert [w.shape for w in fh] == [(PROPAGATE_BLOCK, 3)] * 2 + [(9, 3)]
+        assert np.array_equal(np.concatenate(fh).T, data)
+        # a simulated block is a view of sample-major memory: written as it is
+        sys = NetworkSystem(NodeDynamics.scalar_pole(-1.0), reference_laplacian_5())
+        fh, cfg = Writes(), SimConfig(dt=0.01, n_samples=PROPAGATE_BLOCK + 9)
+        writer = _NstsWriter(fh, 5, cfg.n_samples)
+        blocks = list(simulate_blocks(sys, NoiseConfig(seed=3), cfg))
+        for block in blocks:
+            writer.feed(block)
+        assert len(fh) == len(blocks) and all(np.shares_memory(w, b) for w, b in zip(fh, blocks))
 
     @pytest.mark.parametrize("keep", [20, -8])
     def test_truncated_rejected(self, tmp_path, rng, keep):
@@ -542,6 +563,31 @@ class TestTimeSeriesIO:
         p.write_bytes(p.read_bytes()[:keep])
         with pytest.raises(ValidationError, match="truncated"):
             load_timeseries(p, (1, 2), 50, 0.25)
+
+    def test_reader_refuses_the_channel_major_format(self, tmp_path, rng):
+        # NSTS0001, the format before: header, then each channel's samples in turn
+        p = tmp_path / "x.nsts"
+        data = rng.standard_normal((2, 50))
+        p.write_bytes(b"NSTS0001" + struct.pack("<IQd2I", 2, 50, 0.25, 1, 2)
+                      + data.astype("<f8").tobytes())
+        with pytest.raises(ValidationError, match="NSTS0001.*re-run simulate"):
+            load_timeseries(p, (1, 2), 50, 0.25)
+
+    def test_reader_refuses_a_file_that_shrinks_while_read(self, tmp_path, rng):
+        p = tmp_path / "x.nsts"
+        save_timeseries(p, TimeSeriesMatrix(rng.standard_normal((2, PROPAGATE_BLOCK + 5)),
+                                            0.25, (1, 2)))
+
+        class Truncating(Kept):
+            def feed(self, block):
+                super().feed(block)
+                with open(p, "r+b") as fh:
+                    fh.truncate(p.stat().st_size - 8)
+
+        kept = Truncating()
+        with pytest.raises(ValidationError, match="shrank"):
+            load_timeseries(p, (1, 2), PROPAGATE_BLOCK + 5, 0.25, kept)
+        assert len(kept.blocks) == 1
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.nsts"
@@ -593,9 +639,9 @@ class TestTimeSeriesIO:
             source = lambda sink=None: simulate_grounded(sys, ground, noise, cfg, sink)
         save_timeseries(p, StreamedRecord(labels, cfg.n_samples, cfg.dt, source))
         ts = source()
-        header = b"NSTS0001" + struct.pack(f"<IQd{len(labels)}I", len(labels), cfg.n_samples,
+        header = b"NSTS0002" + struct.pack(f"<IQd{len(labels)}I", len(labels), cfg.n_samples,
                                            cfg.dt, *labels)
-        assert p.read_bytes() == header + ts.data.astype("<f8").tobytes()
+        assert p.read_bytes() == header + ts.data.T.astype("<f8").tobytes()
         blocks = load_timeseries(p, labels, cfg.n_samples, cfg.dt, Kept()).blocks
         assert [b.shape[1] for b in blocks] == [PROPAGATE_BLOCK, PROPAGATE_BLOCK, 9]
         assert np.array_equal(np.concatenate(blocks, axis=1), ts.data)
