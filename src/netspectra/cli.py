@@ -9,8 +9,10 @@ from: ``estimate`` writes them, analytic in an oracle mode (where ``simulate``
 writes nothing).  ``run`` runs the stages in order, except that it streams
 each simulation into the estimator instead of writing ``timeseries/``.  Every
 command after ``generate`` exits 2, writing nothing, without its
-``network.txt`` and ``node.txt``.  Only ``bench`` takes ``--cost-model``: the
-config alone decides what every other command writes.
+``network.txt`` and ``node.txt``.  Once its refusals pass, every stage removes
+its own and every later stage's files, so only ``run`` leaves ``manifest.json``.
+Only ``bench`` takes ``--cost-model``: the config alone decides what every
+other command writes.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure,
 4 stability rejection.

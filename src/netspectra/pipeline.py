@@ -24,11 +24,11 @@ for byte, since both sources are deterministic.  That stage alone asks where
 the spectra come from: oracle modes take :func:`oracle_spectra`, which, like
 :func:`estimate_spectra` and :func:`reconstruct`, touches no file: each stage
 writes what one of them returns, and ``bench`` times them.  Reconstruction and
-evaluation read their inputs from the run directory, in ``run`` too.
-Reconstruction first removes its earlier output and the ``metrics.json`` that
-scored it, so a route that fails leaves nothing to evaluate; evaluation reads
-no config and scores the recovery ``result.txt`` names, counting the nonzero
-off-diagonal entries as edges (``tau`` thresholds the raw statistic only).
+evaluation read their inputs from the run directory, in ``run`` too.  Once its
+refusals pass, each stage removes its own and every later stage's files
+(``_ARTIFACTS``).  Evaluation reads no config and scores the recovery
+``result.txt`` names, counting the nonzero off-diagonal entries as edges
+(``tau`` thresholds the raw statistic only).
 
 Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
 unknown-key check and the rendering of ``config.resolved.ini``; each config
@@ -331,6 +331,29 @@ def apply_seed_override(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # stages
 
+#: The names each stage writes under the run directory, declared once, in stage order.
+_ARTIFACTS = (
+    ("generate", ("network.txt", "node.txt")),
+    ("simulate", ("timeseries",)),
+    ("estimate", ("spectra",)),
+    ("reconstruct", ("result.txt", "recovered_boolean.txt", "recovered_weights.txt",
+                     "undirected_branch.json")),
+    ("evaluate", ("metrics.json",)),
+    ("run", ("manifest.json", "config.resolved.ini")),
+)
+
+
+def _replace_from(out: Path, stage: str) -> None:
+    """Remove only what ``stage`` and the later stages list under ``out``; a link, not its target."""
+    first = [name for name, _ in _ARTIFACTS].index(stage)
+    for _, names in _ARTIFACTS[first:]:
+        for path in (out / name for name in names):
+            if path.is_dir() and not path.is_symlink():
+                shutil.rmtree(path)
+            else:
+                path.unlink(missing_ok=True)
+
+
 def _build_network(cfg: ExperimentConfig, node: NodeDynamics) -> ConnectivityMatrix:
     spec = cfg.network
     if spec.source == "file":
@@ -370,6 +393,7 @@ def stage_generate(cfg: ExperimentConfig, out: Path,
                    ) -> tuple[ConnectivityMatrix, NodeDynamics]:
     """Materialise the ground-truth network and node dynamics: ``truth``, else built from ``cfg``."""
     g, node = truth if truth is not None else _build_truth(cfg)
+    _replace_from(out, "generate")
     out.mkdir(parents=True, exist_ok=True)
     save_matrix(out / "network.txt", g)
     save_node(out / "node.txt", node)
@@ -437,19 +461,16 @@ def stage_simulate(
 ) -> None:
     """Run the full (and, when the mode grounds, the N grounded) simulations.
 
-    Each run streams into ``timeseries/*.nsts`` for the staged ``estimate``
-    block by block, as it is simulated; ``run`` streams into the estimator
-    instead (:func:`estimate_spectra`).  A mode without S_w, a run that is not
-    Hurwitz (:func:`simulated_runs`) or a record the estimate stage cannot take
-    (:func:`_require_estimable`) raises first; then an earlier ``timeseries/``
-    goes, in an oracle mode too, which simulates and writes nothing, since its
-    spectra stage reads no record (:func:`stage_estimate`).
+    Each run streams block by block into ``timeseries/*.nsts`` as it is
+    simulated (``run`` streams into :func:`estimate_spectra` instead).  A mode
+    without S_w, a run that is not Hurwitz (:func:`simulated_runs`) or a record
+    the estimate stage cannot take (:func:`_require_estimable`) raises first.
+    An oracle mode simulates and writes nothing: its spectra stage reads none.
     """
     runs = simulated_runs(cfg, g, node)
     _require_estimable(cfg, g.n_nodes)
+    _replace_from(out, "simulate")
     ts_dir = out / "timeseries"
-    if ts_dir.exists():
-        shutil.rmtree(ts_dir)
     if cfg.recon.oracle:
         return
     ts_dir.mkdir(parents=True)
@@ -459,7 +480,7 @@ def stage_simulate(
 
 def _write_spectra(cfg: ExperimentConfig, out: Path, keys: list, spectra: list,
                    **extra) -> dict:
-    """Replace ``spectra/`` with one CPSD matrix per run key and ``estimate.json``; return the latter.
+    """Write ``spectra/``: one CPSD matrix per run key and ``estimate.json``; return the latter.
 
     ``estimate.json`` is the one place the snap distance ``| |omega| - |omega0| |``
     is computed: every matrix of one estimate shares the bin of ``s_full``.
@@ -483,8 +504,6 @@ def _write_spectra(cfg: ExperimentConfig, out: Path, keys: list, spectra: list,
             "stderr": s_full.stderr,
             "cost_model": "oracle" if s_full.source == "analytic" else "fft", **extra}
     sp_dir = out / "spectra"
-    if sp_dir.exists():
-        shutil.rmtree(sp_dir)
     sp_dir.mkdir(parents=True)
     for key, s in zip(keys, spectra):
         save_cpsd(sp_dir / f"cpsd_{_run_name(key)}.txt", s)
@@ -518,6 +537,7 @@ def stage_estimate(cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix, node
     if cfg.recon.oracle:
         return stage_oracle_spectra(cfg, out, g, node)
     runs = runs or load_saved_runs(cfg, out, g.n_nodes)
+    _replace_from(out, "estimate")
     return _write_spectra(cfg, out, _run_keys(cfg, g.n_nodes),
                           estimate_spectra(cfg, runs, node, g.n_nodes, workers=workers))
 
@@ -542,6 +562,7 @@ def oracle_spectra(cfg: ExperimentConfig, g: ConnectivityMatrix, node: NodeDynam
 def stage_oracle_spectra(cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix,
                          node: NodeDynamics) -> dict:
     """Write :func:`oracle_spectra` and the true S_w to ``spectra/``; return the estimate dict."""
+    _replace_from(out, "estimate")
     spectra = oracle_spectra(cfg, g, node)
     model = cfg.noise.input_psd_model(cfg.sim.dt)
     return _write_spectra(cfg, out, _run_keys(cfg, g.n_nodes), spectra,
@@ -604,14 +625,11 @@ def reconstruct(cfg: ExperimentConfig, s_full: CpsdMatrix, grounded: list,
 
 
 def stage_reconstruct(cfg: ExperimentConfig, out: Path) -> None:
-    """Run :func:`reconstruct` on the saved truth and spectra under ``out`` and write its output,
-    first removing its earlier output and the ``metrics.json`` that scored it."""
+    """Run :func:`reconstruct` on the saved truth and spectra under ``out`` and write its output."""
     truth, node = load_saved_truth(out)
     _require_input_psd(cfg, truth.eigenpair)
     s_full, grounded = load_saved_spectra(cfg, out, truth.n_nodes)
-    for name in ("result.txt", "recovered_boolean.txt", "recovered_weights.txt",
-                 "undirected_branch.json", "metrics.json"):
-        (out / name).unlink(missing_ok=True)
+    _replace_from(out, "reconstruct")
     result, s_w_source, branch = reconstruct(cfg, s_full, grounded, node, truth.eigenpair)
     if branch is not None:
         (out / "undirected_branch.json").write_text(json.dumps(branch, indent=2) + "\n")
@@ -663,7 +681,7 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     precision, the oracle's true S_w from ``spectra/estimate.json``; ``cfg`` is not read.
     """
     truth, _ = load_saved_truth(out)
-    report, = _saved(out, ["result.txt"], "reconstruct")
+    report, = _saved(out, ["result.txt"])
     try:
         head = dict(line.split(" ", 1) for line in report.read_text().splitlines()[1:5])
         omega0 = float(head["omega0"])
@@ -672,15 +690,15 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     except (KeyError, ValueError, IndexError) as exc:
         raise ValidationError(f"malformed reconstruction report {report}: {exc}") from exc
     name = "recovered_boolean.txt" if s_w is None else "recovered_weights.txt"
-    recovered = load_matrix(*_saved(out, [name], "reconstruct"))
+    recovered = load_matrix(*_saved(out, [name]))
     if s_w is None:
         recovered = BooleanStructure(recovered.weights)
     metrics = compare(truth, recovered, edge_tol=0.0).as_dict()
     metrics.update(omega0=omega0, threshold_used=tau, input_psd_estimate=s_w)
-    info_path = out / "spectra" / "estimate.json"
-    info = json.loads(info_path.read_text()) if info_path.exists() else {}
+    info = json.loads(_saved(out / "spectra", ["estimate.json"])[0].read_text())
     if "true_input_psd" in info:
         metrics["true_input_psd"] = info["true_input_psd"]
+    _replace_from(out, "evaluate")
     (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
     return metrics
 
@@ -703,18 +721,14 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
 
     Simulation streams into estimation, so no ``timeseries/`` is written; every
     later stage reads the run directory as its staged command does.  Returns
-    the metrics dictionary and adds ``manifest.json`` and ``config.resolved.ini``;
-    a rerun of the resolved configuration is byte-identical.  A run the
-    simulate or estimate stage refuses (:func:`simulated_runs`,
-    :func:`_require_estimable`) raises before anything is written; then the
-    ``manifest.json`` and ``config.resolved.ini`` of an earlier run go first.
+    the metrics and adds ``manifest.json`` and ``config.resolved.ini``, whose
+    rerun is byte-identical.  What the simulate or estimate stage refuses
+    (:func:`simulated_runs`, :func:`_require_estimable`) raises before any file goes.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     truth, node = _build_truth(cfg)
     runs = simulated_runs(cfg, truth, node)
     _require_estimable(cfg, truth.n_nodes)
-    for name in ("manifest.json", "config.resolved.ini"):
-        (out / name).unlink(missing_ok=True)
     stage_generate(cfg, out, (truth, node))
     info = stage_estimate(cfg, out, truth, node, runs, workers=workers)
     stage_reconstruct(cfg, out)
@@ -725,17 +739,19 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
 
 # helpers for running later stages from previously saved artifacts ----------
 
-def _saved(directory: Path, names: list, stage: str) -> list:
+def _saved(directory: Path, names: list) -> list:
     """The paths of ``names`` under ``directory``; a missing one raises :class:`ConfigError`."""
     missing = [name for name in names if not (directory / name).exists()]
     if missing:
+        writer = {name: stage for stage, owned in _ARTIFACTS for name in owned}
+        stage = writer.get(missing[0]) or writer[directory.name]  # else in timeseries/, spectra/
         raise ConfigError(f"no saved {', '.join(missing)} under {directory}; run {stage} first")
     return [directory / name for name in names]
 
 
 def load_saved_truth(out: Path) -> tuple[ConnectivityMatrix, NodeDynamics]:
     """The saved ``network.txt`` and ``node.txt``; a missing one raises :class:`ConfigError`."""
-    net_path, node_path = _saved(out, ["network.txt", "node.txt"], "generate")
+    net_path, node_path = _saved(out, ["network.txt", "node.txt"])
     return load_matrix(net_path), load_node(node_path)
 
 
@@ -753,7 +769,7 @@ def load_saved_runs(cfg: ExperimentConfig, out: Path, n_nodes: int):
     _require_estimable(cfg, n_nodes)
     keys = _run_keys(cfg, n_nodes)
     names = [f"{_run_name(key)}.nsts" for key in keys]
-    paths = dict(zip(keys, _saved(out / "timeseries", names, "simulate")))
+    paths = dict(zip(keys, _saved(out / "timeseries", names)))
 
     def source(key) -> StreamedRecord:
         header = _record(cfg, n_nodes, key)
@@ -768,12 +784,11 @@ def load_saved_spectra(
     """The saved ``spectra/cpsd_*.txt`` of each run of :func:`_run_keys`: ``(s_full, grounded)``.
 
     ``grounded`` pairs each grounded key with its matrix, as the routes take
-    them; ``estimate.json`` is not read, since reconstruction needs only the
-    matrices.  A missing file raises :class:`ConfigError`; files of other
-    runs are ignored.
+    them.  A missing file raises :class:`ConfigError`; ``estimate.json`` and
+    the files of other runs are not read.
     """
     keys = _run_keys(cfg, n_nodes)
-    paths = _saved(out / "spectra", [f"cpsd_{_run_name(key)}.txt" for key in keys], "estimate")
+    paths = _saved(out / "spectra", [f"cpsd_{_run_name(key)}.txt" for key in keys])
     spectra = [load_cpsd(p) for p in paths]
     return spectra[0], list(zip(keys[1:], spectra[1:]))
 

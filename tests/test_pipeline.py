@@ -1039,6 +1039,171 @@ class TestNoRunsOfAnotherConfig:
         assert self._staged(tmp_path, "boolean", 1, ["estimate"]) == [2]
 
 
+class TestArtifactTable:
+    """Once its refusals pass, a stage replaces its own files and every later stage's
+    (``pl._ARTIFACTS``), and no file the table does not list."""
+
+    STAGES = ("generate", "simulate", "estimate", "reconstruct", "evaluate")
+    B = {("reconstruction", "mode"): "exact-directed", ("simulation", "n_samples"): "8192",
+         ("spectral", "segment_length"): "512", ("spectral", "omega0"): "1.5"}
+    # config A: config B with one change, and the flags A's commands take
+    CHANGES = {
+        "seed": ({}, ["--seed-override", "2"]),
+        "mode": ({("reconstruction", "mode"): "boolean"}, []),
+        "n_samples": ({("simulation", "n_samples"): "16384"}, []),
+    }
+    UNLISTED = ("exp.ini", "notes.txt", "bench.csv", "extra/keep.txt")
+
+    @staticmethod
+    def _files(out) -> dict:
+        return {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+
+    def _configs(self, tmp_path, change):
+        """The config files of B and A, and A's flags."""
+        overrides, flags = self.CHANGES[change]
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        return (str(write_config(tmp_path / "b", self.B)),
+                str(write_config(tmp_path / "a", {**self.B, **overrides})), flags)
+
+    @pytest.mark.parametrize("change", list(CHANGES))
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_stage_leaves_what_it_would_after_the_earlier_stages_alone(
+            self, tmp_path, stage, change):
+        # A's stage over B's complete staged run must leave the directory it leaves
+        # after B's earlier stages alone: none of B's files from this stage on
+        b, a, flags = self._configs(tmp_path, change)
+        over, fresh = ["--out", str(tmp_path / "over")], ["--out", str(tmp_path / "fresh")]
+        assert [main([cmd, "--config", b, *over]) for cmd in self.STAGES] == [0] * 5
+        earlier = self.STAGES[:self.STAGES.index(stage)]
+        assert [main([cmd, "--config", b, *fresh]) for cmd in earlier] == [0] * len(earlier)
+        code = main([stage, "--config", a, *over, *flags])
+        assert code == main([stage, "--config", a, *fresh, *flags])
+        assert self._files(tmp_path / "over") == self._files(tmp_path / "fresh")
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_only_run_leaves_a_manifest(self, tmp_path, stage):
+        b, a, flags = self._configs(tmp_path, "seed")
+        out = tmp_path / "run"
+        assert main(["run", "--config", b, "--out", str(out)]) == 0
+        ran = self._files(out)
+        code = main([stage, "--config", a, "--out", str(out), *flags])
+        if stage == "estimate":  # run writes no timeseries/: estimate refuses, removing nothing
+            assert code == 2 and self._files(out) == ran
+        else:
+            assert code == 0
+            assert not (out / "manifest.json").exists()
+            assert not (out / "config.resolved.ini").exists()
+
+    def test_unlisted_files_survive_every_command(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "extra").mkdir(parents=True)
+        p = str(write_config(out, self.B))  # exp.ini, in the run directory
+        for name in self.UNLISTED[1:]:
+            (out / name).write_text(f"{name}\n")
+        kept = {name: (out / name).read_bytes() for name in self.UNLISTED}
+        for cmd in ("run", *self.STAGES, "run"):
+            assert main([cmd, "--config", p, "--out", str(out)]) == 0
+            assert {name: (out / name).read_bytes() for name in self.UNLISTED} == kept, cmd
+
+    LISTED = ("network.txt", "node.txt", "timeseries", "spectra", "result.txt",
+              "recovered_boolean.txt", "recovered_weights.txt", "undirected_branch.json",
+              "metrics.json", "manifest.json", "config.resolved.ini")
+    # how many of LISTED the stages before each one write
+    KEPT = {"generate": 0, "simulate": 2, "estimate": 3, "reconstruct": 4, "evaluate": 8, "run": 9}
+
+    @pytest.mark.parametrize("stage", list(KEPT))
+    def test_replace_from_removes_the_stage_and_every_later_one_only(self, tmp_path, stage):
+        out = tmp_path / "run"
+        (out / "extra").mkdir(parents=True)
+        for name in self.LISTED + self.UNLISTED:
+            if name in ("timeseries", "spectra"):
+                (out / name).mkdir()
+                (out / name / "x.txt").write_text("x\n")
+            else:
+                (out / name).write_text(f"{name}\n")
+        pl._replace_from(out, stage)
+        left = {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()}
+        kept = {f"{name}/x.txt" if name in ("timeseries", "spectra") else name
+                for name in self.LISTED[:self.KEPT[stage]]}
+        assert left == kept | set(self.UNLISTED)
+
+    def test_a_linked_directory_goes_but_not_what_it_points_to(self, tmp_path):
+        # rmtree refuses a link, which once made simulate exit with a traceback
+        p, out = str(write_config(tmp_path, self.B)), tmp_path / "run"
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / "full.nsts").write_text("kept\n")
+        assert main(["generate", "--config", p, "--out", str(out)]) == 0
+        (out / "timeseries").symlink_to(tmp_path / "store", target_is_directory=True)
+        assert main(["simulate", "--config", p, "--out", str(out)]) == 0
+        assert not (out / "timeseries").is_symlink()
+        assert (tmp_path / "store" / "full.nsts").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("removed, cmd, stage", [
+        ("node.txt", "simulate", "generate"),
+        ("timeseries/full.nsts", "estimate", "simulate"),
+        ("spectra/cpsd_grounded_2.txt", "reconstruct", "estimate"),
+        ("spectra/estimate.json", "evaluate", "estimate"),
+        ("recovered_weights.txt", "evaluate", "reconstruct"),
+    ])
+    def test_a_missing_input_names_the_stage_that_writes_it(self, tmp_path, capsys, removed,
+                                                           cmd, stage):
+        p, out = str(write_config(tmp_path, self.B)), tmp_path / "run"
+        assert [main([c, "--config", p, "--out", str(out)]) for c in self.STAGES] == [0] * 5
+        (out / removed).unlink()
+        capsys.readouterr()
+        assert main([cmd, "--config", p, "--out", str(out)]) == 2
+        assert f"; run {stage} first" in capsys.readouterr().err
+
+
+class TestNoStaleArtifacts:
+    """Sequences that once scored or read another config's artifacts."""
+
+    SHORT = {("reconstruction", "mode"): "exact-directed", ("simulation", "n_samples"): "8192",
+             ("spectral", "segment_length"): "512", ("spectral", "omega0"): "1.5"}
+
+    def _main(self, tmp_path, cmds, overrides=None, seed=1):
+        """Exit codes of ``cmds`` on the short config with ``overrides``, at ``seed``."""
+        cfg = tmp_path / f"cfg-{len(list(tmp_path.glob('cfg-*')))}"
+        cfg.mkdir()
+        p = str(write_config(cfg, {**self.SHORT, **(overrides or {})}))
+        return [main([cmd, "--config", p, "--out", str(tmp_path / "run"),
+                      "--seed-override", str(seed)]) for cmd in cmds]
+
+    def test_a_failed_reconstruct_after_a_run_leaves_nothing_to_evaluate(self, tmp_path):
+        # evaluate once scored the seed-1 run's recovery here
+        assert self._main(tmp_path, ["run"]) == [0]
+        nonreciprocal = {("reconstruction", "mode"): "nonreciprocal"}
+        assert self._main(tmp_path, ["simulate", "estimate"], nonreciprocal, seed=2) == [0, 0]
+        boolean = {("reconstruction", "mode"): "boolean"}
+        assert self._main(tmp_path, ["reconstruct", "evaluate"], boolean, seed=2) == [2, 2]
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    def test_generate_leaves_no_recovery_of_the_old_network(self, tmp_path):
+        # evaluate once scored the seed-1 recovery against the seed-2 network
+        assert self._main(tmp_path, TestArtifactTable.STAGES) == [0] * 5
+        assert self._main(tmp_path, ["generate"], seed=2) == [0]
+        assert self._main(tmp_path, ["reconstruct", "evaluate"], seed=2) == [2, 2]
+
+    def test_run_leaves_no_staged_records(self, tmp_path):
+        # a later staged estimate once read the seed-1 records beside the seed-2 run
+        assert self._main(tmp_path, ["generate", "simulate"]) == [0, 0]
+        assert self._main(tmp_path, ["run"], seed=2) == [0]
+        assert not (tmp_path / "run" / "timeseries").exists()
+        metrics = (tmp_path / "run" / "metrics.json").read_text()
+        assert self._main(tmp_path, ["estimate", "reconstruct", "evaluate"], seed=2) == [2, 0, 0]
+        assert (tmp_path / "run" / "metrics.json").read_text() == metrics
+
+    def test_a_failed_estimate_leaves_no_spectra(self, tmp_path):
+        # the records are 8192 samples long; an estimate of 16384 fails on their header,
+        # and reconstruct and evaluate once scored the spectra it left
+        assert self._main(tmp_path, TestArtifactTable.STAGES) == [0] * 5
+        longer = {("simulation", "n_samples"): "16384"}
+        assert self._main(tmp_path, ["estimate", "reconstruct", "evaluate"], longer) == [2, 2, 2]
+        assert sorted(f.name for f in (tmp_path / "run").iterdir()) == [
+            "network.txt", "node.txt", "timeseries"]
+
+
 class TestBenchmarkTracing:
     def test_traced_names_resolve(self, monkeypatch):
         # the benchmark's traced runs wrap these names; a missing one crashes them
