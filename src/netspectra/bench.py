@@ -2,8 +2,9 @@
 
 Each sweep point ``(N, L)`` is built as ``run`` builds a run: the node from
 ``[node]``, the network from ``[network]`` with ``n_nodes = N``, and the runs
-the mode needs, each of ``L`` samples; so ``bench`` exits 2, 3 or 4 where
-``run`` would.  Three cost centres are timed separately, on the calling
+the mode needs, each of ``L`` samples; so it refuses, as it is built, what
+``run`` refuses (:func:`~netspectra.pipeline._admit`; ``paper`` skips the
+segment counts).  Three cost centres are timed separately, on the calling
 thread; only a simulation's noise draw runs beside it, one block ahead on a
 helper thread (see :mod:`netspectra.simulate`):
 
@@ -21,13 +22,10 @@ helper thread (see :mod:`netspectra.simulate`):
 
 Spectra are taken at the config's omega0: ``fft`` snaps it as ``run`` does,
 ``paper`` and the oracle modes' :func:`~netspectra.pipeline.oracle_spectra`
-(untimed) take it unsnapped.  Each ``fft`` point refuses, as it is built,
-what ``run`` refuses (:func:`~netspectra.pipeline._require_estimable`);
-``paper``, which averages no segments, refuses only a fixed omega0 that
-``run`` cannot snap (exit 3 at the DC bin, exit 2 at or above Nyquist).  The other
-stages take the spectra of the correlation timed just before them, in the
-same round.  Timings are the minimum over a configurable number of repeats;
-scaling factors are measured, never asserted.
+(untimed) take it unsnapped.  The other stages take the spectra of the
+correlation timed just before them, in the same round.  Timings are the
+minimum over a configurable number of repeats; scaling factors are measured,
+never asserted.
 """
 
 from __future__ import annotations
@@ -41,17 +39,17 @@ from .errors import ConfigError
 from .lti import NodeDynamics
 from .pipeline import (
     ExperimentConfig,
+    _admit,
     _analytic_omega0,
     _build_network,
     _build_node,
-    _require_estimable,
     _run_keys,
     estimate_spectra,
     oracle_spectra,
     reconstruct,
     simulated_runs,
 )
-from .spectral import estimate_cpsd_lag_domain, estimate_inverse_cpsd, snap_frequency
+from .spectral import estimate_cpsd_lag_domain, estimate_inverse_cpsd
 
 __all__ = ["benchmark", "write_bench_csv", "parse_sweep"]
 
@@ -87,19 +85,20 @@ def _sweep_point(cfg: ExperimentConfig, n: int, l: int, cost_model: str,
     """
     cfg = replace(cfg, network=replace(cfg.network, n_nodes=n),
                   sim=replace(cfg.sim, n_samples=l))
-    g = _build_network(cfg, node)
-    if g.n_nodes != n:
-        raise ConfigError(f"the network file has {g.n_nodes} nodes, not the sweep's {n}")
+
+    def truth():
+        g = _build_network(cfg, node)
+        if g.n_nodes != n:
+            raise ConfigError(f"the network file has {g.n_nodes} nodes, not the sweep's {n}")
+        return g, node
+
+    g, _ = _admit(cfg, truth, segments=cost_model == "fft")
     keys = _run_keys(cfg, n)
     if cfg.recon.oracle:
         oracle = oracle_spectra(cfg, g, node)
     else:
         runs = simulated_runs(cfg, g, node)
         omega0 = _analytic_omega0(cfg)
-        if cost_model == "fft":
-            _require_estimable(cfg, n)
-        elif cfg.omega0_value() is not None:  # paper averages no segments
-            snap_frequency(omega0, cfg.sim.dt, cfg.spectral)
 
     def measure() -> dict[str, float]:
         seconds = {}

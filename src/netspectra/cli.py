@@ -86,21 +86,16 @@ def _cmd_generate(args) -> None:
     pl.stage_generate(cfg, out)
 
 
-def _load_estimable(args) -> tuple[pl.ExperimentConfig, Path]:
-    """:func:`_load`, then refuse what the config alone makes unestimable, before any artifact is read."""
-    cfg, out = _load(args)
-    pl._require_estimable(cfg)
-    return cfg, out
-
-
 def _cmd_simulate(args) -> None:
-    cfg, out = _load_estimable(args)
-    pl.stage_simulate(cfg, out, *pl.load_saved_truth(out), workers=args.workers)
+    cfg, out = _load(args)
+    pl.stage_simulate(cfg, out, *pl._admit(cfg, lambda: pl.load_saved_truth(out)),
+                      workers=args.workers)
 
 
 def _cmd_estimate(args) -> None:
-    cfg, out = _load_estimable(args)
-    pl.stage_estimate(cfg, out, *pl.load_saved_truth(out), workers=args.workers)
+    cfg, out = _load(args)
+    pl.stage_estimate(cfg, out, *pl._admit(cfg, lambda: pl.load_saved_truth(out)),
+                      workers=args.workers)
 
 
 def _cmd_reconstruct(args) -> None:

@@ -24,11 +24,12 @@ for byte, since both sources are deterministic.  That stage alone asks where
 the spectra come from: oracle modes take :func:`oracle_spectra`, which, like
 :func:`estimate_spectra` and :func:`reconstruct`, touches no file: each stage
 writes what one of them returns, and ``bench`` times them.  Reconstruction and
-evaluation read their inputs from the run directory, in ``run`` too.  Once its
-refusals pass, each stage removes its own and every later stage's files
-(``_ARTIFACTS``).  Evaluation reads no config and scores the recovery
-``result.txt`` names, counting the nonzero off-diagonal entries as edges
-(``tau`` thresholds the raw statistic only).
+evaluation read their inputs from the run directory, in ``run`` too.  Every
+refusal is asked once, in one order, by :func:`_admit`; once it passes, each
+stage removes its own and every later stage's files (``_ARTIFACTS``).
+Evaluation reads no config and scores the recovery ``result.txt`` names,
+counting the nonzero off-diagonal entries as edges (``tau`` thresholds the
+raw statistic only).
 
 Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
 unknown-key check and the rendering of ``config.resolved.ini``; each config
@@ -430,20 +431,45 @@ def _each_run(fn, keys: list, workers: int) -> list:
         return list(pool.map(fn, keys))
 
 
+def _admit(cfg: ExperimentConfig, truth, segments: bool = True,
+           ) -> tuple[ConnectivityMatrix, NodeDynamics]:
+    """``truth()``, the network and node dynamics, once ``cfg`` passes every refusal rule.
+
+    The one refusal gate: each command that simulates, estimates or
+    reconstructs calls it once, before it writes, so a config exits alike in
+    all of them.  An oracle mode asks nothing; otherwise, in order: the record
+    length (:meth:`SpectralConfig.n_segments`) and a fixed omega0
+    (:func:`snap_frequency`), before ``truth()``; then an eigenpair for S_w in
+    ``exact-directed`` and ``undirected``, a Hurwitz system for every run
+    (:func:`run_system`) and K > N.  ``segments=False`` skips both K rules.
+    """
+    if cfg.recon.oracle:
+        return truth()
+    if segments:
+        cfg.spectral.n_segments(cfg.sim.n_samples)
+    if cfg.omega0_value() is not None:
+        snap_frequency(cfg.omega0_value(), cfg.sim.dt, cfg.spectral)
+    g, node = truth()
+    if g.eigenpair is None and cfg.recon.mode in ("exact-directed", "undirected"):
+        raise ConfigError(
+            f"{cfg.recon.mode} reconstruction needs S_w: provide a network eigenpair "
+            "(laplacian/regular families do) or use an oracle mode"
+        )
+    sys = NetworkSystem(node, g)
+    for key in _run_keys(cfg, g.n_nodes):
+        run_system(sys, _ground(key))
+    if segments:
+        cfg.spectral.n_segments(cfg.sim.n_samples, g.n_nodes)
+    return g, node
+
+
 def simulated_runs(cfg: ExperimentConfig, g: ConnectivityMatrix, node: NodeDynamics):
     """The run source that simulates: ``source(key)`` streams run ``key`` as it is simulated.
 
     Each ``into(sink)`` simulates the run afresh, the same numbers every
-    time, through :func:`simulate` or :func:`simulate_grounded`.  A mode
-    without S_w (:func:`_require_input_psd`) raises when it is built, and so,
-    outside an oracle mode, does a run whose system is not Hurwitz
-    (:func:`run_system`, which names the grounded node).
+    time, through :func:`simulate` or :func:`simulate_grounded`.
     """
-    _require_input_psd(cfg, g.eigenpair)
     sys = NetworkSystem(node, g)
-    if not cfg.recon.oracle:  # an oracle mode simulates nothing
-        for key in _run_keys(cfg, g.n_nodes):
-            run_system(sys, _ground(key))
 
     def source(key) -> StreamedRecord:
         if key == "full":
@@ -462,13 +488,11 @@ def stage_simulate(
     """Run the full (and, when the mode grounds, the N grounded) simulations.
 
     Each run streams block by block into ``timeseries/*.nsts`` as it is
-    simulated (``run`` streams into :func:`estimate_spectra` instead).  A mode
-    without S_w, a run that is not Hurwitz (:func:`simulated_runs`) or a record
-    the estimate stage cannot take (:func:`_require_estimable`) raises first.
-    An oracle mode simulates and writes nothing: its spectra stage reads none.
+    simulated (``run`` streams into :func:`estimate_spectra` instead).  An
+    oracle mode simulates and writes nothing: its spectra stage reads none.
+    The caller has passed :func:`_admit`.
     """
     runs = simulated_runs(cfg, g, node)
-    _require_estimable(cfg, g.n_nodes)
     _replace_from(out, "simulate")
     ts_dir = out / "timeseries"
     if cfg.recon.oracle:
@@ -518,10 +542,8 @@ def estimate_spectra(cfg: ExperimentConfig, runs, node: NodeDynamics, n_nodes: i
     Each run, ``runs(key)`` (:func:`simulated_runs`, :func:`load_saved_runs`),
     streams into :func:`estimate_cpsd_matrix`.  Under ``omega0 = auto`` the
     full run is passed once more, first, to choose the bin on its PSD grid
-    (:func:`select_omega0`).  A record the estimator cannot take
-    (:func:`_require_estimable`) raises before any run is produced.
+    (:func:`select_omega0`).
     """
-    _require_estimable(cfg, n_nodes)
     omega0 = cfg.omega0_value()
     if omega0 is None:
         omega_max = cfg.noise.input_psd_model(cfg.sim.dt).omega_max
@@ -569,27 +591,6 @@ def stage_oracle_spectra(cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix
                           true_input_psd=model(spectra[0].omega))
 
 
-def _require_input_psd(cfg: ExperimentConfig, eigenpair) -> None:
-    """Raise :class:`ConfigError` when an empirical weighted mode has no eigenpair for S_w."""
-    if eigenpair is None and cfg.recon.mode in ("exact-directed", "undirected"):
-        raise ConfigError(
-            f"{cfg.recon.mode} reconstruction needs S_w: provide a network eigenpair "
-            "(laplacian/regular families do) or use an oracle mode"
-        )
-
-
-def _require_estimable(cfg: ExperimentConfig, n_nodes: int = 0) -> None:
-    """Raise, with its exit code, what :func:`estimate_spectra` would on the configured record:
-    :meth:`SpectralConfig.n_segments` on its length, :func:`snap_frequency` on a fixed omega0.
-    With no ``n_nodes``, K <= N is not asked.  An oracle mode estimates nothing."""
-    if cfg.recon.oracle:
-        return
-    cfg.spectral.n_segments(cfg.sim.n_samples, n_nodes)
-    omega0 = cfg.omega0_value()
-    if omega0 is not None:
-        snap_frequency(omega0, cfg.sim.dt, cfg.spectral)
-
-
 def reconstruct(cfg: ExperimentConfig, s_full: CpsdMatrix, grounded: list,
                 node: NodeDynamics, eigenpair) -> tuple[ReconstructionResult, str, Optional[dict]]:
     """The configured route on one set of spectra: ``(result, S_w source, branch audit)``.
@@ -626,8 +627,7 @@ def reconstruct(cfg: ExperimentConfig, s_full: CpsdMatrix, grounded: list,
 
 def stage_reconstruct(cfg: ExperimentConfig, out: Path) -> None:
     """Run :func:`reconstruct` on the saved truth and spectra under ``out`` and write its output."""
-    truth, node = load_saved_truth(out)
-    _require_input_psd(cfg, truth.eigenpair)
+    truth, node = _admit(cfg, lambda: load_saved_truth(out))
     s_full, grounded = load_saved_spectra(cfg, out, truth.n_nodes)
     _replace_from(out, "reconstruct")
     result, s_w_source, branch = reconstruct(cfg, s_full, grounded, node, truth.eigenpair)
@@ -722,15 +722,13 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
     Simulation streams into estimation, so no ``timeseries/`` is written; every
     later stage reads the run directory as its staged command does.  Returns
     the metrics and adds ``manifest.json`` and ``config.resolved.ini``, whose
-    rerun is byte-identical.  What the simulate or estimate stage refuses
-    (:func:`simulated_runs`, :func:`_require_estimable`) raises before any file goes.
+    rerun is byte-identical.  :func:`_admit` refuses before any file goes.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    truth, node = _build_truth(cfg)
-    runs = simulated_runs(cfg, truth, node)
-    _require_estimable(cfg, truth.n_nodes)
+    truth, node = _admit(cfg, lambda: _build_truth(cfg))
     stage_generate(cfg, out, (truth, node))
-    info = stage_estimate(cfg, out, truth, node, runs, workers=workers)
+    info = stage_estimate(cfg, out, truth, node, simulated_runs(cfg, truth, node),
+                          workers=workers)
     stage_reconstruct(cfg, out)
     metrics = stage_evaluate(cfg, out)
     _write_manifest(cfg, out, info)
@@ -763,10 +761,8 @@ def load_saved_runs(cfg: ExperimentConfig, out: Path, n_nodes: int):
     the run's (channel labels, length and dt of the resolved config) raises
     :class:`ValidationError`.  Every run of :func:`_run_keys` must be saved: a
     missing file raises :class:`ConfigError` at the call; files of other runs
-    are ignored.  A record the estimator cannot take (:func:`_require_estimable`)
-    raises first, before any file is looked for.
+    are ignored.
     """
-    _require_estimable(cfg, n_nodes)
     keys = _run_keys(cfg, n_nodes)
     names = [f"{_run_name(key)}.nsts" for key in keys]
     paths = dict(zip(keys, _saved(out / "timeseries", names)))

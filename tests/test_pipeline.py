@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import importlib.util
@@ -1514,6 +1515,74 @@ class TestSegmentsPerChannel:
                 None if inflation is None else pytest.approx(inflation, rel=1e-12))
 
 
+# (network file, or None for configs/reference.ini's own N = 6 network; overrides of
+# configs/reference.ini at L = 2^16; exit code; message; whether bench --cost-model paper,
+# which averages no segments, asks the row)
+_UNSTABLE = {("reconstruction", "mode"): "boolean"}
+_REFUSALS = {
+    "dc": (None, {("spectral", "omega0"): "0.01"}, 3, "snaps to the DC bin", True),
+    "nyquist": (None, {("spectral", "omega0"): "400"}, 2, "Nyquist", True),
+    "short-record": (None, {("simulation", "n_samples"): "4096"}, 2,
+                     "shorter than twice the segment length", False),
+    "k-at-n": (None, {("simulation", "n_samples"): "14336"}, 2,
+               "K = 6 segments, no more than the N = 6 channels", False),
+    "no-s-w": (None, {("network", "family"): "directed-sparse"}, 2, "needs S_w", True),
+    "unstable": ([[0.0, 3.0], [3.0, 0.0]], _UNSTABLE, 4,
+                 "network state matrix is not Hurwitz", True),
+    # stable as a whole (a double pole at -2.5); grounding node 2 leaves 2 - 1.5 = +0.5
+    "unstable-grounded": ([[2.0, 3.0], [-3.0, -4.0]], {**_UNSTABLE, ("node", "pole"): "-1.5"}, 4,
+                          "network state matrix with node 2 grounded is not Hurwitz", True),
+    # the config-only rules come before the network's
+    "unstable-dc": ([[0.0, 3.0], [3.0, 0.0]], {**_UNSTABLE, ("spectral", "omega0"): "0.01"}, 3,
+                    "snaps to the DC bin", True),
+    "unstable-short-record": ([[0.0, 3.0], [3.0, 0.0]],
+                              {**_UNSTABLE, ("simulation", "n_samples"): "4096"}, 2,
+                              "shorter than twice the segment length", False),
+}
+
+
+class TestOneRefusalOrder:
+    """Every command asks the same refusal rules, once, in one order (``pipeline._admit``).
+
+    Each row of ``_REFUSALS`` is one config; every command that simulates,
+    estimates or reconstructs exits with the row's code and message, and
+    writes nothing.  The staged commands run after ``generate``.
+    """
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a run of a refused config")
+
+        for name in ("simulate", "simulate_grounded"):
+            monkeypatch.setattr(pl, name, refuse)
+
+    @pytest.mark.parametrize("row, command", [
+        (row, command) for row, (*_, paper) in _REFUSALS.items()
+        for command in ("run", "bench", "paper", "simulate", "estimate", "reconstruct")
+        if command != "paper" or paper])
+    def test_every_command_refuses_alike(self, tmp_path, capsys, no_simulation, row, command):
+        network, overrides, code, message, _ = _REFUSALS[row]
+        if network is not None:
+            save_matrix(tmp_path / "net.txt", ConnectivityMatrix(network))
+            overrides = {("network", "source"): "file",
+                         ("network", "file"): str(tmp_path / "net.txt"), **overrides}
+        p = reference_config(tmp_path, {("simulation", "n_samples"): "65536", **overrides})
+        out = tmp_path / "o"
+        args = ["--config", str(p), "--out", str(out)]
+        n = 6 if network is None else len(network)
+        sweep = ["--sweep", f"{n}:{load_config(p).sim.n_samples}", "--repeats", "1"]
+        staged = command in ("simulate", "estimate", "reconstruct")
+        if staged:
+            assert main(["generate", *args]) == 0
+        argv = {"bench": ["bench", *sweep],
+                "paper": ["bench", *sweep, "--cost-model", "paper"]}.get(command, [command])
+        assert main([*argv, *args]) == code
+        assert message in capsys.readouterr().err
+        left = sorted(path.name for path in out.iterdir()) if out.exists() else []
+        assert left == (["network.txt", "node.txt"] if staged else [])
+
+
 class TestBench:
     def test_parse_sweep(self):
         assert parse_sweep("4:1024,8:2048") == [(4, 1024), (8, 2048)]
@@ -1542,7 +1611,11 @@ class TestBench:
         cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): mode,
                                                   ("spectral", "segment_length"): "512",
                                                   ("spectral", "omega0"): "1.5"}))
-        rows = benchmark(cfg, [(3, 2048), (2, 4096)], cost_model=cost_model, repeats=2)
+        # 2048 samples hold K = 7 segments of 512, which the fft estimator warns of
+        warns = (pytest.warns(UserWarning, match="only 7 segments averaged")
+                 if (mode, cost_model) == ("boolean", "fft") else contextlib.nullcontext())
+        with warns:
+            rows = benchmark(cfg, [(3, 2048), (2, 4096)], cost_model=cost_model, repeats=2)
         assert [(r["n_nodes"], r["n_samples"], r["cost_model"], r["stage"]) for r in rows] == [
             *[(3, 2048, label, stage) for stage in stages],
             *[(2, 4096, label, stage) for stage in stages]]
