@@ -14,8 +14,8 @@ its own and every later stage's files, so only ``run`` leaves ``manifest.json``.
 Only ``bench`` takes ``--cost-model``: the config alone decides what every
 other command writes.
 
-Exit codes: 0 success, 2 configuration/input error, 3 numerical failure,
-4 stability rejection.
+Exit codes: 0 success, 2 configuration/input error (a path the operating
+system refuses included), 3 numerical failure, 4 stability rejection.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_reconstruct(args) -> None:
-    pl.stage_reconstruct(*_load(args))
+    cfg, out = _load(args)
+    pl.stage_reconstruct(cfg, out, *pl._admit(cfg, lambda: pl.load_saved_truth(out)))
 
 
 def _cmd_evaluate(args) -> None:
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except (ConfigError, ValidationError, FileNotFoundError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StabilityError as exc:

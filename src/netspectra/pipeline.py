@@ -24,9 +24,11 @@ for byte, since both sources are deterministic.  That stage alone asks where
 the spectra come from: oracle modes take :func:`oracle_spectra`, which, like
 :func:`estimate_spectra` and :func:`reconstruct`, touches no file: each stage
 writes what one of them returns, and ``bench`` times them.  Reconstruction and
-evaluation read their inputs from the run directory, in ``run`` too.  Every
-refusal is asked once, in one order, by :func:`_admit`; once it passes, each
-stage removes its own and every later stage's files (``_ARTIFACTS``).
+evaluation read their inputs from the run directory, in ``run`` too, except
+that ``run`` hands reconstruction the truth it admitted.  Every refusal is
+asked once per command, in one order, by :func:`_admit`, which each command
+calls before its first stage and no stage calls; once it passes, each stage
+removes its own and every later stage's files (``_ARTIFACTS``).
 Evaluation reads no config and scores the recovery ``result.txt`` names,
 counting the nonzero off-diagonal entries as edges (``tau`` thresholds the
 raw statistic only).
@@ -152,6 +154,10 @@ class NetworkSpec:
             raise ValidationError("reference networks exist for n_nodes in (5, 6)")
         if self.seed < 0:
             raise ValidationError("network seed must be nonnegative")
+        if self.source == "random" and not 0 <= self.weight_min <= self.weight_max:
+            raise ValidationError("network weights must satisfy 0 <= weight_min <= weight_max")
+        if self.source == "random" and not 0 <= self.edge_prob <= 1:
+            raise ValidationError("network edge_prob must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -436,9 +442,10 @@ def _admit(cfg: ExperimentConfig, truth, segments: bool = True,
     """``truth()``, the network and node dynamics, once ``cfg`` passes every refusal rule.
 
     The one refusal gate: each command that simulates, estimates or
-    reconstructs calls it once, before it writes, so a config exits alike in
-    all of them.  An oracle mode asks nothing; otherwise, in order: the record
-    length (:meth:`SpectralConfig.n_segments`) and a fixed omega0
+    reconstructs calls it once, before it writes, and hands its result to the
+    stages, so a config exits alike in all of them.  An oracle mode asks
+    nothing; otherwise, in order: the record length
+    (:meth:`SpectralConfig.n_segments`) and a fixed omega0
     (:func:`snap_frequency`), before ``truth()``; then an eigenpair for S_w in
     ``exact-directed`` and ``undirected``, a Hurwitz system for every run
     (:func:`run_system`) and K > N.  ``segments=False`` skips both K rules.
@@ -625,12 +632,15 @@ def reconstruct(cfg: ExperimentConfig, s_full: CpsdMatrix, grounded: list,
     return nonreciprocal(s_full, h, s_w, tau=tau), s_w_source, None
 
 
-def stage_reconstruct(cfg: ExperimentConfig, out: Path) -> None:
-    """Run :func:`reconstruct` on the saved truth and spectra under ``out`` and write its output."""
-    truth, node = _admit(cfg, lambda: load_saved_truth(out))
-    s_full, grounded = load_saved_spectra(cfg, out, truth.n_nodes)
+def stage_reconstruct(cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix,
+                      node: NodeDynamics) -> None:
+    """Run :func:`reconstruct` on the saved spectra under ``out`` and write its output.
+
+    The caller has passed :func:`_admit`, which gave ``g`` and ``node``.
+    """
+    s_full, grounded = load_saved_spectra(cfg, out, g.n_nodes)
     _replace_from(out, "reconstruct")
-    result, s_w_source, branch = reconstruct(cfg, s_full, grounded, node, truth.eigenpair)
+    result, s_w_source, branch = reconstruct(cfg, s_full, grounded, node, g.eigenpair)
     if branch is not None:
         (out / "undirected_branch.json").write_text(json.dumps(branch, indent=2) + "\n")
     save_matrix(out / "recovered_boolean.txt", result.boolean_structure)
@@ -729,7 +739,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
     stage_generate(cfg, out, (truth, node))
     info = stage_estimate(cfg, out, truth, node, simulated_runs(cfg, truth, node),
                           workers=workers)
-    stage_reconstruct(cfg, out)
+    stage_reconstruct(cfg, out, truth, node)
     metrics = stage_evaluate(cfg, out)
     _write_manifest(cfg, out, info)
     return metrics

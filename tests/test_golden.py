@@ -140,7 +140,7 @@ def collect(directory: Path, pinned: Optional[dict] = None) -> dict:
                             if pinned is not None and name in pinned:
                                 _save_spectra(out, pinned[name]["spectra"])
                         if recovered or pinned is not None:
-                            pl.stage_reconstruct(cfg, out)
+                            pl.stage_reconstruct(cfg, out, *pl.load_saved_truth(out))
                             pl.stage_evaluate(cfg, out)
                         recovered[prefix + route] = _recovery(out, oracle=bool(prefix))
     return runs

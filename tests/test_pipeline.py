@@ -25,8 +25,9 @@ from netspectra import (
     save_matrix,
     save_node,
 )
-from netspectra.bench import benchmark, parse_sweep, write_bench_csv
+from netspectra.bench import benchmark, parse_sweep
 from netspectra.cli import main
+from netspectra import bench as bn
 from netspectra import pipeline as pl
 
 # the module; the package's name ``simulate`` is its function
@@ -96,6 +97,47 @@ def config_ini_of(sections: dict) -> str:
         for section, entries in sections.items()) + "\n"
 
 
+REFERENCE = (Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
+# configs/reference.ini at L = 2^16 (K = 31 segments)
+REFERENCE_L16 = {("simulation", "n_samples"): "65536"}
+# BASE_CONFIG, empirical and short: K = 31 segments of 512 samples, whose first
+# bin omega0 = 1.5 snaps to (0.5 would snap to the DC bin)
+SHORT = {("reconstruction", "mode"): "exact-directed", ("simulation", "n_samples"): "8192",
+         ("spectral", "segment_length"): "512", ("spectral", "omega0"): "1.5"}
+STAGES = ("generate", "simulate", "estimate", "reconstruct", "evaluate")
+
+
+def _mode(mode: str) -> dict:
+    return {("reconstruction", "mode"): mode}
+
+
+def reference_config(tmp_path, overrides=None):
+    """``configs/reference.ini`` with ``overrides``, written under ``tmp_path``."""
+    return write_config(tmp_path, overrides, text=REFERENCE)
+
+
+def commands(tmp_path, cmds, overrides=None, *flags, text=BASE_CONFIG, out="run") -> list:
+    """The exit codes of ``cmds``, each run with ``flags`` into ``tmp_path / out``.
+
+    Their config is ``text`` with ``overrides``, written to a folder of its own
+    under ``tmp_path``.
+    """
+    folder = tmp_path / f"cfg-{len(list(tmp_path.glob('cfg-*')))}"
+    folder.mkdir()
+    p = str(write_config(folder, overrides, text=text))
+    return [main([cmd, "--config", p, "--out", str(tmp_path / out), *flags]) for cmd in cmds]
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if a run is simulated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated a run of a refused config")
+
+    for name in ("simulate", "simulate_grounded"):
+        monkeypatch.setattr(pl, name, refuse)
+
+
 class TestConfig:
     def test_defaults_and_roundtrip(self, tmp_path):
         p = tmp_path / "min.ini"
@@ -128,7 +170,7 @@ class TestConfig:
             load_config(p)
 
     def test_bad_mode_rejected(self, tmp_path):
-        p = write_config(tmp_path, {("reconstruction", "mode"): "psychic"})
+        p = write_config(tmp_path, _mode("psychic"))
         with pytest.raises(ConfigError):
             load_config(p)
 
@@ -145,6 +187,10 @@ class TestConfig:
          "reference networks exist for n_nodes in"),
         (pl.NetworkSpec, "n_nodes", 1, "n_nodes must be at least 2"),
         (pl.NetworkSpec, "seed", -1, "network seed must be nonnegative"),
+        (pl.NetworkSpec, "weight_min", 2.0, "0 <= weight_min <= weight_max"),
+        (pl.NetworkSpec, "weight_min", -0.5, "0 <= weight_min <= weight_max"),
+        (pl.NetworkSpec, "edge_prob", -0.5, "edge_prob must lie in"),
+        (pl.NetworkSpec, "edge_prob", 1.5, "edge_prob must lie in"),
         (pl.NodeSpec, "preset", "scalar", "unknown node preset"),
         (pl.NodeSpec, "preset", "file", "needs a file path"),
         (pl.ReconSpec, "mode", "exact-direct", "unknown reconstruction mode"),
@@ -307,10 +353,7 @@ class TestOraclePipeline:
         # no input outside the config changes an artifact: every file of a rerun
         # of config.resolved.ini, manifest included, equals the first run's,
         # also when the first run had two workers and the rerun the default
-        empirical = {("reconstruction", "mode"): "exact-directed",
-                     ("simulation", "n_samples"): "16384",
-                     ("spectral", "segment_length"): "512",
-                     ("spectral", "omega0"): "1.5"}
+        empirical = {**SHORT, ("simulation", "n_samples"): "16384"}
         for name, overrides, workers in (("oracle", {}, 1), ("empirical", empirical, 1),
                                          ("workers", empirical, 2)):
             first, rerun = tmp_path / name, tmp_path / f"{name}-rerun"
@@ -378,23 +421,6 @@ class TestOraclePipeline:
         branch = json.loads((out3 / "undirected_branch.json").read_text())
         assert branch["flipped"] is False
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "exact-directed",
-                ("simulation", "n_samples"): "8192",
-                ("spectral", "segment_length"): "512",
-                ("spectral", "omega0"): "1.5",
-            },
-        )
-        cfg = load_config(p)
-        run_pipeline(cfg, tmp_path / "w1", workers=1)
-        run_pipeline(cfg, tmp_path / "w4", workers=4)
-        assert (tmp_path / "w1" / "recovered_weights.txt").read_bytes() == (
-            tmp_path / "w4" / "recovered_weights.txt"
-        ).read_bytes()
-
 
 class TestReconstructOnce:
     # N = 4: the full matrix and 4 grounded ones, plus one for the eigenpair S_w
@@ -430,72 +456,24 @@ class TestReconstructOnce:
 
     def test_boolean_recovers_no_s_w(self, tmp_path):
         # the Boolean route weighs nothing, even where an eigenpair would give S_w
-        p = write_config(tmp_path, {("reconstruction", "mode"): "oracle-boolean"})
+        p = write_config(tmp_path, _mode("oracle-boolean"))
         run_pipeline(load_config(p), tmp_path / "o")
         assert (tmp_path / "o" / "result.txt").read_text().splitlines()[3] == (
             "input_psd n/a (unused)")
 
 
 class TestStagedArtifacts:
-    def test_stagewise_equals_full_run(self, tmp_path):
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "exact-directed",
-                ("simulation", "n_samples"): "16384",
-                ("spectral", "segment_length"): "512",
-                ("spectral", "omega0"): "1.5",
-            },
-        )
-        out_full = tmp_path / "full"
-        assert main(["run", "--config", str(p), "--out", str(out_full)]) == 0
-        out_staged = tmp_path / "staged"
-        for cmd in ("generate", "simulate", "estimate", "reconstruct", "evaluate"):
-            assert main([cmd, "--config", str(p), "--out", str(out_staged)]) == 0
-        assert (out_full / "recovered_weights.txt").read_bytes() == (
-            out_staged / "recovered_weights.txt"
-        ).read_bytes()
-        m_full = json.loads((out_full / "metrics.json").read_text())
-        m_staged = json.loads((out_staged / "metrics.json").read_text())
-        assert m_full["f1"] == m_staged["f1"]
-
-    @pytest.mark.parametrize("omega0", ["1.5", "auto"])
-    def test_run_streams_the_staged_spectra(self, tmp_path, omega0):
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "exact-directed",
-                ("simulation", "n_samples"): "16384",
-                ("spectral", "segment_length"): "512",
-                ("spectral", "omega0"): omega0,
-            },
-        )
-        out_run, out_staged = tmp_path / "run", tmp_path / "staged"
-        assert main(["run", "--config", str(p), "--out", str(out_run), "--workers", "2"]) == 0
-        for cmd in ("generate", "simulate", "estimate", "reconstruct", "evaluate"):
-            assert main([cmd, "--config", str(p), "--out", str(out_staged)]) == 0
-        assert not (out_run / "timeseries").exists()
-        assert (out_staged / "timeseries" / "full.nsts").exists()
-        names = ["recovered_weights.txt"] + [
-            f"spectra/{f.name}" for f in sorted((out_staged / "spectra").glob("cpsd_*.txt"))
-        ]
-        assert len(names) == 1 + 1 + 4
-        for name in names:
-            assert (out_run / name).read_bytes() == (out_staged / name).read_bytes(), name
-
-    SHORT = {("simulation", "n_samples"): "8192", ("spectral", "segment_length"): "512",
-             ("spectral", "omega0"): "1.5", ("reconstruction", "threshold"): "gap"}
     # overrides of BASE_CONFIG, or of configs/reference.ini for "reference"
     EVALUATED = {
         "reference": {("simulation", "n_samples"): "32768"},
         "oracle-boolean": {("reconstruction", "mode"): "oracle-boolean",
                            ("simulation", "n_samples"): "8192"},
         # the node's dynamics read from a file (saved by the test)
-        "node-file": {**SHORT, ("node", "preset"): "file",
-                      ("reconstruction", "mode"): "exact-directed"},
+        "node-file": {**SHORT, ("reconstruction", "threshold"): "gap", ("node", "preset"): "file"},
         # no eigenpair: the route has no S_w, so it writes no weights and is scored on
         # its Boolean structure
-        "nonreciprocal-without-eigenpair": {**SHORT, ("network", "family"): "nonreciprocal-ring",
+        "nonreciprocal-without-eigenpair": {**SHORT, ("reconstruction", "threshold"): "gap",
+                                            ("network", "family"): "nonreciprocal-ring",
                                             ("reconstruction", "mode"): "nonreciprocal"},
         "random-laplacian": {("network", "graph"): "random", ("network", "edge_prob"): "0.5",
                              ("simulation", "n_samples"): "8192"},
@@ -507,13 +485,10 @@ class TestStagedArtifacts:
         if ("node", "preset") in overrides:
             save_node(tmp_path / "node.txt", NodeDynamics.scalar_pole(-2.0))
             overrides[("node", "file")] = str(tmp_path / "node.txt")
-        text = BASE_CONFIG if config != "reference" else (
-            Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
-        p = write_config(tmp_path, overrides, text=text)
+        text = BASE_CONFIG if config != "reference" else REFERENCE
         out_run, out_staged = tmp_path / "run", tmp_path / "staged"
-        assert main(["run", "--config", str(p), "--out", str(out_run)]) == 0
-        for cmd in ("generate", "simulate", "estimate", "reconstruct", "evaluate"):
-            assert main([cmd, "--config", str(p), "--out", str(out_staged)]) == 0
+        assert commands(tmp_path, ["run"], overrides, text=text) == [0]
+        assert commands(tmp_path, STAGES, overrides, text=text, out="staged") == [0] * 5
         metrics = (out_run / "metrics.json").read_text()
         assert (out_staged / "metrics.json").read_text() == metrics
         assert {"omega0", "threshold_used", "input_psd_estimate"} <= json.loads(metrics).keys()
@@ -529,25 +504,23 @@ class TestStagedArtifacts:
                                             eigenpair=(0.8, np.ones(4))),
     }
 
-    @pytest.mark.parametrize("mode", pl.MODES)
-    def test_staged_files_equal_the_run_files(self, tmp_path, mode):
-        overrides = {("reconstruction", "mode"): mode,
-                     ("simulation", "n_samples"): "8192",
-                     ("spectral", "segment_length"): "512",
-                     ("spectral", "omega0"): "1.5"}
+    @pytest.mark.parametrize("mode, omega0, workers", [
+        *[pytest.param(mode, "1.5", "1", id=mode) for mode in pl.MODES],
+        # auto passes over the full run once more, to choose the bin
+        pytest.param("exact-directed", "auto", "2", id="auto-run-workers-2"),
+        pytest.param("exact-directed", "1.5", "2", id="run-workers-2"),
+    ])
+    def test_staged_files_equal_the_run_files(self, tmp_path, mode, omega0, workers):
+        # every file but run's own two, byte for byte, whatever run's --workers
+        overrides = {**SHORT, ("reconstruction", "mode"): mode, ("spectral", "omega0"): omega0}
         network = self.ROUTE_NETWORKS.get(mode.replace("oracle-", ""))
         if network is not None:
             save_matrix(tmp_path / "net.txt", network)
             overrides.update({("network", "source"): "file",
                               ("network", "file"): str(tmp_path / "net.txt")})
-        p = write_config(tmp_path, overrides)
         out_run, out_staged = tmp_path / "run", tmp_path / "staged"
-        code = main(["run", "--config", str(p), "--out", str(out_run)])
-        for cmd in ("generate", "simulate", "estimate", "reconstruct", "evaluate"):
-            staged_code = main([cmd, "--config", str(p), "--out", str(out_staged)])
-            if staged_code:
-                break
-        assert staged_code == code == 0
+        assert commands(tmp_path, ["run"], overrides, "--workers", workers) == [0]
+        assert commands(tmp_path, STAGES, overrides, out="staged") == [0] * 5
         ran, staged = ({str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()}
                        for out in (out_run, out_staged))
         timeseries = {name for name in staged if name.startswith("timeseries/")}
@@ -555,6 +528,12 @@ class TestStagedArtifacts:
         assert ran - {"manifest.json", "config.resolved.ini"} == staged - timeseries
         for name in staged - timeseries:
             assert (out_run / name).read_bytes() == (out_staged / name).read_bytes(), name
+        # one CPSD matrix per run, each with its stderr when estimated
+        grounded = range(1, 5) if mode.removeprefix("oracle-") in pl.GROUNDING_ROUTES else []
+        assert sorted(name for name in staged if name.startswith("spectra/cpsd_")) == [
+            "spectra/cpsd_full.txt", *[f"spectra/cpsd_grounded_{j}.txt" for j in grounded]]
+        info = json.loads((out_staged / "spectra" / "estimate.json").read_text())
+        assert (info["stderr"] is None) == mode.startswith("oracle-")
 
     def test_run_holds_no_whole_record(self, tmp_path):
         # a fixed omega0, and auto, which passes over the full run once more
@@ -600,20 +579,11 @@ class TestStagedArtifacts:
             assert peak < record_bytes / 4, (cmd, peak / record_bytes)
 
     def test_staged_workers_give_identical_artifacts(self, tmp_path):
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "exact-directed",
-                ("simulation", "n_samples"): "16384",
-                ("spectral", "segment_length"): "512",
-                ("spectral", "omega0"): "1.5",
-            },
-        )
+        overrides = {**SHORT, ("simulation", "n_samples"): "16384"}
+        for w in (1, 2):
+            assert commands(tmp_path, STAGES[:4], overrides, "--workers", str(w),
+                            out=f"w{w}") == [0] * 4
         outs = {w: tmp_path / f"w{w}" for w in (1, 2)}
-        for w, out in outs.items():
-            for cmd in ("generate", "simulate", "estimate", "reconstruct"):
-                assert main([cmd, "--config", str(p), "--out", str(out),
-                             "--workers", str(w)]) == 0
         names = sorted(
             str(f.relative_to(outs[1]))
             for pattern in ("timeseries/*.nsts", "spectra/*", "recovered_weights.txt")
@@ -631,65 +601,17 @@ class TestStagedArtifacts:
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(pl, name, counted)
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "exact-directed",
-                ("simulation", "n_samples"): "8192",
-                ("spectral", "segment_length"): "512",
-                ("spectral", "omega0"): "1.5",
-            },
-        )
-        out = tmp_path / "count"
-        for cmd in ("generate", "simulate", "estimate"):
-            assert main([cmd, "--config", str(p), "--out", str(out), "--workers", "2"]) == 0
-        n = load_config(p).network.n_nodes
-        assert calls == {"save_timeseries": n + 1, "load_timeseries": n + 1}
-
-    @pytest.mark.parametrize("omega0", ["1.5", "auto"])
-    def test_saved_spectra_equal_streamed(self, tmp_path, omega0):
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "exact-directed",
-                ("simulation", "n_samples"): "16384",
-                ("spectral", "segment_length"): "512",
-                ("spectral", "omega0"): omega0,
-            },
-        )
-        cfg = load_config(p)
-        staged, streamed = tmp_path / "staged", tmp_path / "run"
-        for cmd in ("generate", "simulate", "estimate"):
-            assert main([cmd, "--config", str(p), "--out", str(staged)]) == 0
-        g, node = pl.stage_generate(cfg, streamed)
-        pl.stage_estimate(cfg, streamed, g, node, pl.simulated_runs(cfg, g, node))
-        s_full, grounded = pl.load_saved_spectra(cfg, staged, g.n_nodes)
-        r_full, r_grounded = pl.load_saved_spectra(cfg, streamed, g.n_nodes)
-        assert [j for j, _ in grounded] == [j for j, _ in r_grounded] == [1, 2, 3, 4]
-        for a, b in [(s_full, r_full)] + [(x, y) for (_, x), (_, y) in zip(grounded, r_grounded)]:
-            assert np.array_equal(a.values, b.values)
-            assert (a.omega, a.source, a.segment_count, a.stderr) == (
-                b.omega, b.source, b.segment_count, b.stderr)
-            assert a.stderr is not None
-
-    SAVED = {("reconstruction", "mode"): "exact-directed",
-             ("simulation", "n_samples"): "8192",
-             ("spectral", "segment_length"): "512",
-             ("spectral", "omega0"): "1.5"}
-
-    def _simulated(self, tmp_path):
-        p, out = write_config(tmp_path, self.SAVED), tmp_path / "runs"
-        for cmd in ("generate", "simulate"):
-            assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
-        return p, out
+        assert commands(tmp_path, STAGES[:3], SHORT, "--workers", "2") == [0] * 3
+        assert calls == {"save_timeseries": 4 + 1, "load_timeseries": 4 + 1}
 
     def test_estimate_ignores_a_stray_timeseries_file(self, tmp_path):
-        p, out = self._simulated(tmp_path)
-        (out / "timeseries" / "grounded_x.nsts").write_bytes(b"")
-        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 0
+        assert commands(tmp_path, ["generate", "simulate"], SHORT) == [0, 0]
+        (tmp_path / "run" / "timeseries" / "grounded_x.nsts").write_bytes(b"")
+        assert commands(tmp_path, ["estimate"], SHORT) == [0]
 
     def test_non_grounding_mode_estimates_only_the_full_run(self, tmp_path, monkeypatch):
-        _, out = self._simulated(tmp_path)  # leaves the grounded runs behind
+        # simulate leaves the grounded runs behind
+        assert commands(tmp_path, ["generate", "simulate"], SHORT) == [0, 0]
         loads = []
 
         def counted(path, *args, _fn=pl.load_timeseries):
@@ -697,31 +619,29 @@ class TestStagedArtifacts:
             return _fn(path, *args)
 
         monkeypatch.setattr(pl, "load_timeseries", counted)
-        p = write_config(tmp_path, {**self.SAVED, ("reconstruction", "mode"): "nonreciprocal"})
-        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 0
+        nonreciprocal = {**SHORT, ("reconstruction", "mode"): "nonreciprocal"}
+        assert commands(tmp_path, ["estimate"], nonreciprocal) == [0]
         assert loads == ["full.nsts"]
-        assert sorted(f.name for f in (out / "spectra").iterdir()) == [
+        assert sorted(f.name for f in (tmp_path / "run" / "spectra").iterdir()) == [
             "cpsd_full.txt", "estimate.json"]
-        assert main(["reconstruct", "--config", str(p), "--out", str(out)]) == 0
+        assert commands(tmp_path, ["reconstruct"], nonreciprocal) == [0]
 
     @pytest.mark.parametrize("key, value", [("dt", "0.005"), ("n_samples", "4096")])
     def test_estimate_refuses_a_run_of_another_config(self, tmp_path, capsys, key, value):
         # the header of each saved run must be the run the config describes
-        _, out = self._simulated(tmp_path)
-        p = write_config(tmp_path, {**self.SAVED, ("simulation", key): value})
-        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 2
+        assert commands(tmp_path, ["generate", "simulate"], SHORT) == [0, 0]
+        assert commands(tmp_path, ["estimate"], {**SHORT, ("simulation", key): value}) == [2]
         assert "not the run's" in capsys.readouterr().err
-        assert not (out / "spectra").exists()
+        assert not (tmp_path / "run" / "spectra").exists()
 
     def test_estimate_needs_every_grounded_run(self, tmp_path, capsys):
-        p, out = self._simulated(tmp_path)
-        (out / "timeseries" / "grounded_3.nsts").unlink()
-        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 2
+        assert commands(tmp_path, ["generate", "simulate"], SHORT) == [0, 0]
+        (tmp_path / "run" / "timeseries" / "grounded_3.nsts").unlink()
+        assert commands(tmp_path, ["estimate"], SHORT) == [2]
         assert "grounded_3.nsts" in capsys.readouterr().err
 
     def test_estimate_requires_saved_runs(self, tmp_path):
-        p = write_config(tmp_path)
-        assert main(["estimate", "--config", str(p), "--out", str(tmp_path / "e")]) == 2
+        assert commands(tmp_path, ["estimate"]) == [2]
 
     @pytest.mark.parametrize("mode, omega0", [("exact-directed", "0.5"),
                                               ("oracle-exact-directed", "0.5"),
@@ -731,19 +651,10 @@ class TestStagedArtifacts:
         # reference spectral settings: 0.5 snaps to bin 3 of 4096 samples at dt = 0.01,
         # 0.46019, a snap distance of 0.0398; the oracle takes 0.5 exactly; under
         # auto no frequency was requested, so there is no distance to report
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): mode,
-                ("simulation", "n_samples"): "20480",
-                ("spectral", "segment_length"): "4096",
-                ("spectral", "omega0"): omega0,
-            },
-        )
-        out = tmp_path / "snap"
-        for cmd in ("generate", "simulate", "estimate"):
-            assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
-        info = json.loads((out / "spectra" / "estimate.json").read_text())
+        overrides = {("reconstruction", "mode"): mode, ("simulation", "n_samples"): "20480",
+                     ("spectral", "segment_length"): "4096", ("spectral", "omega0"): omega0}
+        assert commands(tmp_path, STAGES[:3], overrides) == [0] * 3
+        info = json.loads((tmp_path / "run" / "spectra" / "estimate.json").read_text())
         if omega0 == "auto":
             assert info["omega0_requested"] == "auto"
             assert info["snap_distance"] is None
@@ -757,38 +668,36 @@ class TestStagedArtifacts:
         assert (info["snap_distance"] == 0.0) == mode.startswith("oracle-")
 
     def test_truncated_timeseries_exit_code(self, tmp_path):
-        p = write_config(tmp_path, {("reconstruction", "mode"): "exact-directed"})
-        out = tmp_path / "cut"
-        for cmd in ("generate", "simulate"):
-            assert main([cmd, "--config", str(p), "--out", str(out)]) == 0
-        full = out / "timeseries" / "full.nsts"
+        exact = _mode("exact-directed")
+        assert commands(tmp_path, ["generate", "simulate"], exact) == [0, 0]
+        full = tmp_path / "run" / "timeseries" / "full.nsts"
         full.write_bytes(full.read_bytes()[:-8])
-        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 2
+        assert commands(tmp_path, ["estimate"], exact) == [2]
 
     def test_estimate_refuses_a_channel_major_record(self, tmp_path, capsys):
         # NSTS0001, the format before, held each channel's samples in turn
-        p, out = self._simulated(tmp_path)
-        full = out / "timeseries" / "full.nsts"
+        assert commands(tmp_path, ["generate", "simulate"], SHORT) == [0, 0]
+        full = tmp_path / "run" / "timeseries" / "full.nsts"
         labels = sim.channel_labels(4)
         data = sim.load_timeseries(full, labels, 8192, 0.01).data
         full.write_bytes(b"NSTS0001" + struct.pack("<IQd4I", 4, 8192, 0.01, *labels)
                          + data.astype("<f8").tobytes())
         capsys.readouterr()
-        assert main(["estimate", "--config", str(p), "--out", str(out)]) == 2
+        assert commands(tmp_path, ["estimate"], SHORT) == [2]
         assert "NSTS0001" in capsys.readouterr().err
-        assert not (out / "spectra").exists()
+        assert not (tmp_path / "run" / "spectra").exists()
 
     def test_run_reads_the_run_directory_after_estimating(self, tmp_path, monkeypatch):
-        # reconstruct and evaluate load their inputs as the staged commands do
+        # reconstruct loads its spectra and evaluate its inputs as the staged commands
+        # do; reconstruct takes the truth run admitted
         calls = {"load_saved_truth": 0, "load_saved_spectra": 0}
         for name in calls:
             def counted(*args, _fn=getattr(pl, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(pl, name, counted)
-        p = write_config(tmp_path, self.SAVED)
-        run_pipeline(load_config(p), tmp_path / "run")
-        assert calls == {"load_saved_truth": 2, "load_saved_spectra": 1}
+        run_pipeline(load_config(write_config(tmp_path, SHORT)), tmp_path / "run")
+        assert calls == {"load_saved_truth": 1, "load_saved_spectra": 1}
 
     def test_seed_override(self, tmp_path):
         p = write_config(
@@ -811,19 +720,12 @@ class TestNonreciprocalGap:
                                   eigenpair=(0.8, np.ones(6)))
         net = tmp_path / "ring.txt"
         save_matrix(net, ring)
-        text = (Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
-        p = write_config(tmp_path, {("network", "source"): "file",
-                                    ("network", "file"): str(net),
-                                    ("reconstruction", "mode"): "nonreciprocal"}, text=text)
+        p = reference_config(tmp_path, {("network", "source"): "file",
+                                        ("network", "file"): str(net),
+                                        ("reconstruction", "mode"): "nonreciprocal"})
         metrics = run_pipeline(load_config(p), tmp_path / "nr")
         assert metrics["threshold_used"] == pytest.approx(36.3, abs=0.05)
         assert metrics["f1"] == 1.0
-
-
-def reference_config(tmp_path, overrides=None):
-    """``configs/reference.ini`` with ``overrides``, written under ``tmp_path``."""
-    text = (Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
-    return write_config(tmp_path, overrides, text=text)
 
 
 def worst_relative_edge_error(truth, recovered) -> float:
@@ -876,7 +778,7 @@ class TestEmpiricalRecovery:
         assert abs(metrics["input_psd_estimate"] / model - 1.0) <= 0.10
 
     def test_oracle_undirected_rejects_a_directed_network(self, tmp_path, capsys):
-        p = reference_config(tmp_path, {("reconstruction", "mode"): "oracle-undirected"})
+        p = reference_config(tmp_path, _mode("oracle-undirected"))
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
         assert "inconsistent with a symmetric network" in capsys.readouterr().err
 
@@ -887,7 +789,7 @@ class TestUndirectedSymmetry:
         # this run once exited 0 with F1 0.667: the route assumed the symmetry
         # it now tests, and the reference network's estimate reads T near 300
         # on 15 degrees of freedom
-        p = reference_config(tmp_path, {("reconstruction", "mode"): "undirected"})
+        p = reference_config(tmp_path, _mode("undirected"))
         out = tmp_path / "und"
         assert main(["run", "--config", str(p), "--out", str(out),
                      "--seed-override", str(seed)]) == 3
@@ -940,17 +842,10 @@ class TestUndirectedSymmetry:
 class TestEvaluateScoresTheWrittenRecovery:
     """``evaluate`` scores the recovery ``result.txt`` names, its edges as written."""
 
-    SHORT = {("simulation", "n_samples"): str(2**16)}
     # the grounding statistic reads about 25 / S_w = 2500 on the reference's edges, whose
     # weights are 5: evaluate once took tau = 100 as its edge tolerance too, and read
     # F1 1.0 with no true edge
     FIXED_TAU = {("reconstruction", "threshold"): "fixed", ("reconstruction", "tau"): "100"}
-
-    def _config(self, tmp_path, name, mode, overrides=None):
-        """``configs/reference.ini`` at L = 2^16 in ``mode``, written under ``tmp_path / name``."""
-        (tmp_path / name).mkdir()
-        overrides = {**self.SHORT, **(overrides or {}), ("reconstruction", "mode"): mode}
-        return str(reference_config(tmp_path / name, overrides))
 
     @pytest.mark.parametrize("mode, overrides", [(mode, {}) for mode in pl.MODES]
                              + [("exact-directed", FIXED_TAU)],
@@ -962,8 +857,9 @@ class TestEvaluateScoresTheWrittenRecovery:
             overrides = {("network", "source"): "file",
                          ("network", "file"): str(tmp_path / "ring.txt")}
         out = tmp_path / "run"
-        p = self._config(tmp_path, "cfg", mode, overrides)
-        assert main(["run", "--config", p, "--out", str(out)]) == 0
+        assert commands(tmp_path, ["run"], {**REFERENCE_L16, **overrides,
+                                            ("reconstruction", "mode"): mode},
+                        text=REFERENCE) == [0]
         metrics = json.loads((out / "metrics.json").read_text())
         off = ~np.eye(6, dtype=bool)
         recovered, truth = (load_matrix(out / name).weights[off]
@@ -974,83 +870,83 @@ class TestEvaluateScoresTheWrittenRecovery:
             assert (metrics["n_true_edges"], metrics["n_recovered_edges"]) == (3, 14)
             assert metrics["f1"] == pytest.approx(6 / 17)
 
-    def test_a_route_switch_scores_no_stale_weights(self, tmp_path):
-        # a boolean recovery in an exact-directed run's directory was once scored
-        # on the weights left there: max_abs_error 5.0, rms_error 4.10
-        out = ["--out", str(tmp_path / "run")]
-        assert main(["run", "--config", self._config(tmp_path, "a", "exact-directed"), *out]) == 0
-        boolean = self._config(tmp_path, "b", "boolean")
-        for cmd in ("reconstruct", "evaluate"):
-            assert main([cmd, "--config", boolean, *out]) == 0
-        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
-        assert metrics["max_abs_error"] is None and metrics["rms_error"] is None
-        assert not (tmp_path / "run" / "recovered_weights.txt").exists()
 
-    def test_a_failed_reconstruction_leaves_nothing_to_evaluate(self, tmp_path, capsys):
-        # the directed reference network fails the undirected symmetry test
-        # (exit 3); evaluate once scored the earlier run's recovery and exited 0
-        out = ["--out", str(tmp_path / "run")]
-        assert main(["run", "--config", self._config(tmp_path, "a", "exact-directed"), *out]) == 0
-        undirected = self._config(tmp_path, "b", "undirected")
-        assert main(["run", "--config", undirected, *out]) == 3
-        capsys.readouterr()
-        assert main(["evaluate", "--config", undirected, *out]) == 2
-        assert "run reconstruct first" in capsys.readouterr().err
-        left = {path.name for path in (tmp_path / "run").iterdir()}
-        assert left == {"network.txt", "node.txt", "spectra"}
-
-
-class TestNoRunsOfAnotherConfig:
-    """``simulate`` replaces ``timeseries/`` and ``estimate`` replaces ``spectra/``, so no later
-    stage pairs the runs of one config or seed with another's."""
-
-    SHORT = {("simulation", "n_samples"): str(2**16)}
-
-    def _staged(self, tmp_path, mode, seed, cmds):
-        """Run the staged ``cmds`` of the L = 2^16 reference in ``mode``, seed ``seed``."""
-        cfg = tmp_path / f"{mode}-{seed}"
-        cfg.mkdir(exist_ok=True)
-        p = str(reference_config(cfg, {**self.SHORT, ("reconstruction", "mode"): mode}))
-        return [main([cmd, "--config", p, "--out", str(tmp_path / "run"),
-                      "--seed-override", str(seed)]) for cmd in cmds]
-
-    def test_simulate_leaves_no_grounded_run_of_another_seed(self, tmp_path):
-        # these steps once all exited 0 and scored F1 0.429 from the seed-2 full
-        # record and the seed-1 grounded records
-        assert self._staged(tmp_path, "exact-directed", 1, ["generate", "simulate"]) == [0, 0]
-        assert self._staged(tmp_path, "nonreciprocal", 2, ["simulate"]) == [0]
-        assert sorted(f.name for f in (tmp_path / "run" / "timeseries").iterdir()) == ["full.nsts"]
-        assert self._staged(tmp_path, "boolean", 2, ["estimate", "reconstruct", "evaluate"]) == [
-            2, 2, 2]
-
-    def test_estimate_leaves_no_grounded_spectra_of_another_seed(self, tmp_path):
-        # a run's grounded spectra were once paired with a later estimate's full one
-        p = reference_config(tmp_path, {**self.SHORT, ("reconstruction", "mode"): "exact-directed"})
-        assert main(["run", "--config", str(p), "--out", str(tmp_path / "run"),
-                     "--seed-override", "1"]) == 0
-        assert self._staged(tmp_path, "nonreciprocal", 2, ["simulate", "estimate"]) == [0, 0]
-        assert sorted(f.name for f in (tmp_path / "run" / "spectra").iterdir()) == [
-            "cpsd_full.txt", "estimate.json"]
-        assert self._staged(tmp_path, "boolean", 2, ["reconstruct"]) == [2]
-
-    def test_an_oracle_simulate_removes_the_saved_runs(self, tmp_path):
-        assert self._staged(tmp_path, "exact-directed", 1, ["generate", "simulate"]) == [0, 0]
-        assert self._staged(tmp_path, "oracle-boolean", 1, ["simulate"]) == [0]
-        assert not (tmp_path / "run" / "timeseries").exists()
-        assert self._staged(tmp_path, "boolean", 1, ["estimate"]) == [2]
+# Sequences of commands into one run directory that once read or scored another
+# config's artifacts: (config text, its overrides, steps, what is left).  A step is
+# (overrides, --seed-override or None, commands, exit codes).  What is left maps a
+# folder of the run directory ("." for itself) to the names in it, "metrics.json"
+# to values it holds or to the step whose metrics.json it still is, and "err" to
+# what the last step printed.
+_SEQUENCES = {
+    # once all exited 0 and scored F1 0.429 from the seed-2 full record and the
+    # seed-1 grounded records
+    "simulate-leaves-no-grounded-run-of-another-seed": (REFERENCE, REFERENCE_L16, [
+        ({}, 1, ["generate", "simulate"], [0, 0]),
+        (_mode("nonreciprocal"), 2, ["simulate"], [0]),
+        (_mode("boolean"), 2, ["estimate", "reconstruct", "evaluate"], [2, 2, 2]),
+    ], {"timeseries": ["full.nsts"]}),
+    # a run's grounded spectra were once paired with a later estimate's full one
+    "estimate-leaves-no-grounded-spectra-of-another-seed": (REFERENCE, REFERENCE_L16, [
+        ({}, 1, ["run"], [0]),
+        (_mode("nonreciprocal"), 2, ["simulate", "estimate"], [0, 0]),
+        (_mode("boolean"), 2, ["reconstruct"], [2]),
+    ], {"spectra": ["cpsd_full.txt", "estimate.json"]}),
+    "an-oracle-simulate-removes-the-saved-runs": (REFERENCE, REFERENCE_L16, [
+        ({}, 1, ["generate", "simulate"], [0, 0]),
+        (_mode("oracle-boolean"), 1, ["simulate"], [0]),
+        (_mode("boolean"), 1, ["estimate"], [2]),
+    ], {".": ["network.txt", "node.txt"]}),
+    # evaluate once scored the seed-1 run's recovery here
+    "a-failed-reconstruct-after-a-run-leaves-nothing-to-evaluate": (BASE_CONFIG, SHORT, [
+        ({}, 1, ["run"], [0]),
+        (_mode("nonreciprocal"), 2, ["simulate", "estimate"], [0, 0]),
+        (_mode("boolean"), 2, ["reconstruct", "evaluate"], [2, 2]),
+    ], {".": ["network.txt", "node.txt", "spectra", "timeseries"]}),
+    # evaluate once scored the seed-1 recovery against the seed-2 network
+    "generate-leaves-no-recovery-of-the-old-network": (BASE_CONFIG, SHORT, [
+        ({}, 1, STAGES, [0] * 5),
+        ({}, 2, ["generate"], [0]),
+        ({}, 2, ["reconstruct", "evaluate"], [2, 2]),
+    ], {".": ["network.txt", "node.txt"]}),
+    # a later staged estimate once read the seed-1 records beside the seed-2 run
+    "run-leaves-no-staged-records": (BASE_CONFIG, SHORT, [
+        ({}, 1, ["generate", "simulate"], [0, 0]),
+        ({}, 2, ["run"], [0]),
+        ({}, 2, ["estimate", "reconstruct", "evaluate"], [2, 0, 0]),
+    ], {".": ["metrics.json", "network.txt", "node.txt", "recovered_boolean.txt",
+              "recovered_weights.txt", "result.txt", "spectra"], "metrics.json": 1}),
+    # the records are 8192 samples long; an estimate of 16384 fails on their header,
+    # and reconstruct and evaluate once scored the spectra it left
+    "a-failed-estimate-leaves-no-spectra": (BASE_CONFIG, SHORT, [
+        ({}, 1, STAGES, [0] * 5),
+        ({("simulation", "n_samples"): "16384"}, 1, ["estimate", "reconstruct", "evaluate"],
+         [2, 2, 2]),
+    ], {".": ["network.txt", "node.txt", "timeseries"]}),
+    # a boolean recovery in an exact-directed run's directory was once scored on the
+    # weights left there: max_abs_error 5.0, rms_error 4.10
+    "a-route-switch-scores-no-stale-weights": (REFERENCE, REFERENCE_L16, [
+        ({}, None, ["run"], [0]),
+        (_mode("boolean"), None, ["reconstruct", "evaluate"], [0, 0]),
+    ], {".": ["metrics.json", "network.txt", "node.txt", "recovered_boolean.txt", "result.txt",
+              "spectra"], "metrics.json": {"max_abs_error": None, "rms_error": None}}),
+    # the directed reference network fails the undirected symmetry test (exit 3);
+    # evaluate once scored the earlier run's recovery and exited 0
+    "a-failed-reconstruction-leaves-nothing-to-evaluate": (REFERENCE, REFERENCE_L16, [
+        ({}, None, ["run"], [0]),
+        (_mode("undirected"), None, ["run"], [3]),
+        (_mode("undirected"), None, ["evaluate"], [2]),
+    ], {".": ["network.txt", "node.txt", "spectra"], "err": "run reconstruct first"}),
+}
 
 
 class TestArtifactTable:
     """Once its refusals pass, a stage replaces its own files and every later stage's
     (``pl._ARTIFACTS``), and no file the table does not list."""
 
-    STAGES = ("generate", "simulate", "estimate", "reconstruct", "evaluate")
-    B = {("reconstruction", "mode"): "exact-directed", ("simulation", "n_samples"): "8192",
-         ("spectral", "segment_length"): "512", ("spectral", "omega0"): "1.5"}
-    # config A: config B with one change, and the flags A's commands take
+    # config A: SHORT with one change, and the flags A's commands take
     CHANGES = {
         "seed": ({}, ["--seed-override", "2"]),
-        "mode": ({("reconstruction", "mode"): "boolean"}, []),
+        "mode": (_mode("boolean"), []),
         "n_samples": ({("simulation", "n_samples"): "16384"}, []),
     }
     UNLISTED = ("exp.ini", "notes.txt", "bench.csv", "extra/keep.txt")
@@ -1059,36 +955,26 @@ class TestArtifactTable:
     def _files(out) -> dict:
         return {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*") if f.is_file()}
 
-    def _configs(self, tmp_path, change):
-        """The config files of B and A, and A's flags."""
-        overrides, flags = self.CHANGES[change]
-        for name in ("a", "b"):
-            (tmp_path / name).mkdir()
-        return (str(write_config(tmp_path / "b", self.B)),
-                str(write_config(tmp_path / "a", {**self.B, **overrides})), flags)
-
     @pytest.mark.parametrize("change", list(CHANGES))
     @pytest.mark.parametrize("stage", STAGES)
     def test_a_stage_leaves_what_it_would_after_the_earlier_stages_alone(
             self, tmp_path, stage, change):
-        # A's stage over B's complete staged run must leave the directory it leaves
-        # after B's earlier stages alone: none of B's files from this stage on
-        b, a, flags = self._configs(tmp_path, change)
-        over, fresh = ["--out", str(tmp_path / "over")], ["--out", str(tmp_path / "fresh")]
-        assert [main([cmd, "--config", b, *over]) for cmd in self.STAGES] == [0] * 5
-        earlier = self.STAGES[:self.STAGES.index(stage)]
-        assert [main([cmd, "--config", b, *fresh]) for cmd in earlier] == [0] * len(earlier)
-        code = main([stage, "--config", a, *over, *flags])
-        assert code == main([stage, "--config", a, *fresh, *flags])
+        # A's stage over SHORT's complete staged run must leave the directory it leaves
+        # after SHORT's earlier stages alone: none of SHORT's files from this stage on
+        overrides, flags = self.CHANGES[change]
+        a, earlier = {**SHORT, **overrides}, STAGES[:STAGES.index(stage)]
+        assert commands(tmp_path, STAGES, SHORT, out="over") == [0] * 5
+        assert commands(tmp_path, earlier, SHORT, out="fresh") == [0] * len(earlier)
+        assert commands(tmp_path, [stage], a, *flags, out="over") == commands(
+            tmp_path, [stage], a, *flags, out="fresh")
         assert self._files(tmp_path / "over") == self._files(tmp_path / "fresh")
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_only_run_leaves_a_manifest(self, tmp_path, stage):
-        b, a, flags = self._configs(tmp_path, "seed")
         out = tmp_path / "run"
-        assert main(["run", "--config", b, "--out", str(out)]) == 0
+        assert commands(tmp_path, ["run"], SHORT) == [0]
         ran = self._files(out)
-        code = main([stage, "--config", a, "--out", str(out), *flags])
+        code, = commands(tmp_path, [stage], SHORT, "--seed-override", "2")
         if stage == "estimate":  # run writes no timeseries/: estimate refuses, removing nothing
             assert code == 2 and self._files(out) == ran
         else:
@@ -1099,11 +985,11 @@ class TestArtifactTable:
     def test_unlisted_files_survive_every_command(self, tmp_path):
         out = tmp_path / "run"
         (out / "extra").mkdir(parents=True)
-        p = str(write_config(out, self.B))  # exp.ini, in the run directory
+        p = str(write_config(out, SHORT))  # exp.ini, in the run directory
         for name in self.UNLISTED[1:]:
             (out / name).write_text(f"{name}\n")
         kept = {name: (out / name).read_bytes() for name in self.UNLISTED}
-        for cmd in ("run", *self.STAGES, "run"):
+        for cmd in ("run", *STAGES, "run"):
             assert main([cmd, "--config", p, "--out", str(out)]) == 0
             assert {name: (out / name).read_bytes() for name in self.UNLISTED} == kept, cmd
 
@@ -1131,13 +1017,12 @@ class TestArtifactTable:
 
     def test_a_linked_directory_goes_but_not_what_it_points_to(self, tmp_path):
         # rmtree refuses a link, which once made simulate exit with a traceback
-        p, out = str(write_config(tmp_path, self.B)), tmp_path / "run"
         (tmp_path / "store").mkdir()
         (tmp_path / "store" / "full.nsts").write_text("kept\n")
-        assert main(["generate", "--config", p, "--out", str(out)]) == 0
-        (out / "timeseries").symlink_to(tmp_path / "store", target_is_directory=True)
-        assert main(["simulate", "--config", p, "--out", str(out)]) == 0
-        assert not (out / "timeseries").is_symlink()
+        assert commands(tmp_path, ["generate"], SHORT) == [0]
+        (tmp_path / "run" / "timeseries").symlink_to(tmp_path / "store", target_is_directory=True)
+        assert commands(tmp_path, ["simulate"], SHORT) == [0]
+        assert not (tmp_path / "run" / "timeseries").is_symlink()
         assert (tmp_path / "store" / "full.nsts").read_text() == "kept\n"
 
     @pytest.mark.parametrize("removed, cmd, stage", [
@@ -1149,60 +1034,31 @@ class TestArtifactTable:
     ])
     def test_a_missing_input_names_the_stage_that_writes_it(self, tmp_path, capsys, removed,
                                                            cmd, stage):
-        p, out = str(write_config(tmp_path, self.B)), tmp_path / "run"
-        assert [main([c, "--config", p, "--out", str(out)]) for c in self.STAGES] == [0] * 5
-        (out / removed).unlink()
+        assert commands(tmp_path, STAGES, SHORT) == [0] * 5
+        (tmp_path / "run" / removed).unlink()
         capsys.readouterr()
-        assert main([cmd, "--config", p, "--out", str(out)]) == 2
+        assert commands(tmp_path, [cmd], SHORT) == [2]
         assert f"; run {stage} first" in capsys.readouterr().err
 
-
-class TestNoStaleArtifacts:
-    """Sequences that once scored or read another config's artifacts."""
-
-    SHORT = {("reconstruction", "mode"): "exact-directed", ("simulation", "n_samples"): "8192",
-             ("spectral", "segment_length"): "512", ("spectral", "omega0"): "1.5"}
-
-    def _main(self, tmp_path, cmds, overrides=None, seed=1):
-        """Exit codes of ``cmds`` on the short config with ``overrides``, at ``seed``."""
-        cfg = tmp_path / f"cfg-{len(list(tmp_path.glob('cfg-*')))}"
-        cfg.mkdir()
-        p = str(write_config(cfg, {**self.SHORT, **(overrides or {})}))
-        return [main([cmd, "--config", p, "--out", str(tmp_path / "run"),
-                      "--seed-override", str(seed)]) for cmd in cmds]
-
-    def test_a_failed_reconstruct_after_a_run_leaves_nothing_to_evaluate(self, tmp_path):
-        # evaluate once scored the seed-1 run's recovery here
-        assert self._main(tmp_path, ["run"]) == [0]
-        nonreciprocal = {("reconstruction", "mode"): "nonreciprocal"}
-        assert self._main(tmp_path, ["simulate", "estimate"], nonreciprocal, seed=2) == [0, 0]
-        boolean = {("reconstruction", "mode"): "boolean"}
-        assert self._main(tmp_path, ["reconstruct", "evaluate"], boolean, seed=2) == [2, 2]
-        assert not (tmp_path / "run" / "manifest.json").exists()
-
-    def test_generate_leaves_no_recovery_of_the_old_network(self, tmp_path):
-        # evaluate once scored the seed-1 recovery against the seed-2 network
-        assert self._main(tmp_path, TestArtifactTable.STAGES) == [0] * 5
-        assert self._main(tmp_path, ["generate"], seed=2) == [0]
-        assert self._main(tmp_path, ["reconstruct", "evaluate"], seed=2) == [2, 2]
-
-    def test_run_leaves_no_staged_records(self, tmp_path):
-        # a later staged estimate once read the seed-1 records beside the seed-2 run
-        assert self._main(tmp_path, ["generate", "simulate"]) == [0, 0]
-        assert self._main(tmp_path, ["run"], seed=2) == [0]
-        assert not (tmp_path / "run" / "timeseries").exists()
-        metrics = (tmp_path / "run" / "metrics.json").read_text()
-        assert self._main(tmp_path, ["estimate", "reconstruct", "evaluate"], seed=2) == [2, 0, 0]
-        assert (tmp_path / "run" / "metrics.json").read_text() == metrics
-
-    def test_a_failed_estimate_leaves_no_spectra(self, tmp_path):
-        # the records are 8192 samples long; an estimate of 16384 fails on their header,
-        # and reconstruct and evaluate once scored the spectra it left
-        assert self._main(tmp_path, TestArtifactTable.STAGES) == [0] * 5
-        longer = {("simulation", "n_samples"): "16384"}
-        assert self._main(tmp_path, ["estimate", "reconstruct", "evaluate"], longer) == [2, 2, 2]
-        assert sorted(f.name for f in (tmp_path / "run").iterdir()) == [
-            "network.txt", "node.txt", "timeseries"]
+    @pytest.mark.parametrize("row", list(_SEQUENCES))
+    def test_no_command_reads_another_configs_artifacts(self, tmp_path, capsys, row):
+        text, base, steps, left = _SEQUENCES[row]
+        out, metrics = tmp_path / "run", []
+        for overrides, seed, cmds, codes in steps:
+            flags = [] if seed is None else ["--seed-override", str(seed)]
+            capsys.readouterr()
+            assert commands(tmp_path, cmds, {**base, **overrides}, *flags, text=text) == codes
+            metrics.append((out / "metrics.json").exists() and (out / "metrics.json").read_text())
+        for name, want in left.items():
+            if name == "err":
+                assert want in capsys.readouterr().err
+            elif name == "metrics.json" and isinstance(want, int):
+                assert (out / name).read_text() == metrics[want]
+            elif name == "metrics.json":
+                got = json.loads((out / name).read_text())
+                assert {key: got[key] for key in want} == want
+            else:
+                assert sorted(path.name for path in (out / name).iterdir()) == want
 
 
 class TestBenchmarkTracing:
@@ -1240,58 +1096,6 @@ class TestCliErrors:
         assert main(["run", "--config", str(p), "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
-
-    def test_stability_exit_code(self, tmp_path):
-        # a strongly reciprocal pair destabilises the unit-pole closed loop
-        net = tmp_path / "net.txt"
-        save_matrix(net, ConnectivityMatrix([[0.0, 2.0], [2.0, 0.0]]))
-        p = write_config(
-            tmp_path,
-            {
-                ("network", "source"): "file",
-                ("network", "file"): str(net),
-                ("reconstruction", "mode"): "boolean",
-            },
-        )
-        assert main(["run", "--config", str(p), "--out", str(tmp_path / "u")]) == 4
-
-    @pytest.mark.parametrize("network, pole, grounded", [
-        ([[0.0, 3.0], [3.0, 0.0]], "-1.0", None),
-        # stable as a whole (a double pole at -2.5); grounding node 2 leaves 2 - 1.5 = +0.5
-        ([[2.0, 3.0], [-3.0, -4.0]], "-1.5", 2),
-    ], ids=["full", "grounded"])
-    def test_an_unstable_run_is_refused_before_any_write(self, tmp_path, capsys, network, pole,
-                                                         grounded):
-        save_matrix(tmp_path / "net.txt", ConnectivityMatrix(network))
-        p = write_config(tmp_path, {("network", "source"): "file",
-                                    ("network", "file"): str(tmp_path / "net.txt"),
-                                    ("node", "pole"): pole,
-                                    ("reconstruction", "mode"): "boolean"})
-        out = tmp_path / "u"
-        args = ["--config", str(p), "--out", str(out)]
-        named = "" if grounded is None else f" with node {grounded} grounded"
-        assert main(["run", *args]) == 4
-        assert not out.exists() or list(out.iterdir()) == []
-        assert f"network state matrix{named} is not Hurwitz" in capsys.readouterr().err
-        assert main(["bench", *args, "--sweep", "2:8192", "--repeats", "1"]) == 4
-        assert not out.exists() or list(out.iterdir()) == []
-        assert main(["generate", *args]) == 0
-        assert main(["simulate", *args]) == 4
-        assert not (out / "timeseries").exists()
-        assert f"network state matrix{named} is not Hurwitz" in capsys.readouterr().err
-
-    def test_numerical_exit_code(self, tmp_path):
-        # omega0 snapping to the DC bin is a numerical rejection (exit 3)
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "exact-directed",
-                ("simulation", "n_samples"): "8192",
-                ("spectral", "segment_length"): "512",
-                ("spectral", "omega0"): "0.01",
-            },
-        )
-        assert main(["run", "--config", str(p), "--out", str(tmp_path / "n")]) == 3
 
     @pytest.mark.parametrize("section, key", [
         ("spectral", "omega0"), ("simulation", "burn_in"), ("noise", "shaping_pole"),
@@ -1337,44 +1141,10 @@ class TestCliErrors:
     @pytest.mark.parametrize("mode", ["exact-directed", "oracle-exact-directed"])
     @pytest.mark.parametrize("command", ["simulate", "estimate", "reconstruct", "evaluate"])
     def test_staged_command_needs_the_generated_truth(self, tmp_path, capsys, command, mode):
-        p, out = write_config(tmp_path, {("reconstruction", "mode"): mode}), tmp_path / "e"
-        out.mkdir()
-        assert main([command, "--config", str(p), "--out", str(out)]) == 2
-        assert list(out.iterdir()) == []
+        (tmp_path / "run").mkdir()
+        assert commands(tmp_path, [command], _mode(mode)) == [2]
+        assert list((tmp_path / "run").iterdir()) == []
         assert "network.txt, node.txt" in capsys.readouterr().err
-
-    def test_a_mode_without_s_w_fails_before_simulating(self, tmp_path, capsys):
-        # a directed-sparse network has no eigenpair, so exact-directed cannot weigh it
-        p = write_config(tmp_path, {("network", "family"): "directed-sparse",
-                                    ("reconstruction", "mode"): "exact-directed"})
-        out = tmp_path / "s"
-        args = ["--config", str(p), "--out", str(out)]
-        assert main(["run", *args]) == 2
-        assert not (out / "spectra").exists()
-        assert main(["simulate", *args]) == 2
-        assert not (out / "timeseries").exists()
-        assert "needs S_w" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("overrides, code, message", [
-        ({("spectral", "segment_length"): str(2**20)}, 2, "shorter than twice"),
-        ({("spectral", "omega0"): "0.01"}, 3, "snaps to the DC bin"),
-        ({("spectral", "omega0"): "400"}, 2, "Nyquist"),
-    ], ids=["record-length", "dc-bin", "nyquist"])
-    def test_an_unestimable_record_fails_before_simulating(
-        self, tmp_path, capsys, monkeypatch, overrides, code, message
-    ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("simulated a record the estimate stage cannot take")
-
-        for name in ("simulate", "simulate_grounded"):
-            monkeypatch.setattr(pl, name, refuse)
-        p, out = reference_config(tmp_path, overrides), tmp_path / "s"
-        args = ["--config", str(p), "--out", str(out)]
-        assert main(["run", *args]) == code
-        assert not (out / "spectra").exists()
-        assert main(["simulate", *args]) == code
-        assert not (out / "timeseries").exists()
-        assert message in capsys.readouterr().err
 
     # only bench reads the cost model: no other command's output may depend
     # on a flag that config.resolved.ini does not hold
@@ -1407,67 +1177,46 @@ class TestCliErrors:
         assert "N and L must be at least 2" in capsys.readouterr().err
 
     def test_evaluate_needs_a_readable_report(self, tmp_path):
-        p, out = write_config(tmp_path), tmp_path / "e"
-        args = ["--config", str(p), "--out", str(out)]
-        assert main(["generate", *args]) == 0
-        assert main(["evaluate", *args]) == 2  # no result.txt yet
-        assert main(["estimate", *args]) == 0
-        assert main(["reconstruct", *args]) == 0
-        (out / "result.txt").write_text("netspectra reconstruction report\nmode x\n")
-        assert main(["evaluate", *args]) == 2
+        # no result.txt yet, then one without its head
+        assert commands(tmp_path, ["generate", "evaluate", "estimate", "reconstruct"]) == [
+            0, 2, 0, 0]
+        (tmp_path / "run" / "result.txt").write_text("netspectra reconstruction report\nmode x\n")
+        assert commands(tmp_path, ["evaluate"]) == [2]
+
+    @pytest.mark.parametrize("overrides, message", [
+        # once a ValueError traceback from the weight draw
+        ({("network", "family"): "symmetric", ("network", "weight_min"): "2.0",
+          ("network", "weight_max"): "1.0"}, "0 <= weight_min <= weight_max"),
+        # once an empty graph, scored F1 1.0
+        ({("network", "graph"): "random", ("network", "edge_prob"): "-0.5"},
+         "edge_prob must lie in"),
+    ], ids=["weight-range", "edge-prob"])
+    def test_out_of_range_network_exit_code(self, tmp_path, capsys, overrides, message):
+        assert commands(tmp_path, ["run"], overrides) == [2]
+        assert not (tmp_path / "run").exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, out, overrides", [
+        ("generate", "taken.txt", {}),
+        ("run", "taken.txt", {}),
+        ("run", "o", {("node", "preset"): "file", ("node", "file"): str(Path(__file__).parent)}),
+    ], ids=["generate-out-is-a-file", "run-out-is-a-file", "node-file-is-a-directory"])
+    def test_a_path_the_os_refuses_exit_code(self, tmp_path, capsys, command, out, overrides):
+        (tmp_path / "taken.txt").write_text("kept\n")
+        assert commands(tmp_path, [command], overrides, out=out) == [2]
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (tmp_path / "taken.txt").read_text() == "kept\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestSegmentsPerChannel:
-    """A CPSD of K <= N segments has an inverse with no finite mean: every command refuses it.
+    """A CPSD of K <= N segments has an inverse with no finite mean: every command refuses it
+    (the ``k-below-n`` and ``k-at-n`` rows of ``_REFUSALS``).
 
     On ``configs/reference.ini`` (N = 6, 4096-sample hann segments at 50%
     overlap) 12288 samples give K = 5, 14336 give K = 6 and 16384 give K = 7.
     Once such runs exited 0 with S_w of 3.3e-11 or 6.0e-7 against 0.0100.
     """
-
-    @pytest.fixture
-    def no_simulation(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("simulated a record whose CPSD has K <= N")
-
-        for name in ("simulate", "simulate_grounded"):
-            monkeypatch.setattr(pl, name, refuse)
-
-    @pytest.mark.parametrize("n_samples, k", [(12288, 5), (14336, 6)])
-    def test_run_and_simulate_refuse_before_simulating(self, tmp_path, capsys, no_simulation,
-                                                       n_samples, k):
-        p = reference_config(tmp_path, {("simulation", "n_samples"): str(n_samples)})
-        out = tmp_path / "k"
-        args = ["--config", str(p), "--out", str(out)]
-        assert main(["run", *args]) == 2
-        assert main(["simulate", *args]) == 2
-        assert not (out / "spectra").exists() and not (out / "timeseries").exists()
-        assert f"K = {k} segments, no more than the N = 6 channels" in capsys.readouterr().err
-
-    def test_run_that_refuses_writes_nothing(self, tmp_path, capsys, no_simulation):
-        # run builds the truth and asks the estimability rule before it saves network.txt
-        p = reference_config(tmp_path, {("simulation", "n_samples"): "14336"})
-        out = tmp_path / "k"
-        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
-        assert not out.exists() or list(out.iterdir()) == []
-        assert "K = 6 segments" in capsys.readouterr().err
-        # a mode without S_w refuses before any write too
-        p = write_config(tmp_path, {("network", "family"): "directed-sparse",
-                                    ("reconstruction", "mode"): "exact-directed"})
-        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
-        assert not out.exists() or list(out.iterdir()) == []
-        assert "needs S_w" in capsys.readouterr().err
-
-    def test_estimate_refuses_before_it_looks_for_the_records(self, tmp_path, capsys):
-        p = reference_config(tmp_path, {("simulation", "n_samples"): "14336"})
-        args = ["--config", str(p), "--out", str(tmp_path / "k")]
-        assert main(["generate", *args]) == 0
-        capsys.readouterr()
-        assert main(["estimate", *args]) == 2
-        err = capsys.readouterr().err
-        assert "K = 6 segments, no more than the N = 6 channels" in err
-        assert "run simulate first" not in err
-        assert not (tmp_path / "k" / "spectra").exists()
 
     def test_bench_refuses_before_timing(self, tmp_path, capsys, no_simulation):
         # every point is built, and checked, before the first one is timed
@@ -1518,12 +1267,14 @@ class TestSegmentsPerChannel:
 # (network file, or None for configs/reference.ini's own N = 6 network; overrides of
 # configs/reference.ini at L = 2^16; exit code; message; whether bench --cost-model paper,
 # which averages no segments, asks the row)
-_UNSTABLE = {("reconstruction", "mode"): "boolean"}
+_UNSTABLE = _mode("boolean")
 _REFUSALS = {
     "dc": (None, {("spectral", "omega0"): "0.01"}, 3, "snaps to the DC bin", True),
     "nyquist": (None, {("spectral", "omega0"): "400"}, 2, "Nyquist", True),
     "short-record": (None, {("simulation", "n_samples"): "4096"}, 2,
                      "shorter than twice the segment length", False),
+    "k-below-n": (None, {("simulation", "n_samples"): "12288"}, 2,
+                  "K = 5 segments, no more than the N = 6 channels", False),
     "k-at-n": (None, {("simulation", "n_samples"): "14336"}, 2,
                "K = 6 segments, no more than the N = 6 channels", False),
     "no-s-w": (None, {("network", "family"): "directed-sparse"}, 2, "needs S_w", True),
@@ -1545,17 +1296,10 @@ class TestOneRefusalOrder:
     """Every command asks the same refusal rules, once, in one order (``pipeline._admit``).
 
     Each row of ``_REFUSALS`` is one config; every command that simulates,
-    estimates or reconstructs exits with the row's code and message, and
-    writes nothing.  The staged commands run after ``generate``.
+    estimates or reconstructs exits with the row's code and message, simulates
+    nothing and writes nothing.  The staged commands run after ``generate``.
+    A new rule is one more row.
     """
-
-    @pytest.fixture
-    def no_simulation(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("simulated a run of a refused config")
-
-        for name in ("simulate", "simulate_grounded"):
-            monkeypatch.setattr(pl, name, refuse)
 
     @pytest.mark.parametrize("row, command", [
         (row, command) for row, (*_, paper) in _REFUSALS.items()
@@ -1567,7 +1311,7 @@ class TestOneRefusalOrder:
             save_matrix(tmp_path / "net.txt", ConnectivityMatrix(network))
             overrides = {("network", "source"): "file",
                          ("network", "file"): str(tmp_path / "net.txt"), **overrides}
-        p = reference_config(tmp_path, {("simulation", "n_samples"): "65536", **overrides})
+        p = reference_config(tmp_path, {**REFERENCE_L16, **overrides})
         out = tmp_path / "o"
         args = ["--config", str(p), "--out", str(out)]
         n = 6 if network is None else len(network)
@@ -1582,24 +1326,27 @@ class TestOneRefusalOrder:
         left = sorted(path.name for path in out.iterdir()) if out.exists() else []
         assert left == (["network.txt", "node.txt"] if staged else [])
 
+    def test_each_command_asks_the_gate_once(self, tmp_path, monkeypatch):
+        # and bench once per sweep point; no stage asks it again
+        asked, gate = [], pl._admit
+        for module in (pl, bn):
+            monkeypatch.setattr(module, "_admit",
+                                lambda *args, **kwargs: asked.append(1) or gate(*args, **kwargs))
+        calls = {}
+        for cmd, *flags in (["run"], *[[stage] for stage in STAGES],
+                            ["bench", "--sweep", "4:8192,3:8192", "--repeats", "2"]):
+            asked.clear()
+            assert commands(tmp_path, [cmd], SHORT, *flags) == [0]
+            calls[cmd] = len(asked)
+        assert calls == {"run": 1, "generate": 0, "simulate": 1, "estimate": 1,
+                         "reconstruct": 1, "evaluate": 0, "bench": 2}
+
 
 class TestBench:
     def test_parse_sweep(self):
         assert parse_sweep("4:1024,8:2048") == [(4, 1024), (8, 2048)]
         with pytest.raises(ConfigError):
             parse_sweep("4x1024")
-
-    def test_bench_rows_and_csv(self, tmp_path):
-        p = write_config(tmp_path, {("reconstruction", "mode"): "oracle-boolean"})
-        cfg = load_config(p)
-        rows = benchmark(cfg, [(4, 1024), (8, 1024)], repeats=2)
-        stages = {(r["n_nodes"], r["stage"]) for r in rows}
-        assert (4, "inversion") in stages and (8, "reconstruction") in stages
-        assert all(r["seconds"] >= 0 for r in rows)
-        write_bench_csv(tmp_path / "bench.csv", rows)
-        lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
-        assert lines[0] == "n_nodes,n_samples,cost_model,stage,seconds,repeats"
-        assert len(lines) == len(rows) + 1
 
     @pytest.mark.parametrize("mode, cost_model, label, stages", [
         ("boolean", "fft", "fft", ["correlation", "inversion", "reconstruction"]),
@@ -1608,9 +1355,7 @@ class TestBench:
     ])
     def test_bench_rows_follow_the_sweep(self, tmp_path, mode, cost_model, label, stages):
         # one row per point and stage, in sweep order, whichever way the rounds ran
-        cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): mode,
-                                                  ("spectral", "segment_length"): "512",
-                                                  ("spectral", "omega0"): "1.5"}))
+        cfg = load_config(write_config(tmp_path, {**SHORT, **_mode(mode)}))
         # 2048 samples hold K = 7 segments of 512, which the fft estimator warns of
         warns = (pytest.warns(UserWarning, match="only 7 segments averaged")
                  if (mode, cost_model) == ("boolean", "fft") else contextlib.nullcontext())
@@ -1621,27 +1366,12 @@ class TestBench:
             *[(2, 4096, label, stage) for stage in stages]]
         assert all(r["repeats"] == 2 and r["seconds"] >= 0 for r in rows)
 
-    def test_bench_empirical_includes_correlation(self, tmp_path):
-        p = write_config(
-            tmp_path,
-            {
-                ("reconstruction", "mode"): "boolean",
-                ("simulation", "n_samples"): "4096",
-                ("spectral", "segment_length"): "512",
-                # 0.5 would snap to the DC bin of a 512-sample segment, which paper refuses
-                ("spectral", "omega0"): "1.5",
-            },
-        )
-        cfg = load_config(p)
-        rows = benchmark(cfg, [(2, 4096)], cost_model="paper", repeats=1)
-        assert any(r["stage"] == "correlation" for r in rows)
-
     def test_bench_times_the_configured_route(self, tmp_path, monkeypatch):
         calls = []
         route = pl.boolean_directed
         monkeypatch.setattr(pl, "boolean_directed",
                             lambda *args, **kwargs: calls.append(1) or route(*args, **kwargs))
-        cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): "oracle-boolean"}))
+        cfg = load_config(write_config(tmp_path, _mode("oracle-boolean")))
         rows = benchmark(cfg, [(4, 1024), (5, 1024)], repeats=3)
         assert len(calls) == 2 * 3
         assert {r["stage"] for r in rows} == {"inversion", "reconstruction"}
@@ -1654,10 +1384,8 @@ class TestBench:
         monkeypatch.setattr(pl, "boolean_directed",
                             lambda s, *args, **kwargs: omegas.append(s.omega)
                             or route(s, *args, **kwargs))
-        p = write_config(tmp_path, {("reconstruction", "mode"): "boolean",
-                                    ("simulation", "n_samples"): "4096",
-                                    ("spectral", "segment_length"): "512",
-                                    ("spectral", "omega0"): "1.5"})
+        p = write_config(tmp_path, {**SHORT, **_mode("boolean"),
+                                    ("simulation", "n_samples"): "4096"})
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "r")]) == 0
         ran = json.loads((tmp_path / "r" / "spectra" / "estimate.json").read_text())["omega0"]
         assert ran == pytest.approx(1.2272, abs=1e-4)
@@ -1678,26 +1406,13 @@ class TestBench:
         blocks = sim.simulate_blocks
         monkeypatch.setattr(sim, "simulate_blocks",
                             lambda *args, **kwargs: calls.append(1) or blocks(*args, **kwargs))
-        cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): "boolean",
-                                                  ("spectral", "segment_length"): "512",
-                                                  ("spectral", "omega0"): "1.5"}))
+        cfg = load_config(write_config(tmp_path, {**SHORT, **_mode("boolean")}))
         n = 4
         benchmark(cfg, [(n, 4096)], repeats=1)
         assert len(calls) == n + 1
 
-    def test_bench_paper_refuses_what_run_cannot_snap(self, tmp_path, capsys):
-        # 0.01 snaps to the DC bin of a 4096-sample segment at dt = 0.01
-        p = write_config(tmp_path, {("reconstruction", "mode"): "boolean",
-                                    ("spectral", "segment_length"): "4096",
-                                    ("spectral", "omega0"): "0.01"})
-        out = tmp_path / "b"
-        assert main(["bench", "--config", str(p), "--out", str(out), "--cost-model", "paper",
-                     "--sweep", "2:4096", "--repeats", "1"]) == 3
-        assert not out.exists()
-        assert "snaps to the DC bin" in capsys.readouterr().err
-
     def test_bench_holds_no_whole_record(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): "boolean"}))
+        cfg = load_config(write_config(tmp_path, _mode("boolean")))
         n, l = 4, 2**20
         tracemalloc.start()
         try:
@@ -1709,9 +1424,7 @@ class TestBench:
 
     def test_bench_paper_holds_one_sweep_point_at_a_time(self, tmp_path):
         # each point's records are simulated for its correlation and released after it
-        cfg = load_config(write_config(tmp_path, {("reconstruction", "mode"): "boolean",
-                                                  ("spectral", "segment_length"): "512",
-                                                  ("spectral", "omega0"): "1.5"}))
+        cfg = load_config(write_config(tmp_path, {**SHORT, **_mode("boolean")}))
         n, l = 2, 2**14
         point_bytes = 8 * l * (n + n * (n - 1))  # the full run and N grounded runs
         peaks = []
@@ -1740,17 +1453,14 @@ class TestBench:
         assert main([*args, "--sweep", "4:1024"]) == 2
         assert "network file has 3 nodes" in capsys.readouterr().err
 
-    def test_bench_refuses_a_mode_without_s_w(self, tmp_path, capsys):
-        p = write_config(tmp_path, {("network", "family"): "directed-sparse",
-                                    ("reconstruction", "mode"): "exact-directed"})
-        out = tmp_path / "b"
-        assert main(["bench", "--config", str(p), "--out", str(out), "--sweep", "4:4096",
-                     "--repeats", "1"]) == 2
-        assert not out.exists()
-        assert "needs S_w" in capsys.readouterr().err
-
     def test_cli_bench(self, tmp_path):
-        p = write_config(tmp_path, {("reconstruction", "mode"): "oracle-boolean"})
-        out = tmp_path / "bo"
-        assert main(["bench", "--config", str(p), "--out", str(out), "--sweep", "4:1024", "--repeats", "1"]) == 0
-        assert (out / "bench.csv").exists()
+        # one row per point and stage, in sweep order
+        assert commands(tmp_path, ["bench"], _mode("oracle-boolean"), "--sweep", "4:1024,8:1024",
+                        "--repeats", "2") == [0]
+        lines = (tmp_path / "run" / "bench.csv").read_text().splitlines()
+        assert lines[0] == "n_nodes,n_samples,cost_model,stage,seconds,repeats"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(n, l, model, stage) for n, l, model, stage, *_ in rows] == [
+            (n, "1024", "oracle", stage) for n in ("4", "8")
+            for stage in ("inversion", "reconstruction")]
+        assert all(float(seconds) >= 0 and repeats == "2" for *_, seconds, repeats in rows)
