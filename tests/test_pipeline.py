@@ -1184,13 +1184,16 @@ class TestCliErrors:
         assert commands(tmp_path, ["evaluate"]) == [2]
 
     @pytest.mark.parametrize("overrides, message", [
-        # once a ValueError traceback from the weight draw
-        ({("network", "family"): "symmetric", ("network", "weight_min"): "2.0",
-          ("network", "weight_max"): "1.0"}, "0 <= weight_min <= weight_max"),
+        # once a ValueError traceback from the weight draw of every family but directed-sparse
+        *[({("network", "family"): family, ("network", "weight_min"): "2.0",
+            ("network", "weight_max"): "1.0"}, "0 <= weight_min <= weight_max")
+          for family in ("symmetric", "laplacian", "nonreciprocal-ring", "directed-sparse")],
         # once an empty graph, scored F1 1.0
-        ({("network", "graph"): "random", ("network", "edge_prob"): "-0.5"},
-         "edge_prob must lie in"),
-    ], ids=["weight-range", "edge-prob"])
+        *[({("network", "family"): family, ("network", "graph"): "random",
+            ("network", "edge_prob"): "-0.5"}, "edge_prob must lie in")
+          for family in ("laplacian", "directed-sparse")],
+    ], ids=["weight-range", "weight-range-laplacian", "weight-range-nonreciprocal-ring",
+            "weight-range-directed-sparse", "edge-prob", "edge-prob-directed-sparse"])
     def test_out_of_range_network_exit_code(self, tmp_path, capsys, overrides, message):
         assert commands(tmp_path, ["run"], overrides) == [2]
         assert not (tmp_path / "run").exists()
@@ -1326,20 +1329,22 @@ class TestOneRefusalOrder:
         left = sorted(path.name for path in out.iterdir()) if out.exists() else []
         assert left == (["network.txt", "node.txt"] if staged else [])
 
-    def test_each_command_asks_the_gate_once(self, tmp_path, monkeypatch):
-        # and bench once per sweep point; no stage asks it again
+    @pytest.mark.parametrize("command, calls", [
+        ("run", 1), ("generate", 0), ("simulate", 1), ("estimate", 1), ("reconstruct", 1),
+        ("evaluate", 0), ("bench", 2),
+    ], ids=["run", *STAGES, "bench"])
+    def test_each_command_asks_the_gate_once(self, tmp_path, monkeypatch, command, calls):
+        # and bench once per sweep point; no stage asks it again. A staged command
+        # follows the stages before it, whose calls are not counted.
+        before = STAGES[:STAGES.index(command)] if command in STAGES else ()
+        assert commands(tmp_path, before, SHORT) == [0] * len(before)
         asked, gate = [], pl._admit
         for module in (pl, bn):
             monkeypatch.setattr(module, "_admit",
                                 lambda *args, **kwargs: asked.append(1) or gate(*args, **kwargs))
-        calls = {}
-        for cmd, *flags in (["run"], *[[stage] for stage in STAGES],
-                            ["bench", "--sweep", "4:8192,3:8192", "--repeats", "2"]):
-            asked.clear()
-            assert commands(tmp_path, [cmd], SHORT, *flags) == [0]
-            calls[cmd] = len(asked)
-        assert calls == {"run": 1, "generate": 0, "simulate": 1, "estimate": 1,
-                         "reconstruct": 1, "evaluate": 0, "bench": 2}
+        flags = ["--sweep", "4:8192,3:8192", "--repeats", "2"] if command == "bench" else []
+        assert commands(tmp_path, [command], SHORT, *flags) == [0]
+        assert len(asked) == calls
 
 
 class TestBench:
