@@ -69,6 +69,7 @@ from .reconstruct import (
     ReconstructionResult,
     UndirectedRecovery,
     boolean_directed,
+    eigenpair_input_psd,
     exact_directed,
     exact_undirected,
     input_psd_from_eigenpair,

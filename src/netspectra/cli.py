@@ -21,6 +21,7 @@ system refuses included), 3 numerical failure, 4 stability rejection.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from pathlib import Path
@@ -114,6 +115,11 @@ def _cmd_run(args) -> None:
 
 def _cmd_bench(args) -> None:
     cfg, out = _load(args)
+    # refuse an --out that cannot become a directory before timing anything, creating
+    # nothing: the first existing path on the way to it must be a directory
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "not a directory", str(existing))
     rows = benchmark(cfg, parse_sweep(args.sweep), cost_model=args.cost_model,
                      repeats=args.repeats)
     out.mkdir(parents=True, exist_ok=True)

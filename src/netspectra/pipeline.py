@@ -94,9 +94,9 @@ from .lti import (
 from .reconstruct import (
     ReconstructionResult,
     boolean_directed,
+    eigenpair_input_psd,
     exact_directed,
     exact_undirected,
-    input_psd_from_eigenpair,
     nonreciprocal,
     threshold_heuristic,
 )
@@ -603,9 +603,13 @@ def reconstruct(cfg: ExperimentConfig, s_full: CpsdMatrix, grounded: list,
     """The configured route on one set of spectra: ``(result, S_w source, branch audit)``.
 
     ``grounded`` is as :func:`load_saved_spectra` gives it.  Only the weighted
-    routes recover S_w; the branch audit is the undirected route's, else
-    ``None``.  ``stage_reconstruct`` and ``bench`` both call this, and it reads
-    the route names at each call, so a route patched on this module runs in both.
+    routes recover S_w, from an eigenpair as a policy
+    (:func:`eigenpair_input_psd`) that the route calls on the full CPSD's
+    inverse, so every CPSD matrix is inverted once, by
+    :func:`~netspectra.reconstruct.estimate_inverse_cpsd`; the branch audit is
+    the undirected route's, else ``None``.  ``stage_reconstruct`` and
+    ``bench`` both call this, and it reads the route names at each call, so a
+    route patched on this module runs in both.
     """
     route = cfg.recon.route
     # the gap policy reads the route's own raw statistics, so each route runs once
@@ -615,7 +619,7 @@ def reconstruct(cfg: ExperimentConfig, s_full: CpsdMatrix, grounded: list,
         return boolean_directed(s_full, grounded, tau=tau), "unused", None
     h = nodal_transfer(node, s_full.omega)
     if eigenpair is not None:
-        s_w, s_w_source = input_psd_from_eigenpair(s_full, h, *eigenpair), "eigenpair"
+        s_w, s_w_source = eigenpair_input_psd(s_full, h, *eigenpair), "eigenpair"
     elif s_full.source == "analytic":
         s_w, s_w_source = cfg.noise.input_psd_model(cfg.sim.dt)(s_full.omega), "noise-model (oracle)"
     else:

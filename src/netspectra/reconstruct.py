@@ -29,7 +29,10 @@ once, compares it with ``tau`` -- a number, or a policy such as
 :func:`threshold_heuristic` called on the finite raw values (the positive
 ones for the antisymmetric nonreciprocal skew) -- and gives absent entries
 weight zero.  The statistic is unscaled by ``S_w``, except in the undirected
-route, whose statistic is its off-diagonal weights.
+route, whose statistic is its off-diagonal weights.  The weighted routes
+take ``S_w`` the same way: a number, or a policy such as
+:func:`eigenpair_input_psd` called on the inverse of the full CPSD that the
+route has computed, so recovering ``S_w`` inverts nothing more.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "ReconstructionDiagnostics",
     "ReconstructionResult",
     "UndirectedRecovery",
+    "eigenpair_input_psd",
     "input_psd_from_eigenpair",
     "input_psd_laplacian",
     "boolean_directed",
@@ -75,6 +79,10 @@ SYMMETRY_ALPHA = 0.01
 #: An edge threshold: a number, or a policy mapping the finite raw statistics
 #: to one (:func:`threshold_heuristic` is such a policy).
 Tau = Union[float, Callable[[np.ndarray], float]]
+
+#: The input density ``S_w(w0)``: a number, or a policy mapping the inverse of
+#: the full CPSD to one (:func:`eigenpair_input_psd` gives such a policy).
+InputPsd = Union[float, Callable[[CpsdInverse], float]]
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,45 @@ class ReconstructionResult:
     diagnostics: Optional[ReconstructionDiagnostics] = None
 
 
+def eigenpair_input_psd(
+    s: CpsdMatrix,
+    h: complex,
+    eigenvalue: float,
+    eigenvector: np.ndarray,
+) -> Callable[[CpsdInverse], float]:
+    """The ``S_w`` policy of a known eigenpair: :func:`input_psd_from_eigenpair` as a
+    function of the inverse of ``s``.
+
+    ``h`` and the eigenvector are checked against ``s`` here; a route calls
+    the policy on the inverse of ``s`` it computes anyway, so the recovery
+    inverts nothing of its own.
+    """
+    check_nodal_transfer(h, s.omega)
+    u = np.asarray(eigenvector, dtype=float)
+    if u.shape != (s.n_nodes,):
+        raise ValidationError(
+            f"eigenvector has shape {u.shape}, expected ({s.n_nodes},)"
+        )
+    norm2 = float(u @ u)
+    if norm2 == 0.0:
+        raise ValidationError("eigenvector must be nonzero")
+
+    def policy(inv: CpsdInverse) -> float:
+        quad = float(np.real(u @ inv.values @ u))
+        if quad <= 0.0:
+            raise NumericalError(
+                f"quadratic form u^T S^-1 u = {quad:.3e} is not positive; the CPSD "
+                f"estimate is unusable (condition number {inv.condition_number:.3e})"
+            )
+        lam = float(eigenvalue)
+        s_w = norm2 * abs(lam * h - 1.0) ** 2 / (quad * abs(h) ** 2)
+        if s_w <= 0.0:
+            raise NumericalError("recovered input PSD is not positive")
+        return s_w
+
+    return policy
+
+
 def input_psd_from_eigenpair(
     s: CpsdMatrix,
     h: complex,
@@ -118,29 +165,10 @@ def input_psd_from_eigenpair(
     For ``G u = lam u`` the quadratic form of the inverse CPSD satisfies
     ``u^T S^{-1} u * S_w = ||u||^2 |lam h - 1|^2 / |h|^2``; solving for
     ``S_w`` needs no knowledge of the rest of ``G``.  The formula is invariant
-    to the scaling of ``u``.
+    to the scaling of ``u``.  This inverts ``s``; a route given
+    :func:`eigenpair_input_psd` in place of the number reuses its own inverse.
     """
-    check_nodal_transfer(h, s.omega)
-    u = np.asarray(eigenvector, dtype=float)
-    if u.shape != (s.n_nodes,):
-        raise ValidationError(
-            f"eigenvector has shape {u.shape}, expected ({s.n_nodes},)"
-        )
-    norm2 = float(u @ u)
-    if norm2 == 0.0:
-        raise ValidationError("eigenvector must be nonzero")
-    inv = estimate_inverse_cpsd(s)
-    quad = float(np.real(u @ inv.values @ u))
-    if quad <= 0.0:
-        raise NumericalError(
-            f"quadratic form u^T S^-1 u = {quad:.3e} is not positive; the CPSD "
-            f"estimate is unusable (condition number {inv.condition_number:.3e})"
-        )
-    lam = float(eigenvalue)
-    s_w = norm2 * abs(lam * h - 1.0) ** 2 / (quad * abs(h) ** 2)
-    if s_w <= 0.0:
-        raise NumericalError("recovered input PSD is not positive")
-    return s_w
+    return eigenpair_input_psd(s, h, eigenvalue, eigenvector)(estimate_inverse_cpsd(s))
 
 
 def input_psd_laplacian(s: CpsdMatrix, h: complex) -> float:
@@ -149,6 +177,15 @@ def input_psd_laplacian(s: CpsdMatrix, h: complex) -> float:
     Reduces to ``N / ((1^T S^{-1} 1) |h|^2)``.
     """
     return input_psd_from_eigenpair(s, h, 0.0, np.ones(s.n_nodes))
+
+
+def _input_psd(s_w: InputPsd, inv: CpsdInverse) -> float:
+    """``S_w``: the number given, or what its policy makes of the full CPSD's inverse ``inv``."""
+    if callable(s_w):
+        s_w = s_w(inv)
+    if s_w <= 0:
+        raise ValidationError("S_w must be positive")
+    return s_w
 
 
 def _grounded_row(s_inv: np.ndarray, sj_inv: np.ndarray, j: int) -> np.ndarray:
@@ -274,7 +311,7 @@ def boolean_directed(
 def exact_directed(
     s: CpsdMatrix,
     grounded: Sequence[tuple[int, CpsdMatrix]],
-    s_w: float,
+    s_w: InputPsd,
     tau: Tau = DEFAULT_TAU,
 ) -> ReconstructionResult:
     """Edge weights from grounding plus the input density at ``w0``.
@@ -286,11 +323,11 @@ def exact_directed(
     (a number, or a policy called on the finite raw values) are reported as
     absent (weight zero); the raw statistics stay available in the
     diagnostics.  Negative raw differences (estimation noise; impossible
-    analytically) are clamped and counted.
+    analytically) are clamped and counted.  ``s_w`` is a number, or a policy
+    called on the full CPSD's inverse (:func:`eigenpair_input_psd`).
     """
-    if s_w <= 0:
-        raise ValidationError("S_w must be positive")
     raw, inverses = _grounding_statistic(s, grounded)
+    s_w = _input_psd(s_w, inverses["full"])
     return _decide(s.omega, raw, tau, s_w, inverses, (
         "recovered off-diagonal weights are magnitudes",
         "self-loops are unobservable; diagonal fixed at zero",
@@ -325,7 +362,7 @@ def _branch_score(g: np.ndarray) -> float:
 def exact_undirected(
     s: CpsdMatrix,
     h: complex,
-    s_w: float,
+    s_w: InputPsd,
     tau: Tau = DEFAULT_TAU,
     k_eff: Optional[float] = None,
 ) -> UndirectedRecovery:
@@ -359,12 +396,12 @@ def exact_undirected(
     clamped to zero; more negative ones (an eigenvalue of ``G`` straddling
     ``Re{1/h}``, or an unusable estimate) raise.  Edges are the off-diagonal
     weights above ``tau`` (a number, or a policy called on them); absent
-    entries weigh zero and the diagonal is kept.
+    entries weigh zero and the diagonal is kept.  ``s_w`` is a number, or a
+    policy called on the inverse of ``s`` (:func:`eigenpair_input_psd`).
     """
     check_nodal_transfer(h, s.omega)
-    if s_w <= 0:
-        raise ValidationError("S_w must be positive")
     inv = estimate_inverse_cpsd(s)
+    s_w = _input_psd(s_w, inv)
     skew = float(np.abs(inv.values.imag).max() / np.abs(inv.values).max())
     if s.source == "analytic" and skew > 1e-8:
         raise NumericalError(
@@ -422,7 +459,7 @@ def exact_undirected(
 def nonreciprocal(
     s: CpsdMatrix,
     h: complex,
-    s_w: Optional[float] = None,
+    s_w: Optional[InputPsd] = None,
     tau: Tau = DEFAULT_TAU,
 ) -> ReconstructionResult:
     """Nonreciprocal (no bidirectional pairs) recovery, no grounding.
@@ -434,8 +471,9 @@ def nonreciprocal(
     positive values: the statistic is antisymmetric, so its negative half
     mirrors the edges), so the Boolean structure needs only the sign of
     ``Im{1/h}`` and is available without ``S_w``; weights additionally
-    require ``s_w`` and are ``S_w`` times the statistic where an edge is
-    present, zero elsewhere.  Frequencies where ``Im{1/h}`` (the
+    require ``s_w`` (a number, or a policy called on the inverse of ``s``:
+    :func:`eigenpair_input_psd`) and are ``S_w`` times the statistic where an
+    edge is present, zero elsewhere.  Frequencies where ``Im{1/h}`` (the
     strictly-proper node's phase) vanishes are rejected.
     """
     check_nodal_transfer(h, s.omega)
@@ -445,9 +483,9 @@ def nonreciprocal(
             f"|Im(1/h)| = {abs(a.imag):.3e} too small at omega={s.omega:.6g}; "
             "choose a nonzero frequency away from the node's phase zeros"
         )
-    if s_w is not None and s_w <= 0:
-        raise ValidationError("S_w must be positive")
     inv = estimate_inverse_cpsd(s)
+    if s_w is not None:
+        s_w = _input_psd(s_w, inv)
     skew = inv.values.imag / a.imag  # equals (G - G^T)/S_w, zero diagonal
     np.fill_diagonal(skew, np.nan)
     if callable(tau):  # the negative half mirrors the edges; it is no noise sample

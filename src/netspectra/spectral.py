@@ -143,8 +143,9 @@ def snap_frequency(omega0: float, ts_dt: float, cfg: SpectralConfig) -> tuple[fl
     return k * spacing, k
 
 
-#: Segments per transform batch of :class:`CpsdAccumulator` and the PSD grid; a
-#: batch of 4096-sample segments is 512 KiB per channel, small enough to stay in cache.
+#: Segments per transform batch of :class:`CpsdAccumulator` and the PSD grid.  All
+#: channels share one sample-major buffer of a batch span, ``15 step + segment_length``
+#: samples: 272 KiB a channel for 4096-sample segments at 50% overlap.
 ACCUMULATOR_BATCH = 16
 
 
@@ -152,52 +153,54 @@ class _SegmentBuffer:
     """A record fed block by block and cut into its Welch segments, a batch at a time.
 
     :meth:`feed` takes (channels x samples) blocks in time order, of any
-    sizes.  Whenever ``ACCUMULATOR_BATCH`` segments are buffered they go to
-    the subclass's ``_batch(segs)``, ``segs`` one read-only (channels, n_seg,
-    segment_length) strided view of the buffer, and only the samples of later
-    segments are kept, so the batches are cut at fixed segment indices however
-    the record is chunked, and memory is one batch span of samples whatever its
-    length.  :meth:`_rest` gives the segment count and the last, partial batch
-    (empty when the count is a multiple of the batch), which no ``_batch`` has
-    seen.
+    sizes, and copies them into one sample-major buffer: the layout the
+    propagator's GEMM output and the ``.nsts`` rows already have, so a
+    producer's transposed view is copied contiguously.  Whenever
+    ``ACCUMULATOR_BATCH`` segments are buffered they go to the subclass's
+    ``_batch(segs)``, ``segs`` one read-only (n_seg, segment_length, channels)
+    strided view of the buffer, and only the samples of later segments are
+    kept, so the batches are cut at fixed segment indices however the record
+    is chunked, and memory is one batch span of samples whatever its length.
+    :meth:`_rest` gives the segment count and the last, partial batch (empty
+    when the count is a multiple of the batch), which no ``_batch`` has seen.
     """
 
     def __init__(self, n_channels: int, cfg: SpectralConfig):
         self.cfg = cfg
-        self._buf = np.empty((n_channels, (ACCUMULATOR_BATCH - 1) * cfg.step + cfg.segment_length))
+        self._buf = np.empty(((ACCUMULATOR_BATCH - 1) * cfg.step + cfg.segment_length, n_channels))
         self._fill = 0
         self._batches = 0
         self.n_samples = 0
 
     def feed(self, block: np.ndarray) -> None:
         block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[0] != self._buf.shape[0]:
+        if block.ndim != 2 or block.shape[0] != self._buf.shape[1]:
             raise ValidationError(
-                f"expected ({self._buf.shape[0]} x samples) blocks, got {block.shape}"
+                f"expected ({self._buf.shape[1]} x samples) blocks, got {block.shape}"
             )
-        cap, lo = self._buf.shape[1], 0
-        while lo < block.shape[1]:
-            take = min(cap - self._fill, block.shape[1] - lo)
-            self._buf[:, self._fill:self._fill + take] = block[:, lo:lo + take]
+        rows, cap, lo = block.T, len(self._buf), 0
+        while lo < len(rows):
+            take = min(cap - self._fill, len(rows) - lo)
+            self._buf[self._fill:self._fill + take] = rows[lo:lo + take]
             self._fill += take
             lo += take
             if self._fill == cap:
                 self._batch(self._buffered(ACCUMULATOR_BATCH))
                 self._batches += 1
                 used = ACCUMULATOR_BATCH * self.cfg.step
-                self._buf[:, :cap - used] = self._buf[:, used:]
+                self._buf[:cap - used] = self._buf[used:]
                 self._fill = cap - used
-        self.n_samples += block.shape[1]
+        self.n_samples += len(rows)
 
     def _buffered(self, n_seg: int) -> np.ndarray:
-        """Read-only (channels, n_seg, segment_length) view of the first ``n_seg`` segments.
+        """Read-only (n_seg, segment_length, channels) view of the first ``n_seg`` segments.
 
         The caller asks only for segments the buffer holds whole.
         """
-        ch, sample = self._buf.strides
+        sample, ch = self._buf.strides
         return np.lib.stride_tricks.as_strided(
-            self._buf, (self._buf.shape[0], n_seg, self.cfg.segment_length),
-            (ch, self.cfg.step * sample, sample), writeable=False)
+            self._buf, (n_seg, self.cfg.segment_length, self._buf.shape[1]),
+            (self.cfg.step * sample, sample, ch), writeable=False)
 
     def _rest(self) -> tuple[int, np.ndarray]:
         """``(K, segs)``: the record's segment count and its segments not yet batched."""
@@ -210,12 +213,13 @@ class _SegmentBuffer:
 class CpsdAccumulator(_SegmentBuffer):
     """Welch-averaged CPSD matrix at one bin, fed a record block by block.
 
-    Each batch of segments is transformed by one real GEMM per channel
-    against the windowed ``[Re phase, Im phase, ones]`` basis (the last column
-    gives the segment mean for detrending), so the arithmetic, and the
-    result, are the same bit for bit however the record is chunked.  Memory
-    is one batch span of samples plus the K x N segment transforms, never the
-    whole record.
+    Each batch of segments, every channel at once, is transformed by one
+    ``np.matmul`` of the windowed ``[Re phase, Im phase, ones]`` basis (the
+    last row gives the segment mean for detrending) over the buffer's
+    segment view: one real GEMM per segment, on the buffered samples in
+    place.  The arithmetic, and the result, are the same bit for bit however
+    the record is chunked.  Memory is one batch span of samples for all
+    channels plus the K x N segment transforms, never the whole record.
     """
 
     def __init__(self, n_channels: int, dt: float, omega0: float, cfg: SpectralConfig):
@@ -224,7 +228,7 @@ class CpsdAccumulator(_SegmentBuffer):
         self.dt = dt
         s = cfg.segment_length
         phase = cfg.window_values() * np.exp(-2j * np.pi * k * np.arange(s) / s)
-        self._basis = np.stack([phase.real, phase.imag, np.ones(s)], axis=1)
+        self._basis = np.stack([phase.real, phase.imag, np.ones(s)])
         self._mean_gain = phase.sum() / s
         self._transforms: list[np.ndarray] = []
 
@@ -233,18 +237,16 @@ class CpsdAccumulator(_SegmentBuffer):
 
     def _transform(self, segs: np.ndarray) -> np.ndarray:
         """Windowed, detrended transforms of a batch of segments: (n_seg, N)."""
-        x = np.empty((len(segs[0]), len(segs)), dtype=complex)
-        for ch, seg in enumerate(segs):
-            t = np.ascontiguousarray(seg) @ self._basis
-            x[:, ch] = t[:, 0] + 1j * t[:, 1]
-            if self.cfg.detrend == "mean":
-                x[:, ch] -= t[:, 2] * self._mean_gain
+        t = np.matmul(self._basis, segs)
+        x = t[:, 0] + 1j * t[:, 1]
+        if self.cfg.detrend == "mean":
+            x -= t[:, 2] * self._mean_gain
         return x
 
     def result(self) -> CpsdMatrix:
         """The estimate from everything fed so far (see :func:`estimate_cpsd_matrix`)."""
         n_seg, rest = self._rest()
-        x = np.concatenate(self._transforms + ([self._transform(rest)] if len(rest[0]) else []))
+        x = np.concatenate(self._transforms + [self._transform(rest)])
         win = self.cfg.window_values()
         scale = self.dt / (n_seg * (win * win).sum())
         return CpsdMatrix(values=scale * (x.T @ x.conj()), omega=self.omega, source="estimated",
@@ -261,10 +263,17 @@ class _PsdGrid(_SegmentBuffer):
 
     def _batch(self, segs: np.ndarray) -> None:
         win = self.cfg.window_values()
-        for total, batch in zip(self.sums, segs):
+        # one channel's windowed segments at a time, written into one buffer: cheaper
+        # than a fresh array per channel for the strided channel slices
+        x = np.empty(segs.shape[:2])
+        for ch, total in enumerate(self.sums):
+            seg = segs[:, :, ch]
             if self.cfg.detrend == "mean":
-                batch = batch - batch.mean(axis=1, keepdims=True)
-            spec = np.fft.rfft(batch * win, axis=1)
+                np.subtract(seg, seg.mean(axis=1, keepdims=True), out=x)
+            else:
+                np.copyto(x, seg)
+            x *= win
+            spec = np.fft.rfft(x, axis=1)
             for power in spec.real**2 + spec.imag**2:
                 total += power  # row by row, the order of a sum over axis 0
 

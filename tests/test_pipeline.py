@@ -423,13 +423,18 @@ class TestOraclePipeline:
 
 
 class TestReconstructOnce:
-    # N = 4: the full matrix and 4 grounded ones, plus one for the eigenpair S_w
+    # N = 4: the full matrix and 4 grounded ones.  The eigenpair S_w is a policy on the
+    # full matrix's inverse, which the route has computed, so it adds no inversion; the
+    # laplacian ring has an eigenpair and no bidirectional pair, and the symmetric
+    # Laplacian is read from a file
     @pytest.mark.parametrize("threshold", ["gap", "fixed"])
     @pytest.mark.parametrize("mode, family, route, inversions", [
-        ("oracle-exact-directed", "laplacian", "exact_directed", 4 + 2),
+        ("oracle-exact-directed", "laplacian", "exact_directed", 4 + 1),
         ("oracle-boolean", "directed-sparse", "boolean_directed", 4 + 1),
         ("oracle-boolean", "laplacian", "boolean_directed", 4 + 1),
         ("oracle-nonreciprocal", "nonreciprocal-ring", "nonreciprocal", 1),
+        ("oracle-nonreciprocal", "laplacian", "nonreciprocal", 1),
+        ("oracle-undirected", "symmetric-laplacian-file", "exact_undirected", 1),
     ])
     def test_route_runs_once_and_inverts_each_matrix_once(
         self, tmp_path, monkeypatch, threshold, mode, family, route, inversions
@@ -447,8 +452,13 @@ class TestReconstructOnce:
         monkeypatch.setattr(rc, "estimate_inverse_cpsd",
                             counted("invert", rc.estimate_inverse_cpsd))
         monkeypatch.setattr(pl, route, counted("route", getattr(pl, route)))
-        p = write_config(tmp_path, {("network", "family"): family,
-                                    ("reconstruction", "mode"): mode,
+        network = {("network", "family"): family}
+        if family == "symmetric-laplacian-file":
+            ring = np.roll(np.eye(4), 1, axis=0)
+            save_matrix(tmp_path / "net.txt", laplacian_connectivity(ring + ring.T))
+            network = {("network", "source"): "file",
+                       ("network", "file"): str(tmp_path / "net.txt")}
+        p = write_config(tmp_path, {**network, ("reconstruction", "mode"): mode,
                                     ("reconstruction", "threshold"): threshold})
         metrics = run_pipeline(load_config(p), tmp_path / "o")
         assert calls == {"invert": inversions, "route": 1}
@@ -1228,6 +1238,16 @@ class TestSegmentsPerChannel:
                      "--sweep", "6:16384,6:14336", "--repeats", "1"]) == 2
         assert not out.exists()
         assert "K = 6 segments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["b", "b/sub"])
+    def test_bench_refuses_an_out_under_a_file_before_timing(self, tmp_path, capsys,
+                                                              no_simulation, out):
+        p = reference_config(tmp_path)
+        (tmp_path / "b").write_text("kept\n")
+        assert main(["bench", "--config", str(p), "--out", str(tmp_path / out),
+                     "--sweep", "6:1048576", "--repeats", "1"]) == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert (tmp_path / "b").read_text() == "kept\n"
 
     def test_one_segment_more_than_nodes_runs_and_records_its_margin(self, tmp_path):
         p = reference_config(tmp_path, {("simulation", "n_samples"): "16384"})

@@ -209,7 +209,7 @@ class TestCpsdAccumulator:
                 whole.omega, whole.segment_count, whole.stderr)
 
     @pytest.mark.parametrize("n_seg", [2 * ACCUMULATOR_BATCH + 7, 2 * ACCUMULATOR_BATCH])
-    def test_matches_per_channel_segment_views_bit_for_bit(self, rng, n_seg):
+    def test_matches_per_segment_views_bit_for_bit(self, rng, n_seg):
         # the step (179) does not divide the segment length; the record ends
         # mid-batch, or with no partial batch at all
         cfg = SpectralConfig(segment_length=256, overlap_fraction=0.3)
@@ -221,15 +221,16 @@ class TestCpsdAccumulator:
         omega, k = snap_frequency(3.0, ts.dt, cfg)
         win = cfg.window_values()
         phase = win * np.exp(-2j * np.pi * k * np.arange(s) / s)
-        basis = np.stack([phase.real, phase.imag, np.ones(s)], axis=1)
+        basis = np.stack([phase.real, phase.imag, np.ones(s)])
+        # (segment_length x channels) views of the sample-major record, one product each
+        rows = np.ascontiguousarray(ts.data.T)
+        segs = np.lib.stride_tricks.sliding_window_view(rows, s, axis=0)[::step]
+        assert len(segs) == n_seg
         x = np.empty((n_seg, 3), dtype=complex)
-        for ch in range(3):
-            segs = np.lib.stride_tricks.sliding_window_view(ts.data[ch], s)[::step]
-            assert len(segs) == n_seg
-            for lo in range(0, n_seg, ACCUMULATOR_BATCH):
-                t = np.ascontiguousarray(segs[lo:lo + ACCUMULATOR_BATCH]) @ basis
-                x[lo:lo + len(t), ch] = t[:, 0] + 1j * t[:, 1]
-                x[lo:lo + len(t), ch] -= t[:, 2] * (phase.sum() / s)
+        for i, seg in enumerate(segs.transpose(0, 2, 1)):
+            t = basis @ seg
+            x[i] = t[0] + 1j * t[1]
+            x[i] -= t[2] * (phase.sum() / s)
         ref = CpsdMatrix(values=ts.dt / (n_seg * (win * win).sum()) * (x.T @ x.conj()),
                          omega=omega, source="estimated", segment_count=n_seg)
         est = estimate_cpsd_matrix(streamed(ts, 5), 3.0, cfg)
