@@ -10,7 +10,7 @@ writes nothing).  ``run`` runs the stages in order, except that it streams
 each simulation into the estimator instead of writing ``timeseries/``.  Every
 command after ``generate`` exits 2, writing nothing, without its
 ``network.txt`` and ``node.txt``.  Once its refusals pass, every stage removes
-its own and every later stage's files, so only ``run`` leaves ``manifest.json``.
+its own and every later stage's files, so only ``run`` leaves ``config.resolved.ini``.
 Only ``bench`` takes ``--cost-model``: the config alone decides what every
 other command writes.
 

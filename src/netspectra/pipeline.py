@@ -29,9 +29,10 @@ that ``run`` hands reconstruction the truth it admitted.  Every refusal is
 asked once per command, in one order, by :func:`_admit`, which each command
 calls before its first stage and no stage calls; once it passes, each stage
 removes its own and every later stage's files (``_ARTIFACTS``).
-Evaluation reads no config and scores the recovery ``result.txt`` names,
-counting the nonzero off-diagonal entries as edges (``tau`` thresholds the
-raw statistic only).
+Reconstruction writes one record, ``result.json``, and renders ``result.txt``
+from it.  Evaluation reads no config and scores the recovery that record
+names, counting the nonzero off-diagonal entries as edges (``tau`` thresholds
+the raw statistic only).
 
 Every key is declared once, in the ``_KEYS`` table, which drives parsing, the
 unknown-key check and the rendering of ``config.resolved.ini``; each config
@@ -302,29 +303,16 @@ def load_config(path) -> ExperimentConfig:
     return replace(base, **parts, **top)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Fully resolved configuration (defaults included) as section dicts."""
-    out: dict = {}
+def config_to_ini(cfg: ExperimentConfig) -> str:
+    """Render a fully resolved configuration (defaults included) as a rerunnable config file."""
+    sections: dict = {}
     for section, key, attr, kind, none_text in _KEYS:
         value = attrgetter(attr)(cfg)
-        if value is None:
-            text = none_text
-        elif kind is _finite:
-            text = format(value, ".17g")
-        else:
-            text = str(value)
-        out.setdefault(section, {})[key] = text
-    return out
-
-
-def config_to_ini(cfg: ExperimentConfig) -> str:
-    """Render a fully resolved configuration as a rerunnable config file."""
-    blocks = []
-    for section, entries in config_to_dict(cfg).items():
-        lines = [f"[{section}]"]
-        lines += [f"{key} = {value}" for key, value in entries.items()]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+        text = (none_text if value is None else format(value, ".17g") if kind is _finite
+                else str(value))
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    return "\n\n".join("\n".join([f"[{section}]", *lines])
+                       for section, lines in sections.items()) + "\n"
 
 
 def apply_seed_override(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
@@ -344,9 +332,9 @@ _ARTIFACTS = (
     ("simulate", ("timeseries",)),
     ("estimate", ("spectra",)),
     ("reconstruct", ("result.txt", "recovered_boolean.txt", "recovered_weights.txt",
-                     "undirected_branch.json")),
+                     "result.json")),
     ("evaluate", ("metrics.json",)),
-    ("run", ("manifest.json", "config.resolved.ini")),
+    ("run", ("config.resolved.ini",)),
 )
 
 
@@ -640,75 +628,99 @@ def stage_reconstruct(cfg: ExperimentConfig, out: Path, g: ConnectivityMatrix,
                       node: NodeDynamics) -> None:
     """Run :func:`reconstruct` on the saved spectra under ``out`` and write its output.
 
-    The caller has passed :func:`_admit`, which gave ``g`` and ``node``.
+    That is the recovered matrices and the reconstruction's one record
+    (:func:`_result_record`): compactly as ``result.json``, and rendered as
+    ``result.txt`` (:func:`_report`).  The caller has passed :func:`_admit`,
+    which gave ``g`` and ``node``.
     """
     s_full, grounded = load_saved_spectra(cfg, out, g.n_nodes)
     _replace_from(out, "reconstruct")
     result, s_w_source, branch = reconstruct(cfg, s_full, grounded, node, g.eigenpair)
-    if branch is not None:
-        (out / "undirected_branch.json").write_text(json.dumps(branch, indent=2) + "\n")
+    record = _result_record(cfg, result, s_w_source, branch)
+    (out / "result.json").write_text(json.dumps(record, separators=(",", ":")) + "\n")
     save_matrix(out / "recovered_boolean.txt", result.boolean_structure)
     if result.weights is not None:
         save_matrix(out / "recovered_weights.txt", result.weights)
-    _write_report(out / "result.txt", cfg, result, s_w_source)
+    (out / "result.txt").write_text(_report(record, result))
 
 
-def _write_report(path: Path, cfg: ExperimentConfig, result: ReconstructionResult,
-                  s_w_source: str) -> None:
+def _result_record(cfg: ExperimentConfig, result: ReconstructionResult, s_w_source: str,
+                   branch: Optional[dict]) -> dict:
+    """One reconstruction's record: versions, the head and diagnostics ``result.txt`` prints
+    (``null`` for a missing S_w and the raw statistic's diagonal), and the undirected
+    route's branch audit as ``undirected``.  It holds no time, path or date."""
+    d = result.diagnostics  # every route gives them
+    record = {"versions": {"netspectra": __version__, "numpy": np.__version__,
+                           "scipy": scipy.__version__},
+              "mode": cfg.recon.mode, "omega0": result.omega0,
+              "input_psd": result.input_psd_estimate, "input_psd_source": s_w_source,
+              "threshold": result.threshold_used,
+              "clamp_count": d.clamp_count, "suppressed_count": d.suppressed_count,
+              "loaded": list(d.loaded),
+              "condition_numbers": dict(sorted(d.condition_numbers.items())),
+              "notes": list(d.notes),
+              "raw_differences": [[None if math.isnan(v) else v for v in row]
+                                  for row in d.raw_differences.tolist()]}
+    if branch is not None:
+        record["undirected"] = branch
+    return record
+
+
+def _report(record: dict, result: ReconstructionResult) -> str:
+    """``result.txt``: ``record``'s head and diagnostics, then the recovered matrices."""
+    s_w = "n/a" if record["input_psd"] is None else record["input_psd"]
     lines = [
         "netspectra reconstruction report",
-        f"mode {cfg.recon.mode}",
-        f"omega0 {result.omega0:.17g}",
-        f"input_psd {result.input_psd_estimate if result.input_psd_estimate is not None else 'n/a'}"
-        f" ({s_w_source})",
-        f"threshold {result.threshold_used}",
+        f"mode {record['mode']}",
+        f"omega0 {record['omega0']:.17g}",
+        f"input_psd {s_w} ({record['input_psd_source']})",
+        f"threshold {record['threshold']}",
+        f"clamp_count {record['clamp_count']}",
+        f"suppressed_count {record['suppressed_count']}",
+        f"loaded {','.join(record['loaded']) or 'none'}",
+        *(f"condition_{name} {value:.6g}" for name, value in record["condition_numbers"].items()),
+        *(f"note {note}" for note in record["notes"]),
+        "raw_differences",
+        *(" ".join("nan" if v is None else format(v, ".17g") for v in row)
+          for row in record["raw_differences"]),
     ]
-    d = result.diagnostics
-    if d is not None:
-        lines.append(f"clamp_count {d.clamp_count}")
-        lines.append(f"suppressed_count {d.suppressed_count}")
-        lines.append(f"loaded {','.join(d.loaded) if d.loaded else 'none'}")
-        for name in sorted(d.condition_numbers):
-            lines.append(f"condition_{name} {d.condition_numbers[name]:.6g}")
-        for note in d.notes:
-            lines.append(f"note {note}")
-        lines.append("raw_differences")
-        for row in d.raw_differences:
-            lines.append(" ".join(format(v, ".17g") for v in row))
     if result.weights is not None:
         lines.append("weights")
-        for row in result.weights.weights:
-            lines.append(" ".join(format(v, ".17g") for v in row))
+        lines += [" ".join(format(v, ".17g") for v in row) for row in result.weights.weights]
     lines.append("boolean")
-    for row in result.boolean_structure.entries:
-        lines.append(" ".join(str(int(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    lines += [" ".join(str(int(v)) for v in row) for row in result.boolean_structure.entries]
+    return "\n".join(lines) + "\n"
 
 
 def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
-    """Score the recovery the report names against the saved truth; write and return metrics.json.
+    """Score the recovery ``result.json`` names against the saved truth; write, return metrics.json.
 
-    It is ``recovered_weights.txt`` when the report gives S_w (every route
+    It is ``recovered_weights.txt`` when the record gives S_w (every route
     weighs its edges exactly then), else ``recovered_boolean.txt``; an edge is
     a nonzero off-diagonal entry, as every route writes an absent one as 0.
-    ω0, S_w and the threshold come from the report's head, at round-trip
-    precision, the oracle's true S_w from ``spectra/estimate.json``; ``cfg`` is not read.
+    ω0, S_w and the threshold come from the record, which must hold each as a
+    finite number (S_w may be ``null``), the oracle's true S_w from
+    ``spectra/estimate.json``; ``cfg`` is not read.
     """
     truth, _ = load_saved_truth(out)
-    report, = _saved(out, ["result.txt"])
+    path, = _saved(out, ["result.json"])
     try:
-        head = dict(line.split(" ", 1) for line in report.read_text().splitlines()[1:5])
-        omega0 = float(head["omega0"])
-        s_w, tau = (None if v in ("n/a", "None") else float(v)
-                    for v in (head["input_psd"].split()[0], head["threshold"]))
-    except (KeyError, ValueError, IndexError) as exc:
-        raise ValidationError(f"malformed reconstruction report {report}: {exc}") from exc
+        record = json.loads(path.read_text())
+        head = {key: record[key] for key in ("omega0", "input_psd", "threshold")}
+        for key, value in head.items():
+            if not (value is None and key == "input_psd"
+                    or type(value) in (int, float) and math.isfinite(value)):
+                raise ValueError(f"{key} {value!r} is not a finite number")
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ValidationError(
+            f"malformed reconstruction record {path}: {type(exc).__name__}: {exc}") from exc
+    s_w = head["input_psd"]
     name = "recovered_boolean.txt" if s_w is None else "recovered_weights.txt"
     recovered = load_matrix(*_saved(out, [name]))
     if s_w is None:
         recovered = BooleanStructure(recovered.weights)
     metrics = compare(truth, recovered, edge_tol=0.0).as_dict()
-    metrics.update(omega0=omega0, threshold_used=tau, input_psd_estimate=s_w)
+    metrics.update(omega0=head["omega0"], threshold_used=head["threshold"], input_psd_estimate=s_w)
     info = json.loads(_saved(out / "spectra", ["estimate.json"])[0].read_text())
     if "true_input_psd" in info:
         metrics["true_input_psd"] = info["true_input_psd"]
@@ -717,35 +729,21 @@ def stage_evaluate(cfg: ExperimentConfig, out: Path) -> dict:
     return metrics
 
 
-def _write_manifest(cfg: ExperimentConfig, out: Path, info: dict) -> None:
-    manifest = {
-        "netspectra_version": __version__,
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
-        "estimate": info,
-        "seeds": {"network": cfg.network.seed, "noise": cfg.noise.seed},
-        "config": config_to_dict(cfg),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    (out / "config.resolved.ini").write_text(config_to_ini(cfg))
-
-
 def run_pipeline(cfg: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
     """The staged generate -> simulate -> estimate -> reconstruct -> evaluate.
 
     Simulation streams into estimation, so no ``timeseries/`` is written; every
     later stage reads the run directory as its staged command does.  Returns
-    the metrics and adds ``manifest.json`` and ``config.resolved.ini``, whose
-    rerun is byte-identical.  :func:`_admit` refuses before any file goes.
+    the metrics and adds ``config.resolved.ini``, whose rerun is
+    byte-identical.  :func:`_admit` refuses before any file goes.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     truth, node = _admit(cfg, lambda: _build_truth(cfg))
     stage_generate(cfg, out, (truth, node))
-    info = stage_estimate(cfg, out, truth, node, simulated_runs(cfg, truth, node),
-                          workers=workers)
+    stage_estimate(cfg, out, truth, node, simulated_runs(cfg, truth, node), workers=workers)
     stage_reconstruct(cfg, out, truth, node)
     metrics = stage_evaluate(cfg, out)
-    _write_manifest(cfg, out, info)
+    (out / "config.resolved.ini").write_text(config_to_ini(cfg))
     return metrics
 
 

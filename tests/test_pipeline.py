@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import netspectra
 from netspectra import (
     ConfigError,
     ConnectivityMatrix,
@@ -246,7 +248,7 @@ detrend = none
 omega0 = 1.5
 """
 
-    # what config.resolved.ini and manifest.json hold for it, byte for byte
+    # what config.resolved.ini holds for it, byte for byte
     EVERY_KEY_RESOLVED = """\
 [network]
 source = file
@@ -345,13 +347,14 @@ class TestOraclePipeline:
             out2 / "recovered_weights.txt"
         ).read_bytes()
         assert (out1 / "network.txt").read_bytes() == (out2 / "network.txt").read_bytes()
-        manifest = json.loads((out1 / "manifest.json").read_text())
-        assert manifest["seeds"] == {"network": 3, "noise": 11}
-        assert manifest["config"]["spectral"]["omega0"] == "0.5"
+        resolved = load_config(out1 / "config.resolved.ini")
+        assert {"network": resolved.network.seed, "noise": resolved.noise.seed} == {
+            "network": 3, "noise": 11}
+        assert resolved.omega0 == "0.5"
 
     def test_resolved_config_reproduces_run(self, tmp_path):
         # no input outside the config changes an artifact: every file of a rerun
-        # of config.resolved.ini, manifest included, equals the first run's,
+        # of config.resolved.ini, result.json's versions included, equals the first run's,
         # also when the first run had two workers and the rerun the default
         empirical = {**SHORT, ("simulation", "n_samples"): "16384"}
         for name, overrides, workers in (("oracle", {}, 1), ("empirical", empirical, 1),
@@ -360,7 +363,7 @@ class TestOraclePipeline:
             run_pipeline(load_config(write_config(tmp_path, overrides)), first, workers=workers)
             run_pipeline(load_config(first / "config.resolved.ini"), rerun)
             files = sorted(str(f.relative_to(first)) for f in first.rglob("*") if f.is_file())
-            assert "manifest.json" in files
+            assert "result.json" in files
             assert files == sorted(str(f.relative_to(rerun))
                                    for f in rerun.rglob("*") if f.is_file())
             for f in files:
@@ -418,7 +421,7 @@ class TestOraclePipeline:
         out3 = tmp_path / "und"
         metrics3 = run_pipeline(load_config(p3), out3)
         assert metrics3["f1"] == 1.0
-        branch = json.loads((out3 / "undirected_branch.json").read_text())
+        branch = json.loads((out3 / "result.json").read_text())["undirected"]
         assert branch["flipped"] is False
 
 
@@ -472,6 +475,29 @@ class TestReconstructOnce:
             "input_psd n/a (unused)")
 
 
+def assert_report_prints_the_record(report: str, record: dict) -> None:
+    """Every number ``result.txt`` prints above its matrices is ``record``'s, in the report's
+    format: ``.17g`` (``nan`` for ``null``), ``str`` for S_w and the threshold, ``.6g``
+    for the condition numbers."""
+    lines = report.splitlines()
+    at = lines.index("raw_differences")
+    end = next(i for i in range(at, len(lines)) if lines[i] in ("weights", "boolean"))
+    head = dict(line.split(" ", 1) for line in lines[1:at] if not line.startswith("note "))
+    g17 = lambda v: "nan" if v is None else format(v, ".17g")  # noqa: E731
+    s_w = "n/a" if record["input_psd"] is None else str(record["input_psd"])
+    assert head.pop("mode") == record["mode"]
+    assert head.pop("omega0") == g17(record["omega0"])
+    assert head.pop("input_psd") == f"{s_w} ({record['input_psd_source']})"
+    assert head.pop("threshold") == str(record["threshold"])
+    assert head.pop("clamp_count") == str(record["clamp_count"])
+    assert head.pop("suppressed_count") == str(record["suppressed_count"])
+    assert head.pop("loaded") == (",".join(record["loaded"]) or "none")
+    assert head == {f"condition_{name}": format(value, ".6g")
+                    for name, value in record["condition_numbers"].items()}
+    assert [line[5:] for line in lines[1:at] if line.startswith("note ")] == record["notes"]
+    assert lines[at + 1:end] == [" ".join(map(g17, row)) for row in record["raw_differences"]]
+
+
 class TestStagedArtifacts:
     # overrides of BASE_CONFIG, or of configs/reference.ini for "reference"
     EVALUATED = {
@@ -521,7 +547,7 @@ class TestStagedArtifacts:
         pytest.param("exact-directed", "1.5", "2", id="run-workers-2"),
     ])
     def test_staged_files_equal_the_run_files(self, tmp_path, mode, omega0, workers):
-        # every file but run's own two, byte for byte, whatever run's --workers
+        # every file but run's config.resolved.ini, byte for byte, whatever run's --workers
         overrides = {**SHORT, ("reconstruction", "mode"): mode, ("spectral", "omega0"): omega0}
         network = self.ROUTE_NETWORKS.get(mode.replace("oracle-", ""))
         if network is not None:
@@ -535,9 +561,19 @@ class TestStagedArtifacts:
                        for out in (out_run, out_staged))
         timeseries = {name for name in staged if name.startswith("timeseries/")}
         assert bool(timeseries) != mode.startswith("oracle-")
-        assert ran - {"manifest.json", "config.resolved.ini"} == staged - timeseries
+        assert ran - {"config.resolved.ini"} == staged - timeseries
         for name in staged - timeseries:
             assert (out_run / name).read_bytes() == (out_staged / name).read_bytes(), name
+        # result.txt prints the record's numbers, and evaluate reads the record alone
+        record = json.loads((out_staged / "result.json").read_text())
+        assert_report_prints_the_record((out_staged / "result.txt").read_text(), record)
+        assert record["versions"] == {"netspectra": netspectra.__version__,
+                                      "numpy": np.__version__, "scipy": scipy.__version__}
+        assert ("undirected" in record) == mode.endswith("undirected")
+        metrics = (out_staged / "metrics.json").read_bytes()
+        (out_staged / "result.txt").unlink()
+        assert commands(tmp_path, ["evaluate"], overrides, out="staged") == [0]
+        assert (out_staged / "metrics.json").read_bytes() == metrics
         # one CPSD matrix per run, each with its stderr when estimated
         grounded = range(1, 5) if mode.removeprefix("oracle-") in pl.GROUNDING_ROUTES else []
         assert sorted(name for name in staged if name.startswith("spectra/cpsd_")) == [
@@ -767,7 +803,7 @@ class TestEmpiricalRecovery:
         raw = np.array([[float(v) for v in line.split()] for line in report[at:at + 6]])
         gap = pl.threshold_heuristic(raw[np.isfinite(raw)], fallback_tau=1e-6)
         assert metrics["threshold_used"] == gap != 1e-6
-        branch = json.loads((out / "undirected_branch.json").read_text())
+        branch = json.loads((out / "result.json").read_text())["undirected"]
         assert branch["flipped"] is False
         assert 0.0 < branch["skew"] < 0.2  # recorded, not judged
 
@@ -804,7 +840,7 @@ class TestUndirectedSymmetry:
         assert main(["run", "--config", str(p), "--out", str(out),
                      "--seed-override", str(seed)]) == 3
         assert re.search(r"symmetry test: T = .* p = \S+ < 0\.01", capsys.readouterr().err)
-        assert not (out / "undirected_branch.json").exists()
+        assert not (out / "result.json").exists()
         assert not (out / "metrics.json").exists()
 
     def test_symmetric_ring_records_its_statistic(self, tmp_path):
@@ -817,7 +853,7 @@ class TestUndirectedSymmetry:
                                         ("simulation", "n_samples"): "65536",
                                         ("reconstruction", "mode"): "undirected"})
         run_pipeline(load_config(p), tmp_path / "und")
-        branch = json.loads((tmp_path / "und" / "undirected_branch.json").read_text())
+        branch = json.loads((tmp_path / "und" / "result.json").read_text())["undirected"]
         assert branch["symmetry_p"] == pytest.approx(chdtrc(15, branch["symmetry_chi2"]),
                                                      rel=1e-12)
         assert branch["symmetry_p"] >= 0.01
@@ -842,7 +878,8 @@ class TestUndirectedSymmetry:
                 stats.append(float(re.search(r"T = (\S+)", str(exc)).group(1)))
                 refused += 1
                 continue
-            stats.append(json.loads((out / "undirected_branch.json").read_text())["symmetry_chi2"])
+            record = json.loads((out / "result.json").read_text())
+            stats.append(record["undirected"]["symmetry_chi2"])
         info = json.loads((out / "spectra" / "estimate.json").read_text())
         assert info["segment_count"] == 15
         assert refused <= 3
@@ -924,7 +961,8 @@ _SEQUENCES = {
         ({}, 2, ["run"], [0]),
         ({}, 2, ["estimate", "reconstruct", "evaluate"], [2, 0, 0]),
     ], {".": ["metrics.json", "network.txt", "node.txt", "recovered_boolean.txt",
-              "recovered_weights.txt", "result.txt", "spectra"], "metrics.json": 1}),
+              "recovered_weights.txt", "result.json", "result.txt", "spectra"],
+        "metrics.json": 1}),
     # the records are 8192 samples long; an estimate of 16384 fails on their header,
     # and reconstruct and evaluate once scored the spectra it left
     "a-failed-estimate-leaves-no-spectra": (BASE_CONFIG, SHORT, [
@@ -937,8 +975,9 @@ _SEQUENCES = {
     "a-route-switch-scores-no-stale-weights": (REFERENCE, REFERENCE_L16, [
         ({}, None, ["run"], [0]),
         (_mode("boolean"), None, ["reconstruct", "evaluate"], [0, 0]),
-    ], {".": ["metrics.json", "network.txt", "node.txt", "recovered_boolean.txt", "result.txt",
-              "spectra"], "metrics.json": {"max_abs_error": None, "rms_error": None}}),
+    ], {".": ["metrics.json", "network.txt", "node.txt", "recovered_boolean.txt", "result.json",
+              "result.txt", "spectra"],
+        "metrics.json": {"max_abs_error": None, "rms_error": None}}),
     # the directed reference network fails the undirected symmetry test (exit 3);
     # evaluate once scored the earlier run's recovery and exited 0
     "a-failed-reconstruction-leaves-nothing-to-evaluate": (REFERENCE, REFERENCE_L16, [
@@ -1004,8 +1043,8 @@ class TestArtifactTable:
             assert {name: (out / name).read_bytes() for name in self.UNLISTED} == kept, cmd
 
     LISTED = ("network.txt", "node.txt", "timeseries", "spectra", "result.txt",
-              "recovered_boolean.txt", "recovered_weights.txt", "undirected_branch.json",
-              "metrics.json", "manifest.json", "config.resolved.ini")
+              "recovered_boolean.txt", "recovered_weights.txt", "result.json",
+              "metrics.json", "config.resolved.ini")
     # how many of LISTED the stages before each one write
     KEPT = {"generate": 0, "simulate": 2, "estimate": 3, "reconstruct": 4, "evaluate": 8, "run": 9}
 
@@ -1085,6 +1124,14 @@ class TestBenchmarkTracing:
         modules = {"pipeline": pl, "cli": netspectra.cli, "reconstruct": netspectra.reconstruct}
         for module, attr, _, _ in tracing.TARGETS:
             assert callable(getattr(modules[module], attr, None)), f"{module}.{attr}"
+
+
+def _record_with(record: dict, key: str, value=KeyError) -> str:
+    """``record`` as JSON text with ``key`` set to ``value``, or without ``key``."""
+    record = {k: v for k, v in record.items() if k != key}
+    if value is not KeyError:
+        record[key] = value
+    return json.dumps(record)
 
 
 class TestCliErrors:
@@ -1186,12 +1233,36 @@ class TestCliErrors:
         assert not out.exists()
         assert "N and L must be at least 2" in capsys.readouterr().err
 
-    def test_evaluate_needs_a_readable_report(self, tmp_path):
-        # no result.txt yet, then one without its head
-        assert commands(tmp_path, ["generate", "evaluate", "estimate", "reconstruct"]) == [
-            0, 2, 0, 0]
-        (tmp_path / "run" / "result.txt").write_text("netspectra reconstruction report\nmode x\n")
-        assert commands(tmp_path, ["evaluate"]) == [2]
+    # result.json read back is outside input: each row rewrites the record reconstruct
+    # wrote (None removes it), and gives evaluate's exit code and what it prints
+    READ_BACK = {
+        "no-record": (lambda record: None, 2, "no saved result.json"),
+        "not-json": (lambda record: "omega0 0.5\n", 2, "result.json: JSONDecodeError"),
+        **{f"no-{key}": (functools.partial(_record_with, key=key), 2, f"KeyError: '{key}'")
+           for key in ("omega0", "input_psd", "threshold")},
+        **{f"{key}-{kind}": (functools.partial(_record_with, key=key, value=value), 2,
+                             f"{key} {value!r} is not a finite number")
+           for key, kind, value in [("omega0", "text", "0.5"), ("threshold", "bool", True),
+                                    ("input_psd", "list", [0.01])]},
+        # json.loads takes NaN and Infinity
+        **{f"{key}-{text}": (functools.partial(_record_with, key=key, value=float(text)), 2,
+                             f"{key} {float(text)!r} is not a finite number")
+           for key in ("omega0", "input_psd", "threshold") for text in ("nan", "inf", "-inf")},
+        # no S_w: scored on the Boolean structure
+        "input_psd-null": (functools.partial(_record_with, key="input_psd", value=None), 0, ""),
+    }
+
+    @pytest.mark.parametrize("row", list(READ_BACK))
+    def test_evaluate_needs_a_readable_report(self, tmp_path, capsys, row):
+        edit, code, message = self.READ_BACK[row]
+        assert commands(tmp_path, ["generate", "estimate", "reconstruct"]) == [0, 0, 0]
+        path = tmp_path / "run" / "result.json"
+        text = edit(json.loads(path.read_text()))
+        path.unlink() if text is None else path.write_text(text)
+        capsys.readouterr()
+        assert commands(tmp_path, ["evaluate"]) == [code]
+        assert message in capsys.readouterr().err
+        assert (tmp_path / "run" / "metrics.json").exists() == (code == 0)
 
     @pytest.mark.parametrize("overrides, message", [
         # once a ValueError traceback from the weight draw of every family but directed-sparse
@@ -1259,8 +1330,7 @@ class TestSegmentsPerChannel:
         assert info["segment_count"] == 7
         assert info["effective_segment_count"] == pytest.approx(k_eff, rel=1e-12)
         assert info["inverse_inflation"] == pytest.approx(k_eff / (k_eff - 6), rel=1e-12)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["estimate"] == info
+        assert json.loads((out / "result.json").read_text())["omega0"] == info["omega0"]
 
     def test_inflation_is_null_where_it_is_not_finite(self, tmp_path):
         # rectangular 1024-sample segments at 50% overlap: 8192 samples give K = 15,
