@@ -272,17 +272,6 @@ class CpsdMatrix:
     def n_nodes(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def stderr(self) -> Optional[float]:
-        """The crude scale ``||S||_F / sqrt(K)``, or None without ``K``.
-
-        It is one number for the whole matrix, not the standard error of any
-        entry (a Welch entry's is about ``sqrt(S_ii S_jj / K_eff)``).
-        """
-        if self.segment_count is None:
-            return None
-        return float(np.linalg.norm(self.values) / np.sqrt(self.segment_count))
-
 
 def analytic_cpsd(
     sys: NetworkSystem,

@@ -48,7 +48,7 @@ Section/key reference (defaults in parentheses)::
     [node]      preset (scalar-pole) | file; pole (-1.0); file ()
     [noise]     variance (1.0); shaping (none) | lowpass; shaping_pole ();
                 seed (7)
-    [simulation]dt (0.01); n_samples (65536); burn_in (auto)
+    [simulation]dt (0.01); n_samples (65536)
     [spectral]  segment_length (4096); overlap (0.5); window (hann) |
                 rectangular; detrend (mean) | none; omega0 (auto)
     [reconstruction] mode (exact-directed): boolean, exact-directed,
@@ -251,7 +251,6 @@ _KEYS = (
     ("noise", "seed", "noise.seed", int, None),
     ("simulation", "dt", "sim.dt", _finite, None),
     ("simulation", "n_samples", "sim.n_samples", int, None),
-    ("simulation", "burn_in", "sim.burn_in", int, "auto"),
     ("spectral", "segment_length", "spectral.segment_length", int, None),
     ("spectral", "overlap", "spectral.overlap_fraction", _finite, None),
     ("spectral", "window", "spectral.window", str, None),
@@ -520,7 +519,6 @@ def _write_spectra(cfg: ExperimentConfig, out: Path, keys: list, spectra: list,
             "segment_count": k, "effective_segment_count": k_eff,
             "inverse_inflation": k_eff / (k_eff - s_full.n_nodes)
             if k_eff is not None and k_eff > s_full.n_nodes else None,
-            "stderr": s_full.stderr,
             "cost_model": "oracle" if s_full.source == "analytic" else "fft", **extra}
     sp_dir = out / "spectra"
     sp_dir.mkdir(parents=True)

@@ -16,7 +16,8 @@ the excitation interval so every downstream frequency choice stays inside it,
 and analytic cross-checks use the exact injected density rather than an
 idealisation.  Low-pass shaping, a first-order recursion per node, is state
 of the propagator (:meth:`NoiseConfig._shaped`), and so is the noise scale:
-the propagator takes unit white draws.
+the propagator takes unit white draws.  A run starts from a draw of its
+stationary state (:func:`_stationary_start`), so it is stationary from sample 0.
 
 Each simulation draws its noise one block ahead on a helper thread of its own
 (:func:`_ahead`), so the draw, the largest single cost of a simulation,
@@ -56,7 +57,7 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError, ValidationError
 from .graphs import _as_readonly
-from .lti import HurwitzReport, InputPsdModel, NetworkSystem, is_hurwitz
+from .lti import InputPsdModel, NetworkSystem, is_hurwitz
 
 __all__ = [
     "NoiseConfig",
@@ -181,23 +182,16 @@ def _ahead(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sampling step, run length and transient discard.
-
-    ``burn_in=None`` selects the automatic default ``10 / (|abscissa| * dt)``
-    samples, after which initial transients have decayed by ``e^-10``.
-    """
+    """Sampling step and run length: each run is ``n_samples`` samples from a stationary start."""
 
     dt: float = 0.01
     n_samples: int = 2**16
-    burn_in: Optional[int] = None
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
         if self.n_samples < 2:
             raise ValidationError("n_samples must be at least 2")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ValidationError("burn_in must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -324,8 +318,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
-             w_blocks: Iterable[np.ndarray], burn: int = 0) -> Iterator[np.ndarray]:
-    """Outputs ``y[k] = C x[k]``, ``k >= burn``, of ``x[k+1] = Phi x[k] + Gamma w[k]``, ``x[0] = 0``.
+             w_blocks: Iterable[np.ndarray], x0: Optional[np.ndarray] = None,
+             ) -> Iterator[np.ndarray]:
+    """Outputs ``y[k] = C x[k]`` of ``x[k+1] = Phi x[k] + Gamma w[k]``, ``x[0] = x0`` (else 0).
 
     Exact for every ``Phi``, defective or not, in real arithmetic only, and
     lifted (Burrus 1972) to chunks of ``m = CASCADE_CHUNK`` samples.  The
@@ -344,8 +339,8 @@ def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
     R_r w``, ``R_r`` the last ``r`` columns of ``R``, to the next.
     ``w_blocks`` are (samples x inputs) blocks of at most ``PROPAGATE_BLOCK``
     samples in time order; each yields its (channels x samples) outputs, a
-    view of the GEMM output with the burn-in left out, and a non-finite
-    output raises ``NumericalError``.
+    view of the GEMM output, and a non-finite output raises
+    ``NumericalError``.
     """
     m, nx, p, nu = CASCADE_CHUNK, phi.shape[0], cmat.shape[0], gamma.shape[1]
     powers = [np.eye(nx)]  # Phi^0 .. Phi^m
@@ -365,8 +360,9 @@ def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
     while 1 << len(jumps) <= n_chunks:
         jumps.append(jumps[-1] @ jumps[-1])
     s = np.zeros((n_chunks + 1, nx))  # row 0 carries the state in from the block before
+    if x0 is not None:
+        s[0] = x0
     lag, from_s = np.empty((n_chunks, nx)), np.empty((n_chunks, m * p))
-    lo = 0
     for w in w_blocks:
         n = w.shape[0]
         if n > PROPAGATE_BLOCK:
@@ -383,21 +379,18 @@ def _cascade(phi: np.ndarray, gamma: np.ndarray, cmat: np.ndarray,
                 break
             np.matmul(sb[:-d], jump, out=lag[:full + 1 - d])
             sb[d:] += lag[:full + 1 - d]
-        hi = lo + n
-        if hi > burn:
-            y = np.empty((full + (r > 0), m * p))
-            if full:
-                np.matmul(wc[:, :(m - 1) * nu], markov, out=y[:full])
-                np.matmul(sb[:full], obs, out=from_s[:full])
-                y[:full] += from_s[:full]
-            if r:
-                y[full] = tail @ markov + sb[full] @ obs
-            y = y.reshape(-1, p)[max(0, burn - lo):n].T
-            if not np.isfinite(y).all():
-                raise NumericalError("simulation produced non-finite samples (overflow)")
-            yield y
+        y = np.empty((full + (r > 0), m * p))
+        if full:
+            np.matmul(wc[:, :(m - 1) * nu], markov, out=y[:full])
+            np.matmul(sb[:full], obs, out=from_s[:full])
+            y[:full] += from_s[:full]
+        if r:
+            y[full] = tail @ markov + sb[full] @ obs
+        y = y.reshape(-1, p)[:n].T
+        if not np.isfinite(y).all():
+            raise NumericalError("simulation produced non-finite samples (overflow)")
+        yield y
         s[0] = powers[r] @ sb[full] + tail[:r * nu] @ drive[(m - r) * nu:]
-        lo = hi
 
 
 def _collect(blocks: Iterable[np.ndarray], n_channels: int, n_samples: int) -> np.ndarray:
@@ -433,15 +426,38 @@ def channel_labels(n_nodes: int, ground: Optional[int] = None) -> tuple[int, ...
 
 
 def _propagate(phi: np.ndarray, gamma: np.ndarray, w: np.ndarray, cmat: np.ndarray,
-               burn: int = 0) -> np.ndarray:
-    """:func:`_cascade` over the rows of ``w``, collected as (samples x channels)."""
+               x0: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`_cascade` over the rows of ``w`` from ``x0``, collected as (samples x channels)."""
     blocks = (w[lo:lo + PROPAGATE_BLOCK] for lo in range(0, w.shape[0], PROPAGATE_BLOCK))
-    return _collect(_cascade(phi, gamma, cmat, blocks, burn), cmat.shape[0], w.shape[0] - burn).T
+    return _collect(_cascade(phi, gamma, cmat, blocks, x0), cmat.shape[0], w.shape[0]).T
 
 
-def run_system(sys: NetworkSystem, ground: Optional[int] = None,
-               ) -> tuple[NetworkSystem, HurwitzReport]:
-    """The system a run simulates, ``sys`` or it with node ``ground`` grounded, and its report.
+def _stationary_start(phi: np.ndarray, gamma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``x0 = P^(1/2) xi``, a draw of the stationary state, ``xi`` unit white from ``rng``.
+
+    ``P = Phi P Phi^T + Gamma Gamma^T`` by Smith doubling (Van Loan 1978):
+    from ``P = Gamma Gamma^T`` and ``A = Phi``, each step takes ``P + A P
+    A^T`` and ``A^2``, until ``P`` stops changing.  A non-finite ``P``, or 64
+    steps without (the largest spectral radius below 1 takes 58), raise
+    ``NumericalError``.  The root is ``V sqrt(L) V^T`` of ``eigh``: unique
+    whatever the signs of ``V`` and, unlike a Cholesky factor, defined for a
+    singular ``P``.
+    """
+    p, a = gamma @ gamma.T, phi
+    for _ in range(64):
+        nxt = p + a @ p @ a.T
+        if not np.isfinite(nxt).all():
+            raise NumericalError("the stationary state covariance overflows")
+        if np.array_equal(nxt, p):
+            lam, v = np.linalg.eigh(p)
+            return (v * np.sqrt(np.maximum(lam, 0.0))) @ v.T @ rng.standard_normal(len(lam))
+        p, a = nxt, a @ a
+    raise NumericalError("the stationary state covariance does not converge in 64 doublings: "
+                         "the network is too close to marginal stability at this dt")
+
+
+def run_system(sys: NetworkSystem, ground: Optional[int] = None) -> NetworkSystem:
+    """The system a run simulates, ``sys`` or it with node ``ground`` grounded.
 
     A system that is not Hurwitz raises :class:`StabilityError`, which names
     the grounded node.
@@ -455,7 +471,7 @@ def run_system(sys: NetworkSystem, ground: Optional[int] = None,
             f"network state matrix{where} is not Hurwitz "
             f"(spectral abscissa {report.spectral_abscissa:+.6g})"
         )
-    return sys, report
+    return sys
 
 
 def simulate_blocks(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig,
@@ -463,32 +479,26 @@ def simulate_blocks(sys: NetworkSystem, noise: NoiseConfig, cfg: SimConfig,
     """Sampled outputs, block by block: (channels x samples) arrays in time order.
 
     ``ground=j`` simulates the network with node ``j`` grounded (N-1
-    channels).  Stability (:func:`run_system`), step size and burn-in are
-    checked at the call, before the first block; the blocks together hold
-    ``cfg.n_samples`` samples, at most ``PROPAGATE_BLOCK`` each, and are the
-    same numbers :func:`simulate` and :func:`simulate_grounded` return as one
-    record.
+    channels).  Stability (:func:`run_system`) and step size are checked at
+    the call; the blocks together hold ``cfg.n_samples`` samples, at most
+    ``PROPAGATE_BLOCK`` each, and are the same numbers :func:`simulate` and
+    :func:`simulate_grounded` return as one record.  The run starts from a
+    stationary state of its own ``(Phi, Gamma)``, lowpass state included
+    (:func:`_stationary_start`), drawn before the noise from the first child
+    of the noise's ``SeedSequence((noise.seed, ground or 0))``.
     """
-    sys, report = run_system(sys, ground)
+    sys = run_system(sys, ground)
     step_norm = np.linalg.norm(sys.joint_state_matrix(), 2) * cfg.dt
     if step_norm > 0.5:
         warnings.warn(f"||M||*dt = {step_norm:.3g} > 0.5; consider a smaller dt")
-    burn = cfg.burn_in
-    if burn is None:
-        burn = math.ceil(10.0 / (abs(report.spectral_abscissa) * cfg.dt))
-        if burn > 10**8:
-            raise NumericalError(
-                f"automatic burn-in of {burn} samples (spectral abscissa "
-                f"{report.spectral_abscissa:+.3e} is nearly marginal); set "
-                "burn_in explicitly if this is intended"
-            )
-    shaped = noise._shaped(*discretize(sys, cfg.dt), sys.output_matrix(), cfg.dt)
-    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, ground or 0)))
-    draws = _draws(rng, cfg.n_samples + burn, sys.n_nodes)
+    phi, gamma, cmat = noise._shaped(*discretize(sys, cfg.dt), sys.output_matrix(), cfg.dt)
+    seeds = np.random.SeedSequence((noise.seed, ground or 0))
+    draws = _draws(np.random.default_rng(seeds), cfg.n_samples, sys.n_nodes)
+    start = np.random.default_rng(seeds.spawn(1)[0])
 
     def outputs() -> Iterator[np.ndarray]:
         with closing(draws):  # a cascade that raises stops the draw ahead too
-            yield from _cascade(*shaped, draws, burn)
+            yield from _cascade(phi, gamma, cmat, draws, _stationary_start(phi, gamma, start))
     return outputs()
 
 

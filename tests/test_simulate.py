@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_discrete_lyapunov
 
 from netspectra import (
     ConnectivityMatrix,
@@ -35,6 +35,7 @@ from netspectra.simulate import (
     _cascade,
     _draws,
     _propagate,
+    _stationary_start,
     channel_labels,
     simulate_blocks,
 )
@@ -62,6 +63,19 @@ def streamed(labels, n_samples, dt, blocks):
         return sink
 
     return StreamedRecord(tuple(labels), n_samples, dt, source)
+
+
+def run_start(phi, gam, seed):
+    """The start of a full run of ``seed``, drawn from the seed stream's first child."""
+    start = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return _stationary_start(phi, gam, start)
+
+
+class Identity:
+    """A generator whose unit white draw is the identity: a start drawn from it is ``P^(1/2)``."""
+
+    def standard_normal(self, n):
+        return np.eye(n)
 
 
 def chain_system(weights=(1.0, 1.0)):
@@ -123,8 +137,8 @@ class TestDiscretize:
 
 
 class TestPropagate:
-    def reference_loop(self, phi, gam, w, cmat):
-        x = np.zeros(phi.shape[0])
+    def reference_loop(self, phi, gam, w, cmat, x0=None):
+        x = np.zeros(phi.shape[0]) if x0 is None else x0
         y = np.empty((w.shape[0], cmat.shape[0]))
         for k in range(w.shape[0]):
             y[k] = cmat @ x
@@ -157,11 +171,11 @@ class TestPropagate:
         if make is cycle_system:
             assert np.iscomplex(np.linalg.eigvals(phi)).any()
         w = rng.standard_normal((3 * PROPAGATE_BLOCK + 17, sys.n_nodes))
-        ref = self.reference_loop(phi, gam, w, sys.output_matrix())
-        for burn in (0, PROPAGATE_BLOCK + 5):
-            y = _propagate(phi, gam, w, sys.output_matrix(), burn=burn)
-            assert y.shape == ref[burn:].shape
-            assert np.abs(y - ref[burn:]).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        for x0 in (None, rng.standard_normal(phi.shape[0])):
+            ref = self.reference_loop(phi, gam, w, sys.output_matrix(), x0)
+            y = _propagate(phi, gam, w, sys.output_matrix(), x0)
+            assert y.shape == ref.shape
+            assert np.abs(y - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
     @pytest.mark.parametrize("block", [
         0.05, 0.6, 0.999999, -0.9,
@@ -189,21 +203,22 @@ class TestPropagate:
         assert np.abs(out - ref).max() <= tol * np.abs(ref).max()
 
     @pytest.mark.parametrize("make", [random_hurwitz_system, chain_system, cycle_system])
-    @pytest.mark.parametrize("burn", [0, 3, 2 * CASCADE_CHUNK + 5])
-    def test_ragged_blocks_match_stepwise(self, rng, make, burn):
+    @pytest.mark.parametrize("start", ["zero", "nonzero"])
+    def test_ragged_blocks_match_stepwise(self, rng, make, start):
         # blocks of 1, m - 1, m + 1 and PROPAGATE_BLOCK - 3 samples in a row: every one but
-        # the first ends inside a chunk and hands its state on; the burn-ins end inside one
+        # the first ends inside a chunk and hands its state on, the first the state it starts from
         sys = make(rng) if make is random_hurwitz_system else make()
         phi, gam = discretize(sys, 0.02)
+        x0 = None if start == "zero" else rng.standard_normal(phi.shape[0])
         m = CASCADE_CHUNK
         sizes = [1, m - 1, m + 1, PROPAGATE_BLOCK - 3, m + 1, 2]
         w = rng.standard_normal((sum(sizes), sys.n_nodes))
         blocks = np.split(w, np.cumsum(sizes)[:-1])
-        ys = list(_cascade(phi, gam, sys.output_matrix(), blocks, burn))
-        ref = self.reference_loop(phi, gam, w, sys.output_matrix())
+        ys = list(_cascade(phi, gam, sys.output_matrix(), blocks, x0))
+        ref = self.reference_loop(phi, gam, w, sys.output_matrix(), x0)
         y = np.concatenate(ys, axis=1).T
-        assert y.shape == ref[burn:].shape
-        assert np.abs(y - ref[burn:]).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        assert y.shape == ref.shape
+        assert np.abs(y - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
     def test_near_marginal_pole_matches_stepwise(self, rng):
         # a real pole at 0.999999 coupled to a lightly damped complex pair
@@ -213,9 +228,10 @@ class TestPropagate:
         gam = rng.standard_normal((3, 2))
         cmat = rng.standard_normal((2, 3))
         w = rng.standard_normal((2 * PROPAGATE_BLOCK + 11, 2))
-        y = _propagate(phi, gam, w, cmat, burn=5)
-        ref = self.reference_loop(phi, gam, w, cmat)
-        assert np.abs(y - ref[5:]).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        x0 = rng.standard_normal(3)
+        y = _propagate(phi, gam, w, cmat, x0)
+        ref = self.reference_loop(phi, gam, w, cmat, x0)
+        assert np.abs(y - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
     def test_overflow_raises_before_a_non_finite_block(self, rng):
         # the second block's inputs overflow the outputs: the first block is yielded, finite
@@ -231,7 +247,7 @@ class TestPropagate:
         node = NodeDynamics([[-1.0]], [1e154], [1e154])
         sys = NetworkSystem(node, ConnectivityMatrix(np.zeros((2, 2))))
         blocks = simulate_blocks(sys, NoiseConfig(variance=1e8),
-                                 SimConfig(n_samples=3 * PROPAGATE_BLOCK, burn_in=0))
+                                 SimConfig(n_samples=3 * PROPAGATE_BLOCK))
         yielded = []
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="overflow"):
@@ -288,7 +304,7 @@ class TestSimulate:
     def test_large_step_warns(self):
         sys = make_system(np.zeros((1, 1)))
         with pytest.warns(UserWarning, match="dt"):
-            simulate(sys, NoiseConfig(seed=0), SimConfig(dt=1.0, n_samples=64, burn_in=0))
+            simulate(sys, NoiseConfig(seed=0), SimConfig(dt=1.0, n_samples=64))
 
     def test_labels(self):
         ts = simulate(make_system(np.zeros((3, 3))), NoiseConfig(), SimConfig(n_samples=64))
@@ -302,20 +318,20 @@ class TestSimulateBlocks:
         # channels) blocks that it reshapes into chunks uncopied
         got, cascade = [], sim._cascade
 
-        def recording(phi, gamma, cmat, w_blocks, burn=0):
-            yield from cascade(phi, gamma, cmat, (got.append(w) or w for w in w_blocks), burn)
+        def recording(phi, gamma, cmat, w_blocks, x0=None):
+            yield from cascade(phi, gamma, cmat, (got.append(w) or w for w in w_blocks), x0)
         monkeypatch.setattr(sim, "_cascade", recording)
         noise = NoiseConfig(variance=2.0, seed=6, shaping=shaping,
                             shaping_pole=-2.0 if shaping == "lowpass" else None)
-        n, burn = 2 * PROPAGATE_BLOCK + 33, 7
-        simulate(make_system(np.zeros((3, 3))), noise,
-                 SimConfig(dt=0.01, n_samples=n, burn_in=burn))
+        n = 2 * PROPAGATE_BLOCK + 33
+        simulate(make_system(np.zeros((3, 3))), noise, SimConfig(dt=0.01, n_samples=n))
         assert max(len(w) for w in got) == PROPAGATE_BLOCK
         for w in got:
             assert w.dtype == np.float64 and w.shape[1] == 3 and w.flags.c_contiguous
             full = len(w) // CASCADE_CHUNK * CASCADE_CHUNK
             assert np.shares_memory(w[:full].reshape(-1, CASCADE_CHUNK * 3), w)
-        whole = np.random.default_rng(6).standard_normal((n + burn, 3))
+        # the run's n samples and no more
+        whole = np.random.default_rng(6).standard_normal((n, 3))
         assert np.array_equal(np.concatenate(got), whole)
 
     @pytest.mark.parametrize("ground", [None, 2])
@@ -364,14 +380,15 @@ class TestDrawAhead:
         assert threading.active_count() == before
 
     def test_overflow_leaves_no_thread(self):
-        # the cascade raises on the first block, while the draw of the next is in flight
-        node = NodeDynamics([[-1.0]], [1e154], [1e154])
+        # the cascade raises on the first block, while the draw of the next is in flight: the
+        # state and its stationary covariance are finite, the 1e307 output gain overflows
+        node = NodeDynamics([[-1.0]], [1.0], [1e307])
         sys = NetworkSystem(node, ConnectivityMatrix(np.zeros((2, 2))))
         before = threading.active_count()
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="overflow") as info:
+            with pytest.raises(NumericalError, match="simulation produced non-finite") as info:
                 simulate(sys, NoiseConfig(variance=1e8),
-                         SimConfig(n_samples=3 * PROPAGATE_BLOCK, burn_in=0))
+                         SimConfig(n_samples=3 * PROPAGATE_BLOCK))
         assert info.value.__traceback__ is not None
         assert threading.active_count() == before
 
@@ -458,13 +475,14 @@ class TestSimulateGrounded:
         assert not np.allclose(a.data, b.data)
 
     def test_full_run_draws_the_seed_stream(self):
-        # the full run is (seed, 0), whose stream is the one of the plain seed
+        # the full run is (seed, 0), whose streams are the ones of the plain seed
         sys = make_system(np.zeros((2, 2)))
-        cfg = SimConfig(dt=0.01, n_samples=300, burn_in=0)
+        cfg = SimConfig(dt=0.01, n_samples=300)
         ts = simulate(sys, NoiseConfig(seed=5), cfg)
         phi, gam = discretize(sys, cfg.dt)
         w = np.random.default_rng(5).standard_normal((cfg.n_samples, 2))
-        assert np.array_equal(ts.data, _propagate(phi, gam, w, sys.output_matrix()).T)
+        x0 = run_start(phi, gam, 5)
+        assert np.array_equal(ts.data, _propagate(phi, gam, w, sys.output_matrix(), x0).T)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):
@@ -479,6 +497,55 @@ class TestStationarity:
         v1 = ts.data[:, :half].var(axis=1)
         v2 = ts.data[:, half:].var(axis=1)
         assert np.abs(v1 / v2 - 1).max() <= 0.10
+
+    @pytest.mark.parametrize("make", [random_hurwitz_system, chain_system, cycle_system])
+    @pytest.mark.parametrize("shaping", ["none", "lowpass"])
+    def test_start_root_squares_to_the_lyapunov_solution(self, rng, make, shaping):
+        # Smith doubling against SciPy's solver, on the propagator's own (Phi, Gamma)
+        sys = make(rng) if make is random_hurwitz_system else make()
+        noise = NoiseConfig(variance=2.0, shaping=shaping,
+                            shaping_pole=-2.0 if shaping == "lowpass" else None)
+        phi, gam, _ = noise._shaped(*discretize(sys, 0.02), sys.output_matrix(), 0.02)
+        root = _stationary_start(phi, gam, Identity())
+        want = solve_discrete_lyapunov(phi, gam @ gam.T)
+        assert np.abs(root - root.T).max() <= 1e-14 * np.abs(root).max()
+        assert np.abs(root @ root - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shaping", ["none", "lowpass"])
+    def test_sample_zero_has_the_stationary_covariance(self, shaping):
+        # sample 0 of 1000 two-sample runs: every entry of its covariance lies within 3
+        # standard errors of C P C^T, P SciPy's, over the shaped state (a zero start reads 0)
+        sys = NetworkSystem(NodeDynamics.scalar_pole(-1.0), reference_laplacian_5())
+        cfg = SimConfig(dt=0.01, n_samples=2)
+        pole = -2.0 if shaping == "lowpass" else None
+        y0 = np.array([simulate(sys, NoiseConfig(2.0, seed, shaping, pole), cfg).data[:, 0]
+                       for seed in range(1000)])
+        phi, gam, cmat = NoiseConfig(2.0, 0, shaping, pole)._shaped(
+            *discretize(sys, cfg.dt), sys.output_matrix(), cfg.dt)
+        want = cmat @ solve_discrete_lyapunov(phi, gam @ gam.T) @ cmat.T
+        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / len(y0))
+        assert np.all(np.abs(y0.T @ y0 / len(y0) - want) <= 3 * se)
+
+    def test_a_marginal_step_is_refused(self):
+        # a spectral radius of 1: P grows without end, and is refused, not looped on
+        with pytest.raises(NumericalError, match="does not converge in 64 doublings"):
+            _stationary_start(np.eye(2), np.eye(2), Identity())
+        # the largest one below 1 converges within the bound
+        rho = np.nextafter(1.0, 0.0)
+        root = _stationary_start(rho * np.eye(1), np.eye(1), Identity())
+        assert root[0, 0] ** 2 == pytest.approx(1.0 / (1.0 - rho**2), rel=1e-6)
+
+    def test_a_nearly_marginal_run_starts_stationary(self):
+        # pole -1e-6: a start from 0 would need about 1e9 samples to forget itself; sample 0's
+        # variance over 400 runs sits within 3 standard errors of the stationary one
+        sys = NetworkSystem(NodeDynamics.scalar_pole(-1e-6), reference_laplacian_5())
+        cfg = SimConfig(dt=0.01, n_samples=2)
+        y0 = np.array([simulate(sys, NoiseConfig(seed=seed), cfg).data[:, 0]
+                       for seed in range(400)])
+        phi, gam = discretize(sys, cfg.dt)
+        want = np.diag(sys.output_matrix() @ solve_discrete_lyapunov(phi, gam @ gam.T)
+                       @ sys.output_matrix().T)
+        assert np.all(np.abs((y0**2).mean(axis=0) / want - 1.0) <= 3 * np.sqrt(2 / len(y0)))
 
 
 class TestShapedNoise:
@@ -499,22 +566,24 @@ class TestShapedNoise:
         assert model(0.0) == pytest.approx(white(0.0) / 4.0, rel=1e-6)
 
     def test_lowpass_record_is_ar1_then_network(self):
-        # u[k] = a u[k-1] + c sigma w[k], u[-1] = 0, drives x[k+1] = Phi x[k] + Gamma u[k]
+        # u[k] = a u[k-1] + c sigma w[k] drives x[k+1] = Phi x[k] + Gamma u[k], from the
+        # run's start [x[0], u[-1] / sigma], the shaped propagator's state
         sys = NetworkSystem(NodeDynamics.scalar_pole(-1.0), reference_laplacian_5())
         noise = NoiseConfig(variance=2.0, seed=6, shaping="lowpass", shaping_pole=-2.0)
-        cfg = SimConfig(dt=0.01, n_samples=PROPAGATE_BLOCK + 33, burn_in=7)
+        cfg = SimConfig(dt=0.01, n_samples=PROPAGATE_BLOCK + 33)
         ts = simulate(sys, noise, cfg)
         phi, gam = discretize(sys, cfg.dt)
         cmat = sys.output_matrix()
         a = np.exp(-2.0 * cfg.dt)
         c = (a - 1.0) / -2.0
-        w = np.sqrt(2.0) * np.random.default_rng(6).standard_normal((cfg.n_samples + 7, 5))
-        x, u, ref = np.zeros(5), np.zeros(5), np.empty_like(w)
+        w = np.sqrt(2.0) * np.random.default_rng(6).standard_normal((cfg.n_samples, 5))
+        x0 = run_start(*noise._shaped(phi, gam, cmat, cfg.dt)[:2], 6)
+        x, u, ref = x0[:5], np.sqrt(2.0) * x0[5:], np.empty_like(w)
         for k, wk in enumerate(w):
             ref[k] = cmat @ x
             u = a * u + c * wk
             x = phi @ x + gam @ u
-        assert np.abs(ts.data.T - ref[7:]).max() <= 1e-9 * np.abs(ref).max()
+        assert np.abs(ts.data.T - ref).max() <= 1e-9 * np.abs(ref).max()
 
     def test_lowpass_needs_negative_pole(self):
         with pytest.raises(ValidationError):
